@@ -12,13 +12,16 @@ at construction, the Markov partial trace is verified to be a monomial
 multiple of the identity (which fixes the charge weights), and the torus
 cross-path suite in the tests fixes the global mirror.
 
-Two evaluation engines share the same mathematics:
+One state-sum kernel, :func:`_state_sum`, evaluates the invariant over
+either of two coefficient rings; only the table coefficients, the weight
+monomials and the reduction after each letter depend on the ring:
 
-* an exact engine whose tensor amplitudes are integer Laurent polynomials
-  in u, returning the invariant itself;
-* a truncated engine for h-expansions (h = q-hat - 1) whose amplitudes are
-  integer series in g = u - 1, truncated at a fixed order and packed into
-  single big integers (Kronecker substitution) for speed.
+* the exact ring of integer Laurent polynomials in u, which returns the
+  invariant itself (:func:`colored_jones`, the reference the tests check
+  against);
+* the ring of integer series in g = u - 1 truncated at a fixed order and
+  packed into single big integers (Kronecker substitution), which gives
+  h-expansions (h = q-hat - 1) at large colors (:func:`jones_h_series`).
 """
 
 from __future__ import annotations
@@ -26,10 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import comb
 from typing import Dict, Iterable, List, Tuple
 
-from .exactalg import LaurentPoly, TruncSeries, series_pow1p
+from .exactalg import LaurentPoly, TruncSeries, series_compose, series_pow1p
 from .knots import BraidWord, NotAKnotError
 
 
@@ -232,107 +236,99 @@ def _markov_data(alpha: int) -> Tuple[int, int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Exact tensor states and the exact invariant
+# The state sum and its two coefficient rings
 # ---------------------------------------------------------------------------
 
 
-class TensorVector:
-    """Sparse state on the strands-fold tensor power, amplitudes in Z[u, 1/u]."""
+def _apply_letter(state: dict, table: dict, pos: int, reduce) -> dict:
+    """One braid letter on tensor slots (pos, pos+1), 0-based, of a sparse state.
 
-    __slots__ = ("alpha", "strands", "amplitudes")
-
-    def __init__(self, alpha: int, strands: int, amplitudes=None):
-        self.alpha = alpha
-        self.strands = strands
-        self.amplitudes = dict(amplitudes or {})
-
-    @classmethod
-    def basis(cls, alpha: int, strands: int, index: Tuple[int, ...]) -> "TensorVector":
-        return cls(alpha, strands, {tuple(index): LaurentPoly.one("u")})
-
-    def apply_crossing(self, op: CrossingOperator, pos: int) -> "TensorVector":
-        """Act on tensor slots (pos, pos+1), 0-based."""
-        out: dict = {}
-        table = op.table
-        for idx, amp in self.amplitudes.items():
-            for (k, l, c) in table[(idx[pos], idx[pos + 1])]:
-                nidx = idx[:pos] + (k, l) + idx[pos + 2 :]
-                prod = amp * c
-                prev = out.get(nidx)
-                nxt = prod if prev is None else prev + prod
-                if nxt.is_zero():
-                    out.pop(nidx, None)
-                else:
-                    out[nidx] = nxt
-        return TensorVector(self.alpha, self.strands, out)
-
-    def amplitude(self, index: Tuple[int, ...]) -> LaurentPoly:
-        return self.amplitudes.get(tuple(index), LaurentPoly.zero("u"))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TensorVector)
-            and self.alpha == other.alpha
-            and self.strands == other.strands
-            and self.amplitudes == other.amplitudes
-        )
-
-
-def _apply_word(vec: TensorVector, b: BraidWord, alpha: int) -> TensorVector:
-    for k in b.letters:
-        op = crossing_operator(alpha, 1 if k > 0 else -1)
-        vec = vec.apply_crossing(op, abs(k) - 1)
-    return vec
-
-
-def colored_jones(b: BraidWord, alpha) -> LaurentPoly:
-    """V_alpha of the closure of ``b`` as a Laurent polynomial in q-hat.
-
-    Normalized so the unknot gives 1 for every color; the writhe dependence
-    is removed by the framing monomial.  The result is certified to lie in
-    Z[q-hat, q-hat^-1]: all root-variable exponents must be divisible by 4.
+    ``table`` maps a slot pair (i, j) to its (k, l, coefficient) entries;
+    ``reduce`` normalizes the accumulated amplitudes once per letter.
     """
-    if isinstance(alpha, ColorDimension):
-        alpha = alpha.alpha
-    if alpha < 1:
-        raise ValueError("alpha must be >= 1")
-    if not b.is_knot():
-        raise NotAKnotError(
-            f"closure has {b.closure_component_count()} components, expected 1"
+    new: dict = {}
+    for key, amp in state.items():
+        pre = key[:pos]
+        post = key[pos + 2 :]
+        for (k, l, c) in table[key[pos], key[pos + 1]]:
+            nk = pre + (k, l) + post
+            prev = new.get(nk)
+            new[nk] = amp * c if prev is None else prev + amp * c
+    return reduce(new)
+
+
+def _drop_zeros(state: dict) -> dict:
+    return {key: amp for key, amp in state.items() if amp}
+
+
+def _pinned(table: dict, want_k, want_l) -> dict:
+    """The entries of ``table`` whose output slots take the wanted values."""
+    return {
+        key: tuple(
+            e for e in entries
+            if (want_k is None or e[0] == want_k) and (want_l is None or e[1] == want_l)
         )
-    if alpha == 1:
-        return LaurentPoly.one("q")
+        for key, entries in table.items()
+    }
+
+
+def _state_sum(b: BraidWord, alpha: int, ring):
+    """Framed Markov trace of the braiding operators of ``b``, in ``ring``.
+
+    The closure is the sum, over start vectors with slot 0 fixed to index 0,
+    of each start vector's diagonal amplitude times its charge weight
+    u^(2a * sum(N - 2i)); the framing monomial and, for an odd word, the
+    stabilization sign then remove the writhe dependence.  Only the diagonal
+    amplitude counts, so the last letter to touch a slot keeps only the
+    entries that put the slot back at its start index; states that cannot
+    contribute are never built.
+
+    ``ring`` supplies ``zero``, ``one``, ``tables`` (braid sign -> operator
+    table with ring coefficients), ``monomial(exp)`` for u**exp and
+    ``reduce(state)``, applied after each letter.
+    """
     N = alpha - 1
     a, f_sign, f_exp = _markov_data(alpha)
-    s = b.strands
-    total = LaurentPoly.zero("u")
-    from itertools import product as iproduct
-
-    for rest in iproduct(range(alpha), repeat=s - 1):
-        idx = (0,) + rest
-        vec = _apply_word(TensorVector.basis(alpha, s, idx), b, alpha)
-        amp = vec.amplitude(idx)
-        if amp.is_zero():
-            continue
-        wexp = 2 * a * sum(N - 2 * i for i in rest)
-        total = total + amp * LaurentPoly.monomial("u", wexp)
-    w = b.writhe()
-    framed = total * LaurentPoly.monomial("u", -f_exp * w)
+    steps = []
+    touched: set = set()
+    for k in reversed(b.letters):
+        pos = abs(k) - 1
+        steps.append((pos, 1 if k > 0 else -1, pos not in touched, pos + 1 not in touched))
+        touched.update((pos, pos + 1))
+    steps.reverse()
+    pinned: dict = {}
+    total = ring.zero
+    for rest in product(range(alpha), repeat=b.strands - 1):
+        start = (0,) + rest
+        state = {start: ring.one}
+        for pos, sign, pin_k, pin_l in steps:
+            key = (sign, start[pos] if pin_k else None, start[pos + 1] if pin_l else None)
+            table = pinned.get(key)
+            if table is None:
+                table = pinned[key] = _pinned(ring.tables[sign], key[1], key[2])
+            state = _apply_letter(state, table, pos, ring.reduce)
+        amp = state.get(start)
+        if amp is not None:
+            total = total + amp * ring.monomial(2 * a * sum(N - 2 * i for i in rest))
+    framed = total * ring.monomial(-f_exp * b.writhe())
     if f_sign == -1 and len(b.letters) % 2 == 1:
         framed = -framed
-    if not framed.exponents_divisible_by(4):
-        raise ConventionViolationError(
-            "normalized invariant has fractional powers of q-hat"
-        )
-    result = framed.compress_exponents(4, "q")
-    if result.coeff(0) == 0 and result.evaluate_at_one() != 1:
-        raise ConventionViolationError("invariant does not evaluate to 1 at q-hat=1")
-    return result
+    return framed
 
 
-# ---------------------------------------------------------------------------
-# Truncated h-expansion engine
-# ---------------------------------------------------------------------------
+class _ExactRing:
+    """Integer Laurent polynomials in u: the invariant itself."""
+
+    zero = LaurentPoly.zero("u")
+    one = LaurentPoly.one("u")
+    reduce = staticmethod(_drop_zeros)
+
+    def __init__(self, alpha: int):
+        self.tables = {sgn: crossing_operator(alpha, sgn).table for sgn in (1, -1)}
+
+    @staticmethod
+    def monomial(exp: int) -> LaurentPoly:
+        return LaurentPoly.monomial("u", exp)
 
 
 def _binom_row_fast(exp: int, length: int) -> List[int]:
@@ -353,43 +349,6 @@ def _laurent_to_gseries(p: LaurentPoly, length: int) -> List[int]:
         for k in range(length):
             out[k] += c * row[k]
     return out
-
-
-class _Packed:
-    """Kronecker-packed truncated integer series arithmetic."""
-
-    __slots__ = ("length", "bits", "mask", "digit_mask", "half")
-
-    def __init__(self, length: int, bits: int):
-        self.length = length
-        self.bits = bits
-        self.mask = (1 << (bits * length)) - 1
-        self.digit_mask = (1 << bits) - 1
-        self.half = 1 << (bits - 1)
-
-    def pack(self, coeffs: Iterable[int]) -> int:
-        x = 0
-        b = self.bits
-        for c in reversed(list(coeffs)):
-            x = (x << b) + c
-        return x & self.mask
-
-    def mul(self, x: int, y: int) -> int:
-        return (x * y) & self.mask
-
-    def unpack(self, x: int) -> List[int]:
-        x &= self.mask
-        out = []
-        b = self.bits
-        dm = self.digit_mask
-        half = self.half
-        for _ in range(self.length):
-            d = x & dm
-            if d >= half:
-                d -= dm + 1
-            out.append(d)
-            x = (x - d) >> b
-        return out
 
 
 @lru_cache(maxsize=None)
@@ -421,57 +380,156 @@ def _bits_needed(b: BraidWord, alpha: int, length: int, m_entry: int) -> int:
     return total.bit_length() + 4
 
 
-def _suffix_untouched(b: BraidWord):
-    """For each word step t, the slots never touched by letters at index >= t.
+class _PackedRing:
+    """Integer series in g = u - 1 mod g**length, Kronecker-packed into one int.
 
-    A state can only contribute to the diagonal amplitude if every such
-    finished slot already matches the start index, which prunes the
-    evolution hard.
+    Each coefficient takes ``bits`` bits in two's complement; arithmetic is
+    integer arithmetic mod 2**(bits * length), which is exact while every
+    coefficient fits the width that :func:`_bits_needed` bounds.
     """
-    s = b.strands
-    L = len(b.letters)
-    touched_after = [set() for _ in range(L + 1)]
-    for t in range(L - 1, -1, -1):
-        p = abs(b.letters[t]) - 1
-        touched_after[t] = touched_after[t + 1] | {p, p + 1}
-    return [tuple(sorted(set(range(s)) - touched)) for touched in touched_after]
+
+    zero = 0
+    one = 1
+
+    def __init__(self, b: BraidWord, alpha: int, length: int):
+        raw_tables, m_entry = _gseries_entry_tables(alpha, length)
+        self.length = length
+        self.bits = _bits_needed(b, alpha, length, m_entry)
+        self.mask = (1 << (self.bits * length)) - 1
+        self.tables = {
+            sgn: {
+                key: tuple((k, l, self.pack(c)) for (k, l, c) in entries)
+                for key, entries in tbl.items()
+            }
+            for sgn, tbl in raw_tables.items()
+        }
+        self._monomials: Dict[int, int] = {}
+
+    def pack(self, coeffs: Iterable[int]) -> int:
+        x = 0
+        b = self.bits
+        for c in reversed(list(coeffs)):
+            x = (x << b) + c
+        return x & self.mask
+
+    def monomial(self, exp: int) -> int:
+        v = self._monomials.get(exp)
+        if v is None:
+            v = self._monomials[exp] = self.pack(_binom_row_fast(exp, self.length))
+        return v
+
+    def reduce(self, state: dict) -> dict:
+        mask = self.mask
+        return {key: amp & mask for key, amp in state.items()}
+
+    def unpack(self, x: int) -> List[int]:
+        x &= self.mask
+        out = []
+        b = self.bits
+        dm = (1 << b) - 1
+        half = 1 << (b - 1)
+        for _ in range(self.length):
+            d = x & dm
+            if d >= half:
+                d -= dm + 1
+            out.append(d)
+            x = (x - d) >> b
+        return out
 
 
-def jones_h_series(b: BraidWord, alpha, cap: int, engine: str = "packed") -> List[Fraction]:
-    """Coefficients of the h-expansion of V_alpha(closure of b) through h**cap.
+# ---------------------------------------------------------------------------
+# Exact tensor states and the exact invariant
+# ---------------------------------------------------------------------------
 
-    Same invariant as :func:`colored_jones`, evaluated with truncated
-    arithmetic so large colors stay tractable.  Coefficients are certified
-    integers (returned as Fractions for uniformity downstream).
-    """
+
+class TensorVector:
+    """Sparse state on the strands-fold tensor power, amplitudes in Z[u, 1/u]."""
+
+    __slots__ = ("alpha", "strands", "amplitudes")
+
+    def __init__(self, alpha: int, strands: int, amplitudes=None):
+        self.alpha = alpha
+        self.strands = strands
+        self.amplitudes = dict(amplitudes or {})
+
+    @classmethod
+    def basis(cls, alpha: int, strands: int, index: Tuple[int, ...]) -> "TensorVector":
+        return cls(alpha, strands, {tuple(index): LaurentPoly.one("u")})
+
+    def apply_crossing(self, op: CrossingOperator, pos: int) -> "TensorVector":
+        """Act on tensor slots (pos, pos+1), 0-based."""
+        out = _apply_letter(self.amplitudes, op.table, pos, _drop_zeros)
+        return TensorVector(self.alpha, self.strands, out)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, TensorVector)
+            and self.alpha == other.alpha
+            and self.strands == other.strands
+            and self.amplitudes == other.amplitudes
+        )
+
+
+def _knot_color(b: BraidWord, alpha) -> int:
+    """The color as an int, after checking it and that ``b`` closes to a knot."""
     if isinstance(alpha, ColorDimension):
         alpha = alpha.alpha
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
-    if cap < 0:
-        raise ValueError("cap must be >= 0")
     if not b.is_knot():
         raise NotAKnotError(
             f"closure has {b.closure_component_count()} components, expected 1"
         )
+    return alpha
+
+
+def colored_jones(b: BraidWord, alpha) -> LaurentPoly:
+    """V_alpha of the closure of ``b`` as a Laurent polynomial in q-hat.
+
+    Normalized so the unknot gives 1 for every color; the writhe dependence
+    is removed by the framing monomial.  The result is certified to lie in
+    Z[q-hat, q-hat^-1] (all root-variable exponents must be divisible by 4)
+    and to evaluate to 1 at q-hat = 1.
+    """
+    alpha = _knot_color(b, alpha)
+    if alpha == 1:
+        return LaurentPoly.one("q")
+    framed = _state_sum(b, alpha, _ExactRing(alpha))
+    if not framed.exponents_divisible_by(4):
+        raise ConventionViolationError(
+            "normalized invariant has fractional powers of q-hat"
+        )
+    result = framed.compress_exponents(4, "q")
+    if result.evaluate_at_one() != 1:
+        raise ConventionViolationError("invariant does not evaluate to 1 at q-hat=1")
+    return result
+
+
+# ---------------------------------------------------------------------------
+# Truncated h-expansion
+# ---------------------------------------------------------------------------
+
+
+def jones_h_series(b: BraidWord, alpha, cap: int) -> List[Fraction]:
+    """Coefficients of the h-expansion of V_alpha(closure of b) through h**cap.
+
+    Same invariant as :func:`colored_jones`, evaluated in the packed
+    truncated ring so large colors stay tractable.  Coefficients are
+    certified integers (returned as Fractions for uniformity downstream).
+    """
+    alpha = _knot_color(b, alpha)
+    if cap < 0:
+        raise ValueError("cap must be >= 0")
     if alpha == 1:
         return [Fraction(1)] + [Fraction(0)] * cap
-    if engine == "packed":
-        gseries = _gseries_packed(b, alpha, cap + 1)
-    elif engine == "plain":
-        gseries = _gseries_plain(b, alpha, cap + 1)
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
-    return _gseries_to_hseries(gseries, cap)
+    ring = _PackedRing(b, alpha, cap + 1)
+    return _gseries_to_hseries(ring.unpack(_state_sum(b, alpha, ring)), cap)
 
 
 def _gseries_to_hseries(gcoeffs: List[int], cap: int) -> List[Fraction]:
     g_of_h = series_pow1p(Fraction(1, 4), cap) - 1
-    series = TruncSeries("h", cap, [Fraction(c) for c in gcoeffs[: cap + 1]])
-    from .exactalg import series_compose
-
-    out = series_compose(TruncSeries("_g", cap, series.coeffs), g_of_h)
-    coeffs = list(out.coeffs)
+    series = TruncSeries("_g", cap, [Fraction(c) for c in gcoeffs[: cap + 1]])
+    coeffs = list(series_compose(series, g_of_h).coeffs)
     for c in coeffs:
         if c.denominator != 1:
             raise ConventionViolationError(
@@ -480,127 +538,6 @@ def _gseries_to_hseries(gcoeffs: List[int], cap: int) -> List[Fraction]:
     if coeffs[0] != 1:
         raise ConventionViolationError("h-expansion does not start at 1")
     return coeffs
-
-
-def _gseries_packed(b: BraidWord, alpha: int, length: int) -> List[int]:
-    from itertools import product as iproduct
-
-    N = alpha - 1
-    a, f_sign, f_exp = _markov_data(alpha)
-    raw_tables, m_entry = _gseries_entry_tables(alpha, length)
-    bits = _bits_needed(b, alpha, length, m_entry)
-    ctx = _Packed(length, bits)
-    tables = {
-        sgn: {
-            key: tuple((k, l, ctx.pack(c)) for (k, l, c) in entries)
-            for key, entries in tbl.items()
-        }
-        for sgn, tbl in raw_tables.items()
-    }
-    positions = [abs(k) - 1 for k in b.letters]
-    letter_tables = [tables[1 if k > 0 else -1] for k in b.letters]
-    finished = _suffix_untouched(b)
-    mu_cache: Dict[int, int] = {}
-
-    def mu_packed(exp: int) -> int:
-        v = mu_cache.get(exp)
-        if v is None:
-            v = ctx.pack(_binom_row_fast(exp, length))
-            mu_cache[exp] = v
-        return v
-
-    total = 0
-    mask = ctx.mask
-    for rest in iproduct(range(alpha), repeat=b.strands - 1):
-        idx = (0,) + rest
-        state = {idx: 1}
-        for t, (pos, tbl) in enumerate(zip(positions, letter_tables)):
-            done_slots = finished[t + 1]
-            new: dict = {}
-            for key, amp in state.items():
-                i, j = key[pos], key[pos + 1]
-                pre = key[:pos]
-                post = key[pos + 2 :]
-                for (k, l, centry) in tbl[(i, j)]:
-                    nk = pre + (k, l) + post
-                    ok = True
-                    for slot in done_slots:
-                        if nk[slot] != idx[slot]:
-                            ok = False
-                            break
-                    if not ok:
-                        continue
-                    prod = (amp * centry) & mask
-                    prev = new.get(nk)
-                    new[nk] = prod if prev is None else prev + prod
-            state = new
-        amp = state.get(idx)
-        if amp is None:
-            continue
-        wexp = 2 * a * sum(N - 2 * i for i in rest)
-        total += ctx.mul(amp & mask, mu_packed(wexp))
-    total = ctx.mul(total & mask, mu_packed(-f_exp * b.writhe()))
-    coeffs = ctx.unpack(total)
-    if f_sign == -1 and len(b.letters) % 2 == 1:
-        coeffs = [-c for c in coeffs]
-    return coeffs
-
-
-def _gseries_plain(b: BraidWord, alpha: int, length: int) -> List[int]:
-    """Reference engine with unpacked list arithmetic; used for cross-checks."""
-    from itertools import product as iproduct
-
-    N = alpha - 1
-    a, f_sign, f_exp = _markov_data(alpha)
-    raw = {}
-    for sgn in (1, -1):
-        op = crossing_operator(alpha, sgn)
-        raw[sgn] = {
-            key: [(k, l, tuple(_laurent_to_gseries(c, length))) for (k, l, c) in entries]
-            for key, entries in op.table.items()
-        }
-
-    def conv(xs, ys):
-        out = [0] * length
-        for i, x in enumerate(xs):
-            if x:
-                for j in range(length - i):
-                    y = ys[j]
-                    if y:
-                        out[i + j] += x * y
-        return out
-
-    total = [0] * length
-    for rest in iproduct(range(alpha), repeat=b.strands - 1):
-        idx = (0,) + rest
-        state = {idx: [0] * length}
-        state[idx][0] = 1
-        for k in b.letters:
-            pos = abs(k) - 1
-            tbl = raw[1 if k > 0 else -1]
-            new: dict = {}
-            for key, amp in state.items():
-                for (x, y, centry) in tbl[(key[pos], key[pos + 1])]:
-                    nk = key[:pos] + (x, y) + key[pos + 2 :]
-                    prod = conv(amp, centry)
-                    if nk in new:
-                        tgt = new[nk]
-                        for t in range(length):
-                            tgt[t] += prod[t]
-                    else:
-                        new[nk] = prod
-            state = new
-        amp = state.get(idx)
-        if amp is None:
-            continue
-        wexp = 2 * a * sum(N - 2 * i for i in rest)
-        term = conv(amp, _binom_row_fast(wexp, length))
-        for t in range(length):
-            total[t] += term[t]
-    total = conv(total, _binom_row_fast(-f_exp * b.writhe(), length))
-    if f_sign == -1 and len(b.letters) % 2 == 1:
-        total = [-c for c in total]
-    return total
 
 
 def jones_h_expansion(b: BraidWord, alpha, cap: int) -> TruncSeries:

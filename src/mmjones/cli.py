@@ -39,6 +39,16 @@ CATALOG_ENV = "MMJONES_CATALOG"
 DEFAULT_ORDER_CEILING = 6
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _load_records(path: Optional[str]):
     path = path or os.environ.get(CATALOG_ENV)
     if path:
@@ -208,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
                           default="auto")
     p_expand.add_argument("--max-order", type=int, default=DEFAULT_ORDER_CEILING,
                           help="runtime ceiling on N (default %(default)s)")
-    p_expand.add_argument("--jobs", type=int, default=1)
+    p_expand.add_argument("--jobs", type=_positive_int, default=1)
     p_expand.set_defaults(func=cmd_expand)
 
     p_torus = sub.add_parser("torus", help="certified lines of a torus knot")
@@ -228,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.add_argument("--out", default=None, metavar="PATH")
     p_verify.add_argument("--catalog", default=None, metavar="FILE")
-    p_verify.add_argument("--jobs", type=int, default=1)
+    p_verify.add_argument("--jobs", type=_positive_int, default=1)
     p_verify.set_defaults(func=cmd_verify)
 
     p_catalog = sub.add_parser("catalog", help="validate and list a knot catalog")
@@ -243,7 +253,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (KnotError, ValueError) as exc:
+    except (KnotError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

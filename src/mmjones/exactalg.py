@@ -5,14 +5,12 @@ rationals (``fractions.Fraction``) or exact integers.  No floats anywhere.
 
 Conventions used throughout the package:
 
-* ``Rational`` is an alias for ``fractions.Fraction`` (always reduced,
-  positive denominator, canonical zero).
 * ``LaurentPoly`` is an integer-coefficient Laurent polynomial in a single
   formal variable identified by a short tag ('q', 'u', 't', 'x').
 * ``QPoly`` is a dense polynomial in z with rational coefficients.
 * ``TruncSeries`` is a power series truncated at a fixed cap; arithmetic
   never reports coefficients beyond the minimum cap of its operands.
-* ``BiSeries`` is a doubly truncated series in (z, h).
+* ``BiSeries`` is a plain container for a doubly truncated series in (z, h).
 * ``RationalFn`` is a ratio of two ``QPoly`` with the denominator
   normalized to constant term 1.
 """
@@ -20,10 +18,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
-from typing import Iterable, Sequence, Union
-
-Rational = Fraction
+from typing import Iterable, Sequence
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -188,13 +183,6 @@ class LaurentPoly:
         """Substitute var -> var**-1."""
         return LaurentPoly(self.var, {-e: c for e, c in self.terms.items()})
 
-    def retag(self, var: str) -> "LaurentPoly":
-        return LaurentPoly(var, dict(self.terms))
-
-    def rescale_exponents(self, k: int, var: str | None = None) -> "LaurentPoly":
-        """Substitute var -> var**k (k > 0), optionally retagging."""
-        return LaurentPoly(var or self.var, {e * k: c for e, c in self.terms.items()})
-
     def exponents_divisible_by(self, k: int) -> bool:
         return all(e % k == 0 for e in self.terms)
 
@@ -324,11 +312,6 @@ class QPoly:
 
     def has_integer_coeffs(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)
-
-    def int_coeffs(self) -> list:
-        if not self.has_integer_coeffs():
-            raise ValueError("non-integer coefficient present")
-        return [int(c) for c in self.coeffs]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, QPoly) and self.coeffs == other.coeffs
@@ -482,7 +465,6 @@ def solve_linear_system(matrix: Sequence[Sequence], rhs_columns: Sequence[Sequen
         raise ValueError("matrix must be square")
     if any(len(col) != n for col in bs):
         raise ValueError("rhs length mismatch")
-    perm = list(range(n))
     for col in range(n):
         piv = next((r for r in range(col, n) if a[r][col] != 0), None)
         if piv is None:
@@ -500,7 +482,6 @@ def solve_linear_system(matrix: Sequence[Sequence], rhs_columns: Sequence[Sequen
                 a[r][c] -= f * a[col][c]
             for b in bs:
                 b[r] -= f * b[col]
-    del perm
     sols = []
     for b in bs:
         x = [_ZERO] * n
@@ -667,9 +648,6 @@ class TruncSeries:
                 return k
         return self.cap + 1
 
-    def retag(self, var: str) -> "TruncSeries":
-        return TruncSeries(var, self.cap, self.coeffs)
-
     def __repr__(self) -> str:
         bits = [
             f"{c}*{self.var}^{k}" for k, c in enumerate(self.coeffs) if c != 0
@@ -704,42 +682,21 @@ def series_two_arcsinh_half(cap: int, var: str = "z") -> TruncSeries:
     """
     # inner = sqrt(1 + (z/2)^2) + z/2 - 1, a series with zero constant term
     half_sq = TruncSeries(var, cap, [_ZERO, _ZERO, Fraction(1, 4)])
-    root = _compose_into(series_pow1p(Fraction(1, 2), cap, var="_t"), half_sq)
+    root = series_compose(series_pow1p(Fraction(1, 2), cap, var="_t"), half_sq)
     inner = root + TruncSeries(var, cap, [_ZERO, Fraction(1, 2)]) - 1
-    return 2 * _compose_into(series_log1p(cap, var="_t"), inner)
+    return 2 * series_compose(series_log1p(cap, var="_t"), inner)
 
 
-def _compose_into(outer: TruncSeries, inner):
-    """Horner composition of ``outer`` with ``inner`` (constant term checked)."""
-    if isinstance(inner, TruncSeries):
-        if inner.constant_term() != 0:
-            raise CompositionError("inner series must have zero constant term")
-        cap = min(outer.cap, inner.cap)
-        acc = TruncSeries.zero(inner.var, cap)
-        inner_t = inner.truncate(cap)
-        for c in reversed(outer.coeffs[: cap + 1]):
-            acc = acc * inner_t + c
-        return acc
-    if isinstance(inner, BiSeries):
-        if inner.get(0, 0) != 0:
-            raise CompositionError("inner bi-series must have zero constant term")
-        if outer.cap < inner.zcap + inner.hcap:
-            raise CompositionError(
-                "outer cap too small for a bi-series substitution "
-                f"(need >= {inner.zcap + inner.hcap})"
-            )
-        acc = BiSeries.zero(inner.zcap, inner.hcap)
-        for c in reversed(outer.coeffs):
-            acc = acc * inner
-            if c:
-                acc = acc + BiSeries.constant(inner.zcap, inner.hcap, c)
-        return acc
-    raise TypeError("inner must be TruncSeries or BiSeries")
-
-
-def series_compose(outer: TruncSeries, inner):
-    """Formal composition outer(inner); inner must have zero constant term."""
-    return _compose_into(outer, inner)
+def series_compose(outer: TruncSeries, inner: TruncSeries) -> TruncSeries:
+    """Formal composition outer(inner) by Horner's rule; inner must have zero constant term."""
+    if inner.constant_term() != 0:
+        raise CompositionError("inner series must have zero constant term")
+    cap = min(outer.cap, inner.cap)
+    acc = TruncSeries.zero(inner.var, cap)
+    inner_t = inner.truncate(cap)
+    for c in reversed(outer.coeffs[: cap + 1]):
+        acc = acc * inner_t + c
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -750,9 +707,9 @@ def series_compose(outer: TruncSeries, inner):
 class BiSeries:
     """Rational-coefficient series truncated at (zcap, hcap).
 
-    ``coeff[zdeg][hdeg]`` carries the coefficient of z**zdeg * h**hdeg.  The
-    second variable is called h throughout but may carry a reparametrized
-    expansion variable after substitution.
+    ``rows[zdeg][hdeg]`` carries the coefficient of z**zdeg * h**hdeg.  A
+    plain container: the line routes build it once per D-table and read
+    its rows.
     """
 
     __slots__ = ("zcap", "hcap", "rows")
@@ -771,115 +728,15 @@ class BiSeries:
             grid.append(tuple(row))
         self.rows = tuple(grid)
 
-    @classmethod
-    def zero(cls, zcap: int, hcap: int) -> "BiSeries":
-        return cls(zcap, hcap)
-
-    @classmethod
-    def constant(cls, zcap: int, hcap: int, value) -> "BiSeries":
-        return cls(zcap, hcap, [[value]])
-
     def get(self, zdeg: int, hdeg: int) -> Fraction:
         if zdeg > self.zcap or hdeg > self.hcap:
             raise IndexError("coefficient beyond caps")
         return self.rows[zdeg][hdeg]
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BiSeries)
-            and self.zcap == other.zcap
-            and self.hcap == other.hcap
-            and self.rows == other.rows
-        )
-
-    def __add__(self, other: "BiSeries") -> "BiSeries":
-        zc = min(self.zcap, other.zcap)
-        hc = min(self.hcap, other.hcap)
-        return BiSeries(
-            zc,
-            hc,
-            [
-                [self.rows[zd][hd] + other.rows[zd][hd] for hd in range(hc + 1)]
-                for zd in range(zc + 1)
-            ],
-        )
-
-    def __neg__(self) -> "BiSeries":
-        return BiSeries(
-            self.zcap, self.hcap, [[-c for c in row] for row in self.rows]
-        )
-
-    def __sub__(self, other: "BiSeries") -> "BiSeries":
-        return self + (-other)
-
-    def __mul__(self, other) -> "BiSeries":
-        if isinstance(other, (int, Fraction)):
-            o = _frac(other)
-            return BiSeries(
-                self.zcap, self.hcap, [[c * o for c in row] for row in self.rows]
-            )
-        zc = min(self.zcap, other.zcap)
-        hc = min(self.hcap, other.hcap)
-        out = [[_ZERO] * (hc + 1) for _ in range(zc + 1)]
-        for zd1 in range(zc + 1):
-            row1 = self.rows[zd1]
-            for hd1 in range(hc + 1):
-                a = row1[hd1]
-                if a == 0:
-                    continue
-                for zd2 in range(zc + 1 - zd1):
-                    row2 = other.rows[zd2]
-                    orow = out[zd1 + zd2]
-                    for hd2 in range(hc + 1 - hd1):
-                        b = row2[hd2]
-                        if b:
-                            orow[hd1 + hd2] += a * b
-        return BiSeries(zc, hc, out)
-
-    __rmul__ = __mul__
-
-    def add_term(self, zseries: TruncSeries, hseries: TruncSeries, scale=1) -> "BiSeries":
-        """Accumulate scale * zseries(z) * hseries(h) into a copy of self."""
-        s = _frac(scale)
-        zc, hc = self.zcap, self.hcap
-        out = [list(row) for row in self.rows]
-        for zd in range(min(zc, zseries.cap) + 1):
-            a = zseries.coeffs[zd]
-            if a == 0:
-                continue
-            fa = a * s
-            orow = out[zd]
-            for hd in range(min(hc, hseries.cap) + 1):
-                b = hseries.coeffs[hd]
-                if b:
-                    orow[hd] += fa * b
-        return BiSeries(zc, hc, out)
-
-    def substitute_h(self, new_h: TruncSeries) -> "BiSeries":
-        """Substitute the h variable by a series with zero constant term.
-
-        Each z-row is composed independently, so a row that is only valid up
-        to some h-order stays valid to the same order after substitution
-        (the substitution series has valuation 1).
-        """
-        if new_h.constant_term() != 0:
-            raise CompositionError("substitution series must have zero constant term")
-        if new_h.valuation() < 1:
-            raise CompositionError("substitution series must have valuation >= 1")
-        hc = min(self.hcap, new_h.cap)
-        rows = []
-        for zd in range(self.zcap + 1):
-            outer = TruncSeries("_o", hc, self.rows[zd][: hc + 1])
-            rows.append(list(_compose_into(outer, new_h.truncate(hc)).coeffs))
-        return BiSeries(self.zcap, hc, rows)
-
     def odd_z_rows_zero(self) -> bool:
         return all(
             all(c == 0 for c in self.rows[zd]) for zd in range(1, self.zcap + 1, 2)
         )
-
-    def h_row(self, zdeg: int) -> TruncSeries:
-        return TruncSeries("h", self.hcap, self.rows[zdeg])
 
 
 # ---------------------------------------------------------------------------
@@ -970,20 +827,6 @@ class RationalFn:
 
     def __repr__(self) -> str:
         return f"({self.num!r}) / ({self.den!r})"
-
-
-def ratfn_reduce(f: RationalFn) -> RationalFn:
-    """Remove the polynomial GCD and renormalize the denominator."""
-    return f.reduce()
-
-
-def ratfn_derivative(f: RationalFn) -> RationalFn:
-    """Quotient-rule derivative followed by reduction."""
-    return f.derivative()
-
-
-def binomial(n: int, k: int) -> int:
-    return comb(n, k)
 
 
 def laurent_to_hseries(p: LaurentPoly, cap: int, var: str = "h") -> TruncSeries:

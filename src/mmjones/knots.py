@@ -14,6 +14,7 @@ x = t^(1/2).
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from math import gcd
 from typing import Optional, Sequence
@@ -97,9 +98,6 @@ class BraidWord:
     def mirror(self) -> "BraidWord":
         return BraidWord(self.strands, tuple(-k for k in self.letters))
 
-    def reversed_word(self) -> "BraidWord":
-        return BraidWord(self.strands, tuple(reversed(self.letters)))
-
     def stabilized(self, sign: int = 1) -> "BraidWord":
         """Markov stabilization: one more strand and a final +/-(strands) letter."""
         if sign not in (1, -1):
@@ -108,14 +106,6 @@ class BraidWord:
 
     def conjugated(self, letter: int) -> "BraidWord":
         return BraidWord(self.strands, (letter,) + self.letters + (-letter,))
-
-
-def closure_component_count(b: BraidWord) -> int:
-    return b.closure_component_count()
-
-
-def writhe(b: BraidWord) -> int:
-    return b.writhe()
 
 
 # ---------------------------------------------------------------------------
@@ -386,30 +376,30 @@ def _record_from_dict(obj: dict) -> KnotRecord:
     return KnotRecord(name, braid, amphicheiral, expected)
 
 
-def load_catalog(document) -> list:
+def load_catalog(source) -> list:
     """Load and validate a knot catalog.
 
-    ``document`` may be a JSON string, a parsed list of record dicts, or a
-    filesystem path.  Every record is validated: well-formed braid,
-    single-component closure, and a Conway polynomial match whenever an
-    expected polynomial is supplied.
+    ``source`` is a parsed list of record dicts or the path (``str`` or
+    ``os.PathLike``) of a JSON file holding one; nothing else is accepted.
+    Every record is validated: well-formed braid, single-component closure,
+    and a Conway polynomial match whenever an expected polynomial is
+    supplied.
     """
-    if isinstance(document, (list, tuple)):
-        data = list(document)
-    else:
-        text = str(document)
-        if "[" not in text:
-            with open(text, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise CatalogError(f"catalog is not valid JSON: {exc}") from exc
-    if not isinstance(data, list):
-        raise CatalogError("catalog must be a top-level list of records")
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, "r", encoding="utf-8") as fh:
+            try:
+                source = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise CatalogError(f"catalog is not valid JSON: {exc}") from exc
+        if not isinstance(source, list):
+            raise CatalogError("catalog must be a top-level list of records")
+    elif not isinstance(source, list):
+        raise TypeError(
+            f"catalog source must be a list of records or a path, not {type(source).__name__}"
+        )
     records = []
     seen = set()
-    for obj in data:
+    for obj in source:
         if not isinstance(obj, dict):
             raise CatalogError("catalog records must be objects")
         rec = _record_from_dict(obj)

@@ -21,8 +21,10 @@ u the square root of q-hat.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -77,6 +79,11 @@ class DTable:
         """The diagonal D[m][2m], m = 0..N."""
         return [self.entries[m][2 * m] for m in range(self.N + 1)]
 
+    @cached_property
+    def biseries(self) -> BiSeries:
+        """The collected (z, h) bi-series, built once and read by every line route."""
+        return _z_h_biseries(self)
+
 
 def _h_series_job(args) -> list:
     strands, letters, alpha, cap = args
@@ -84,11 +91,12 @@ def _h_series_job(args) -> list:
 
 
 def _jones_rows(b: BraidWord, alphas: Sequence[int], cap: int, jobs: int = 1):
-    if jobs > 1 and len(alphas) > 1:
+    workers = min(jobs, len(alphas), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         args = [(b.strands, b.letters, a, cap) for a in alphas]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_h_series_job, args))
     return [jones_h_series(b, a, cap) for a in alphas]
 
@@ -198,7 +206,7 @@ def to_z_lines(d: DTable) -> LineTable:
     """
     N = d.N
     cap = 2 * N
-    bi = _z_h_biseries(d)
+    bi = d.biseries
     rows = []
     for n in range(cap + 1):
         top_m = N - (n + 1) // 2
@@ -290,7 +298,7 @@ def to_htilde_lines(d: DTable) -> LineTable:
     """
     N = d.N
     cap = 2 * N
-    zl = _z_h_biseries(d)
+    zl = d.biseries
     sub = reparam_series(cap)
     rows_by_m: List[TruncSeries] = []
     for m in range(N + 1):
@@ -305,7 +313,7 @@ def to_htilde_lines(d: DTable) -> LineTable:
 
 
 def _z_h_biseries(d: DTable) -> BiSeries:
-    """The collected (z, h) bi-series used by both reparametrizations."""
+    """The collected (z, h) bi-series; read it through ``DTable.biseries``."""
     N = d.N
     cap = 2 * N
     s = series_two_arcsinh_half(cap)
@@ -360,14 +368,15 @@ class BottomLineReport:
 def bottom_line_check(d: DTable, conway: QPoly) -> BottomLineReport:
     """Verify that the bottom line is the inverse Conway polynomial.
 
-    Two routes must both give 1 through the available order: the solved
-    z-line multiplied by the Conway polynomial, and the boundary D[m][2m]
-    coefficients composed with the odd substitution series directly.
+    Two routes must both give 1 through the available order: the bottom
+    line (the h^0 column of the shared bi-series) multiplied by the Conway
+    polynomial, and the boundary D[m][2m] coefficients composed with the
+    odd substitution series directly.
     """
     N = d.N
     cap = 2 * N
     conway_series = TruncSeries("z", cap, conway.coeffs)
-    line = to_z_lines(d).line_series(0).pad_exact(cap)
+    line = TruncSeries("z", cap, [row[0] for row in d.biseries.rows])
     prod1 = line * conway_series
     fail1 = tuple(
         k for k in range(cap + 1) if prod1.coeff(k) != (1 if k == 0 else 0)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from mmjones import cjones
 from mmjones.cjones import (
     ColorDimension,
     ConventionViolationError,
@@ -116,6 +117,19 @@ class TestColoredJones:
         with pytest.raises(NotAKnotError):
             colored_jones(BraidWord(2, [1, 1]), 2)
 
+    def test_rejects_sign_flipped_invariant(self, monkeypatch):
+        # a flipped stabilization sign negates the invariant of an odd word;
+        # V(1) = -1 must then fail the gate whatever the constant term is
+        original = cjones._markov_data
+
+        def flipped(alpha):
+            a, f_sign, f_exp = original(alpha)
+            return a, -f_sign, f_exp
+
+        monkeypatch.setattr(cjones, "_markov_data", flipped)
+        with pytest.raises(ConventionViolationError):
+            colored_jones(FIG8.stabilized(1), 2)
+
 
 class TestHExpansion:
     def test_unknot_series(self):
@@ -132,13 +146,9 @@ class TestHExpansion:
                 exact = laurent_to_hseries(colored_jones(braid, alpha), 8)
                 fast = jones_h_expansion(braid, alpha, 8)
                 assert exact == fast
-
-    def test_engines_agree(self):
         for braid in (K5_2, K6_1):
-            for alpha in (2, 3, 4):
-                packed = jones_h_series(braid, alpha, 6, engine="packed")
-                plain = jones_h_series(braid, alpha, 6, engine="plain")
-                assert packed == plain
+            exact = laurent_to_hseries(colored_jones(braid, 4), 6)
+            assert exact == jones_h_expansion(braid, 4, 6)
 
     def test_laurent_to_hseries_examples(self):
         q = LaurentPoly.monomial("q", 1)

@@ -98,6 +98,34 @@ class TestExpandCommand:
         assert code == 0
 
 
+    def test_missing_catalog_file(self, capsys, tmp_path):
+        missing = tmp_path / "missing.json"
+        code, _, err = run_cli(
+            capsys, "expand", "--knot", "3_1", "--order", "2", "--catalog", str(missing)
+        )
+        assert code == 1
+        assert err.startswith("error:") and "missing.json" in err
+
+    def test_out_dir_missing(self, capsys, tmp_path):
+        target = tmp_path / "nodir" / "x.json"
+        code, out, err = run_cli(
+            capsys, "expand", "--knot", "unknot", "--order", "2", "--out", str(target)
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("command", [
+        ["expand", "--knot", "3_1", "--order", "2"],
+        ["verify", "--suite", "torus"],
+    ])
+    @pytest.mark.parametrize("jobs", ["0", "-2", "x"])
+    def test_rejects_bad_jobs(self, capsys, command, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+
 class TestVerifyCommand:
     def test_torus_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "torus")
@@ -145,3 +173,12 @@ class TestCatalogCommand:
         code, _, err = run_cli(capsys, "catalog", "--path", str(path))
         assert code == 1
         assert "components" in err
+
+    def test_bracketed_path(self, capsys, tmp_path):
+        folder = tmp_path / "a[1]"
+        folder.mkdir()
+        path = folder / "c.json"
+        path.write_text(json.dumps([{"name": "3_1", "strands": 2, "braid": [1, 1, 1]}]))
+        code, out, _ = run_cli(capsys, "catalog", "--path", str(path))
+        assert code == 0
+        assert [e["name"] for e in json.loads(out)["entries"]] == ["3_1"]

@@ -171,13 +171,27 @@ class TestCatalog:
             )
         assert "5_2" in str(err.value)
 
-    def test_rejects_schema_violations(self):
+    def test_rejects_schema_violations(self, tmp_path):
         with pytest.raises(CatalogError):
             load_catalog([{"name": "x", "strands": "3", "braid": []}])
         with pytest.raises(CatalogError):
             load_catalog([{"name": "x", "strands": 3, "braid": [1.5]}])
+        path = tmp_path / "bad.json"
+        path.write_text("not json [")
         with pytest.raises(CatalogError):
-            load_catalog("not json [")
+            load_catalog(str(path))
+
+    def test_path_with_brackets(self, tmp_path):
+        folder = tmp_path / "a[1]"
+        folder.mkdir()
+        path = folder / "c.json"
+        path.write_text(json.dumps([{"name": "3_1", "strands": 2, "braid": [1, 1, 1]}]))
+        assert [r.name for r in load_catalog(str(path))] == ["3_1"]
+        assert [r.name for r in load_catalog(path)] == ["3_1"]
+
+    def test_rejects_other_sources(self):
+        with pytest.raises(TypeError):
+            load_catalog(({"name": "unknot", "strands": 1, "braid": []},))
 
     def test_unknown_lookup(self):
         with pytest.raises(CatalogError):

@@ -1,9 +1,11 @@
 """Tests for the D-table solve and the line re-expansions."""
 
+import concurrent.futures
 from fractions import Fraction
 
 import pytest
 
+from mmjones import mmexpand
 from mmjones.exactalg import QPoly, TruncSeries, series_compose, series_pow1p
 from mmjones.knots import BraidWord, catalog_lookup, default_catalog
 from mmjones.mmexpand import (
@@ -44,6 +46,23 @@ def d41():
     return build_dtable(knot("4_1"), 3)
 
 
+class TestBiSeriesSharing:
+    def test_built_once_per_dtable(self, monkeypatch):
+        calls = []
+        original = mmexpand._z_h_biseries
+
+        def counted(d):
+            calls.append(d.N)
+            return original(d)
+
+        monkeypatch.setattr(mmexpand, "_z_h_biseries", counted)
+        d = build_dtable(knot("4_1"), 2)
+        to_z_lines(d)
+        to_htilde_lines(d)
+        assert bottom_line_check(d, knot("4_1").conway).passed
+        assert calls == [2]
+
+
 class TestBuildDTable:
     def test_unknot(self):
         d = build_dtable(UNKNOT, 2)
@@ -72,6 +91,34 @@ class TestBuildDTable:
     def test_parallel_jobs_match(self, d52):
         d = build_dtable(knot("5_2"), 3, jobs=2)
         assert d.entries == d52.entries
+
+    def test_jobs_capped(self, monkeypatch):
+        # workers are capped by the color count and the cores; no process starts
+        pools = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        b = knot("3_1").braid
+        expected = [mmexpand.jones_h_series(b, a, 2) for a in (1, 2, 3)]
+        monkeypatch.setattr(mmexpand.os, "cpu_count", lambda: 2)
+        assert mmexpand._jones_rows(b, [1, 2, 3], 2, jobs=8) == expected
+        monkeypatch.setattr(mmexpand.os, "cpu_count", lambda: 16)
+        assert mmexpand._jones_rows(b, [1, 2, 3], 2, jobs=8) == expected
+        monkeypatch.setattr(mmexpand.os, "cpu_count", lambda: None)
+        assert mmexpand._jones_rows(b, [1, 2, 3], 2, jobs=8) == expected
+        assert pools == [2, 3]
 
     def test_range_errors(self, d52):
         with pytest.raises(OutOfRangeError):
