@@ -12,6 +12,16 @@ at construction, the Markov partial trace is verified to be a monomial
 multiple of the identity (which fixes the charge weights), and the torus
 cross-path suite in the tests fixes the global mirror.
 
+The operator entries are built without division, from the q-binomial
+closed form u^w (q - 1/q)^n [n]! [i choose n] [N-j choose n] of the
+R-matrix, with the symmetric q-binomials taken from Pascal's rule.  The
+inverse gate packs each Laurent entry into one integer (Kronecker
+substitution), so every product of the composition is one big-integer
+multiplication; its width is a sign bit over the largest sum, over paths,
+of products of entry 1-norms, which bounds every coefficient of the
+composition and makes equal packed integers mean equal polynomials (see
+:func:`_gate_packing`).
+
 One state-sum kernel, :func:`_state_sum`, evaluates the invariant over
 either of two coefficient rings; only the table coefficients, the weight
 monomials and the reduction after each letter depend on the ring:
@@ -30,10 +40,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb
+from math import comb, gcd, lcm
+from operator import itemgetter, mul
 from typing import Dict, Iterable, List, Tuple
 
-from .exactalg import LaurentPoly, TruncSeries, series_compose, series_pow1p
+from .exactalg import LaurentPoly, TruncSeries, series_pow1p
 from .knots import BraidWord, NotAKnotError
 
 
@@ -58,29 +69,24 @@ class ColorDimension:
             raise ValueError("alpha must be >= 1")
 
 
-def _u() -> LaurentPoly:
-    return LaurentPoly.monomial("u", 1)
+@lru_cache(maxsize=None)
+def _qbinom(m: int, k: int) -> LaurentPoly:
+    """Symmetric q-binomial [m choose k] with q = u**2, 0 <= k <= m.
+
+    Pascal's rule [m, k] = q^-k [m-1, k] + q^(m-k) [m-1, k-1] builds it from
+    shifts and sums alone.
+    """
+    if k == 0 or k == m:
+        return LaurentPoly.one("u")
+    return _qbinom(m - 1, k).shift(-2 * k) + _qbinom(m - 1, k - 1).shift(2 * (m - k))
 
 
-def _qint(k: int) -> LaurentPoly:
-    """Quantum integer [k] with q = u**2: u^(2k-2) + u^(2k-6) + ... + u^(2-2k)."""
-    if k < 0:
-        raise ValueError("negative quantum integer")
-    return LaurentPoly("u", {2 * (k - 1 - 2 * i): 1 for i in range(k)})
-
-
-def _qfact(k: int) -> LaurentPoly:
-    out = LaurentPoly.one("u")
-    for i in range(1, k + 1):
-        out = out * _qint(i)
-    return out
-
-
-def _rising_qprod(top: int, n: int) -> LaurentPoly:
-    """[top]! / [top-n]! as a product (no division)."""
-    out = LaurentPoly.one("u")
-    for l in range(top - n + 1, top + 1):
-        out = out * _qint(l)
+@lru_cache(maxsize=None)
+def _scaled_qbinom(m: int, n: int) -> LaurentPoly:
+    """(q - 1/q)^n [n]! [m choose n] = prod_{k=1..n} (q^k - q^-k) * [m choose n]."""
+    out = _qbinom(m, n)
+    for k in range(1, n + 1):
+        out = out * LaurentPoly("u", {2 * k: 1, -2 * k: -1})
     return out
 
 
@@ -89,10 +95,12 @@ def _braiding_table(alpha: int, sign: int) -> Dict[Tuple[int, int], List[Tuple[i
 
     Basis vectors are indexed 0..alpha-1 with weights N-2i, N = alpha-1.
     Output maps (i, j) -> list of (k, l, coefficient) with coefficient in
-    Z[u, u^-1].
+    Z[u, u^-1].  The coefficient of the n-th entry of (i, j) is the
+    q-binomial closed form u^w (q - 1/q)^n [n]! [i choose n] [N-j choose n]
+    (for sign=-1: (-1)^n u^w' with i and j in the binomials swapped), so no
+    polynomial is ever divided.
     """
     N = alpha - 1
-    qdiff = LaurentPoly("u", {2: 1, -2: -1})  # q - 1/q
     table: Dict[Tuple[int, int], List[Tuple[int, int, LaurentPoly]]] = {}
     for i in range(alpha):
         for j in range(alpha):
@@ -100,24 +108,12 @@ def _braiding_table(alpha: int, sign: int) -> Dict[Tuple[int, int], List[Tuple[i
             if sign > 0:
                 for n in range(0, min(i, N - j) + 1):
                     weight = n * (n - 1) + (N - 2 * (i - n)) * (N - 2 * (j + n))
-                    num = (
-                        LaurentPoly.monomial("u", weight)
-                        * qdiff ** n
-                        * _rising_qprod(i, n)
-                        * _rising_qprod(N - j, n)
-                    )
-                    coeff = num.exact_div(_qfact(n))
+                    coeff = (_scaled_qbinom(i, n) * _qbinom(N - j, n)).shift(weight)
                     entries.append((j + n, i - n, coeff))
             else:
                 for n in range(0, min(j, N - i) + 1):
                     weight = -(n * (n - 1)) - (N - 2 * i) * (N - 2 * j)
-                    num = (
-                        LaurentPoly.monomial("u", weight)
-                        * qdiff ** n
-                        * _rising_qprod(j, n)
-                        * _rising_qprod(N - i, n)
-                    )
-                    coeff = num.exact_div(_qfact(n))
+                    coeff = (_scaled_qbinom(j, n) * _qbinom(N - i, n)).shift(weight)
                     if n % 2:
                         coeff = -coeff
                     entries.append((j - n, i + n, coeff))
@@ -125,19 +121,64 @@ def _braiding_table(alpha: int, sign: int) -> Dict[Tuple[int, int], List[Tuple[i
     return table
 
 
-def _compose_tables(a, b, alpha):
-    """Matrix of a after b on the two-strand space, as a table."""
-    out = {}
+def _gate_packing(plus: dict, minus: dict) -> Tuple[int, int, int]:
+    """Kronecker layout (width, step, lo) of the inverse gate.
+
+    An entry c = sum c_e u^e of either table is packed as the integer
+    sum c_e 2^(width * (e - lo) / step), where lo is the lowest exponent of
+    both tables or 0 if that is lower, and step divides every offset e - lo
+    and 2 lo.  Packing is a ring map, so the packed product of two entries
+    is the packed exact product at offset 2 lo, where the identity packs to
+    2^(width * -2 lo / step).
+
+    Width: a coefficient of the exact composition at a source key is a sum,
+    over the paths through an intermediate key, of products c c' of a minus
+    and a plus entry, so its absolute value is at most M, the largest over
+    source keys of sum_paths |c|_1 |c'|_1 (|.|_1 the sum of absolute
+    coefficients).  With width = bits(M) + 1 (a sign bit on top of M), a
+    coefficient of the composition minus the identity is at most
+    M + 1 <= 2^(width-1) < 2^width in absolute value.  Such a difference
+    vector packs to zero only if every coefficient is zero (the lowest
+    nonzero one would have to be a multiple of 2^width), so within the
+    bound equal packed integers mean equal polynomials.
+    """
+    def norm(c: LaurentPoly) -> int:
+        return sum(map(abs, c.terms.values()))
+
+    row = {key: sum(norm(c) for (_, _, c) in entries) for key, entries in plus.items()}
+    bound = max(sum(norm(c) * row[(k, l)] for (k, l, c) in entries)
+                for entries in minus.values())
+    exps = [e for table in (plus, minus) for entries in table.values()
+            for (_, _, c) in entries for e in c.terms]
+    lo = min(0, *exps)
+    return bound.bit_length() + 1, gcd(2 * lo, *(e - lo for e in exps)) or 1, lo
+
+
+def _check_inverse(plus: dict, minus: dict, alpha: int) -> None:
+    """Raise unless plus after minus is the identity, one big-int product per path.
+
+    See :func:`_gate_packing` for why comparing packed integers is exact.
+    """
+    width, step, lo = _gate_packing(plus, minus)
+
+    def pack(table):
+        return {
+            key: [(k, l, sum(c << (width * ((e - lo) // step)) for e, c in p.terms.items()))
+                  for (k, l, p) in entries]
+            for key, entries in table.items()
+        }
+
+    a, b = pack(plus), pack(minus)
+    one = 1 << (width * (-2 * lo // step))
     for key, entries in b.items():
-        acc: Dict[Tuple[int, int], LaurentPoly] = {}
-        for (k, l, c) in entries:
-            for (k2, l2, c2) in a[(k, l)]:
-                tgt = (k2, l2)
-                v = acc.get(tgt)
-                prod = c * c2
-                acc[tgt] = prod if v is None else v + prod
-        out[key] = [(k, l, c) for (k, l), c in acc.items() if not c.is_zero()]
-    return out
+        acc: Dict[Tuple[int, int], int] = {}
+        for (k, l, x) in entries:
+            for (k2, l2, y) in a[(k, l)]:
+                acc[(k2, l2)] = acc.get((k2, l2), 0) + x * y
+        if {tgt: v for tgt, v in acc.items() if v} != {key: one}:
+            raise ConventionViolationError(
+                f"crossing operators are not inverse at alpha={alpha}, basis {key}"
+            )
 
 
 @dataclass(frozen=True)
@@ -157,14 +198,7 @@ def _operator_pair(alpha: int) -> Tuple[CrossingOperator, CrossingOperator]:
     """Both braiding operators, verified to be exact mutual inverses."""
     plus = _braiding_table(alpha, 1)
     minus = _braiding_table(alpha, -1)
-    composed = _compose_tables(plus, minus, alpha)
-    for (i, j), entries in composed.items():
-        expected = [(i, j, LaurentPoly.one("u"))]
-        got = [(k, l, c) for (k, l, c) in entries if not c.is_zero()]
-        if got != expected:
-            raise ConventionViolationError(
-                f"crossing operators are not inverse at alpha={alpha}, basis {(i, j)}"
-            )
+    _check_inverse(plus, minus, alpha)
     return (
         CrossingOperator(alpha, 1, plus),
         CrossingOperator(alpha, -1, minus),
@@ -331,24 +365,28 @@ class _ExactRing:
         return LaurentPoly.monomial("u", exp)
 
 
-def _binom_row_fast(exp: int, length: int) -> List[int]:
+def _binom_row(exp: int, length: int) -> Tuple[int, ...]:
     """Coefficients of (1+g)**exp mod g**length; exp may be negative."""
     out = [1] * length
     acc = 1
     for k in range(1, length):
         acc = acc * (exp - k + 1) // k
         out[k] = acc
-    return out
+    return tuple(out)
 
 
-def _laurent_to_gseries(p: LaurentPoly, length: int) -> List[int]:
-    """Series of p(u) in g = u - 1, truncated to ``length`` coefficients."""
-    out = [0] * length
-    for e, c in p.terms.items():
-        row = _binom_row_fast(e, length)
-        for k in range(length):
-            out[k] += c * row[k]
-    return out
+def _laurent_to_gseries(p: LaurentPoly, length: int, rows: dict) -> List[int]:
+    """Series of p(u) in g = u - 1, truncated to ``length`` coefficients.
+
+    ``rows`` caches :func:`_binom_row` at this length by exponent.  It lives
+    for one table conversion: kept for the whole process, the rows of every
+    color raised the peak memory of a 13-color job by about 0.3 MB.
+    """
+    for e in p.terms.keys() - rows.keys():
+        rows[e] = _binom_row(e, length)
+    coeffs = list(p.terms.values())
+    picked = [rows[e] for e in p.terms]
+    return [sum(map(mul, coeffs, map(itemgetter(k), picked))) for k in range(length)]
 
 
 @lru_cache(maxsize=None)
@@ -356,13 +394,14 @@ def _gseries_entry_tables(alpha: int, length: int):
     """Crossing tables as truncated g-series coefficient tuples, both signs."""
     out = {}
     m_entry = 1
+    rows: Dict[int, Tuple[int, ...]] = {}
     for sgn in (1, -1):
         op = crossing_operator(alpha, sgn)
         tbl = {}
         for key, entries in op.table.items():
             packed_entries = []
             for (k, l, c) in entries:
-                coeffs = tuple(_laurent_to_gseries(c, length))
+                coeffs = tuple(_laurent_to_gseries(c, length, rows))
                 m_entry = max(m_entry, max(abs(v) for v in coeffs))
                 packed_entries.append((k, l, coeffs))
             tbl[key] = tuple(packed_entries)
@@ -415,7 +454,7 @@ class _PackedRing:
     def monomial(self, exp: int) -> int:
         v = self._monomials.get(exp)
         if v is None:
-            v = self._monomials[exp] = self.pack(_binom_row_fast(exp, self.length))
+            v = self._monomials[exp] = self.pack(_binom_row(exp, self.length))
         return v
 
     def reduce(self, state: dict) -> dict:
@@ -526,15 +565,35 @@ def jones_h_series(b: BraidWord, alpha, cap: int) -> List[Fraction]:
     return _gseries_to_hseries(ring.unpack(_state_sum(b, alpha, ring)), cap)
 
 
-def _gseries_to_hseries(gcoeffs: List[int], cap: int) -> List[Fraction]:
+@lru_cache(maxsize=None)
+def _g_to_h_columns(cap: int) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
+    """The substitution g = (1+h)^(1/4) - 1 through h**cap, as integers.
+
+    Returns (den, columns): columns[j][k] / den is the h**j coefficient of
+    ((1+h)^(1/4) - 1)**k, for k = 0..cap.
+    """
     g_of_h = series_pow1p(Fraction(1, 4), cap) - 1
-    series = TruncSeries("_g", cap, [Fraction(c) for c in gcoeffs[: cap + 1]])
-    coeffs = list(series_compose(series, g_of_h).coeffs)
-    for c in coeffs:
-        if c.denominator != 1:
+    powers = [TruncSeries.constant("h", cap, 1)]
+    for _ in range(cap):
+        powers.append(powers[-1] * g_of_h)
+    den = lcm(*(c.denominator for p in powers for c in p.coeffs))
+    columns = tuple(
+        tuple(int(p.coeffs[j] * den) for p in powers) for j in range(cap + 1)
+    )
+    return den, columns
+
+
+def _gseries_to_hseries(gcoeffs: List[int], cap: int) -> List[Fraction]:
+    """The h-series through h**cap of a g-series, certified integral and 1 at h = 0."""
+    den, columns = _g_to_h_columns(cap)
+    coeffs = []
+    for column in columns:
+        value, rest = divmod(sum(map(mul, gcoeffs, column)), den)
+        if rest:
             raise ConventionViolationError(
                 "h-expansion produced a non-integer coefficient"
             )
+        coeffs.append(Fraction(value))
     if coeffs[0] != 1:
         raise ConventionViolationError("h-expansion does not start at 1")
     return coeffs

@@ -22,6 +22,8 @@ import sys
 from typing import List, Optional
 
 from . import __version__, reports
+from .cjones import ConventionViolationError
+from .exactalg import ExactAlgError
 from .knots import (
     CatalogError,
     KnotError,
@@ -31,12 +33,23 @@ from .knots import (
     default_catalog,
     load_catalog,
 )
-from .mmexpand import approx_poly, bottom_line_check, build_dtable, integrality_report, to_htilde_lines, to_z_lines
+from .mmexpand import (
+    ModelViolationError,
+    approx_poly,
+    bottom_line_check,
+    build_dtable,
+    integrality_report,
+    to_htilde_lines,
+    to_z_lines,
+)
 from .toruslines import torus_lines
 from .verify import SUITES, run_suite
 
 CATALOG_ENV = "MMJONES_CATALOG"
 DEFAULT_ORDER_CEILING = 6
+# Exit status when a runtime gate (operator inverse, Markov trace,
+# integrality, exact arithmetic) fails; input errors exit with 1.
+EXIT_GATE_FAILED = 3
 
 
 def _positive_int(text: str) -> int:
@@ -256,6 +269,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (KnotError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except (ConventionViolationError, ModelViolationError, ExactAlgError) as exc:
+        sys.stderr.write(f"error: gate {type(exc).__name__} failed: {exc}\n")
+        return EXIT_GATE_FAILED
 
 
 if __name__ == "__main__":

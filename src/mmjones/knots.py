@@ -170,20 +170,32 @@ def reduced_burau(b: BraidWord):
 
 
 def _determinant(mat) -> LaurentPoly:
+    """Determinant over Z[t, t^-1] by fraction-free (Bareiss) elimination.
+
+    Step k replaces each entry below and right of the pivot by
+    (a_ij a_kk - a_ik a_kj) / p, p the previous pivot; Sylvester's identity
+    makes that division exact.  A zero pivot is swapped with a lower row
+    (negating the result), and a column with no nonzero pivot gives 0.
+    """
     n = len(mat)
     if n == 0:
         return LaurentPoly.one("t")
-    if n == 1:
-        return mat[0][0]
-    det = LaurentPoly.zero("t")
-    for j in range(n):
-        c = mat[0][j]
-        if c.is_zero():
-            continue
-        minor = [[row[k] for k in range(n) if k != j] for row in mat[1:]]
-        term = c * _determinant(minor)
-        det = det + term if j % 2 == 0 else det - term
-    return det
+    a = [list(row) for row in mat]
+    sign = 1
+    prev = LaurentPoly.one("t")
+    for k in range(n - 1):
+        if a[k][k].is_zero():
+            swap = next((r for r in range(k + 1, n) if not a[r][k].is_zero()), None)
+            if swap is None:
+                return LaurentPoly.zero("t")
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]).exact_div(prev)
+        prev = pivot
+    return a[n - 1][n - 1] if sign == 1 else -a[n - 1][n - 1]
 
 
 def symmetric_laurent_to_z2(p: LaurentPoly) -> QPoly:

@@ -32,8 +32,10 @@ def frac_str(x) -> str:
 def parse_frac(s: str) -> Fraction:
     s = s.strip()
     if "/" in s:
-        num, den = s.split("/", 1)
-        return Fraction(int(num), int(den))
+        num, den = (int(part) for part in s.split("/", 1))
+        if den == 0:
+            raise ValueError(f"zero denominator in rational {s!r}")
+        return Fraction(num, den)
     return Fraction(int(s))
 
 
@@ -69,10 +71,16 @@ def linetable_doc(lines: LineTable) -> dict:
     }
 
 
+def _line_index(n: int, N: int) -> int:
+    if not 0 <= n <= 2 * N:
+        raise ValueError(f"line n={n} outside 0..2N = {2 * N}")
+    return n
+
+
 def parse_linetable(doc: dict) -> LineTable:
     rows = [()] * (2 * doc["N"] + 1)
     for row in doc["lines"]:
-        rows[row["n"]] = tuple(parse_frac(c) for c in row["values"])
+        rows[_line_index(row["n"], doc["N"])] = tuple(parse_frac(c) for c in row["values"])
     return LineTable(doc["N"], doc["parameter"], tuple(rows))
 
 
@@ -122,7 +130,7 @@ def parse_linetable_tsv(text: str, N: int, tag: str) -> LineTable:
         body = body[1:]
     for line in body:
         n, m, value = line.split("\t")
-        rows[int(n)].insert(int(m), parse_frac(value))
+        rows[_line_index(int(n), N)].insert(int(m), parse_frac(value))
     return LineTable(N, tag, tuple(tuple(r) for r in rows))
 
 

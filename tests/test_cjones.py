@@ -1,5 +1,7 @@
 """Gates for the braiding operators and the colored Jones evaluation."""
 
+from fractions import Fraction
+
 import pytest
 
 from mmjones import cjones
@@ -12,7 +14,13 @@ from mmjones.cjones import (
     jones_h_expansion,
     jones_h_series,
 )
-from mmjones.exactalg import LaurentPoly, laurent_to_hseries
+from mmjones.exactalg import (
+    LaurentPoly,
+    TruncSeries,
+    laurent_to_hseries,
+    series_compose,
+    series_pow1p,
+)
 from mmjones.knots import BraidWord, NotAKnotError
 
 TREFOIL = BraidWord(2, [1, 1, 1])
@@ -20,6 +28,63 @@ FIG8 = BraidWord(3, [1, -2, 1, -2])
 K5_2 = BraidWord(3, [-1, -1, -1, -2, 1, -2])
 K6_1 = BraidWord(4, [1, 1, 2, -1, -3, 2, -3])
 K8_3 = BraidWord(5, [1, 1, 2, -1, -3, 2, -3, -4, 3, -4])
+
+
+def _qint(k):
+    return LaurentPoly("u", {2 * (k - 1 - 2 * i): 1 for i in range(k)})
+
+
+def _qprod(lo, hi):
+    """[lo] [lo+1] ... [hi] as a product of quantum integers."""
+    out = LaurentPoly.one("u")
+    for l in range(lo, hi + 1):
+        out = out * _qint(l)
+    return out
+
+
+def oracle_braiding_table(alpha, sign):
+    """The operator entries by the rising products and a division by [n]!."""
+    N = alpha - 1
+    qdiff = LaurentPoly("u", {2: 1, -2: -1})
+    table = {}
+    for i in range(alpha):
+        for j in range(alpha):
+            entries = []
+            if sign > 0:
+                for n in range(min(i, N - j) + 1):
+                    weight = n * (n - 1) + (N - 2 * (i - n)) * (N - 2 * (j + n))
+                    num = (LaurentPoly.monomial("u", weight) * qdiff ** n
+                           * _qprod(i - n + 1, i) * _qprod(N - j - n + 1, N - j))
+                    entries.append((j + n, i - n, num.exact_div(_qprod(1, n))))
+            else:
+                for n in range(min(j, N - i) + 1):
+                    weight = -(n * (n - 1)) - (N - 2 * i) * (N - 2 * j)
+                    num = (LaurentPoly.monomial("u", weight) * qdiff ** n
+                           * _qprod(j - n + 1, j) * _qprod(N - i - n + 1, N - i))
+                    coeff = num.exact_div(_qprod(1, n))
+                    entries.append((j - n, i + n, -coeff if n % 2 else coeff))
+            table[(i, j)] = entries
+    return table
+
+
+def compose_paths(plus, minus):
+    """Every path product c * c' and every entry of plus after minus, exactly."""
+    products, composed = [], []
+    for entries in minus.values():
+        acc = {}
+        for (k, l, c) in entries:
+            for (k2, l2, c2) in plus[(k, l)]:
+                prod = c * c2
+                products.append(prod)
+                acc[(k2, l2)] = acc.get((k2, l2), LaurentPoly.zero("u")) + prod
+        composed.extend(acc.values())
+    return products, composed
+
+
+def tamper_minus(table):
+    """The table with one coefficient of its (0, 0) entry raised by one."""
+    (k, l, c), = table[(0, 0)]
+    return {**table, (0, 0): [(k, l, c + LaurentPoly.monomial("u", min(c.terms)))]}
 
 
 def basis_vectors(alpha, strands):
@@ -66,6 +131,62 @@ class TestCrossingOperator:
             ab = vec.apply_crossing(plus, 0).apply_crossing(minus, 2)
             ba = vec.apply_crossing(minus, 2).apply_crossing(plus, 0)
             assert ab == ba
+
+
+class TestOperatorTables:
+    @pytest.mark.parametrize("alpha", range(1, 10))
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_division_free_build_matches_oracle(self, alpha, sign):
+        assert cjones._braiding_table(alpha, sign) == oracle_braiding_table(alpha, sign)
+
+    @pytest.mark.parametrize("alpha", [2, 3, 5])
+    def test_tampered_minus_table_fails_gate(self, alpha, monkeypatch):
+        original = cjones._braiding_table
+
+        def tampered(a, sign):
+            table = original(a, sign)
+            return tamper_minus(table) if sign < 0 else table
+
+        monkeypatch.setattr(cjones, "_braiding_table", tampered)
+        with pytest.raises(ConventionViolationError, match=f"alpha={alpha}"):
+            cjones._operator_pair.__wrapped__(alpha)
+
+    @pytest.mark.parametrize("alpha", range(1, 8))
+    def test_gate_width_covers_exact_composition(self, alpha):
+        plus = cjones._braiding_table(alpha, 1)
+        for minus in (cjones._braiding_table(alpha, -1),
+                      tamper_minus(cjones._braiding_table(alpha, -1))):
+            width, step, lo = cjones._gate_packing(plus, minus)
+            products, composed = compose_paths(plus, minus)
+            bits = max(abs(c).bit_length() for p in products + composed for c in p.terms.values())
+            assert width > bits
+            assert all((e - 2 * lo) % step == 0 for p in products for e in p.terms)
+
+
+class TestGToH:
+    @staticmethod
+    def reference(gcoeffs, cap):
+        g_of_h = series_pow1p(Fraction(1, 4), cap) - 1
+        return list(series_compose(TruncSeries("_g", cap, gcoeffs[: cap + 1]), g_of_h).coeffs)
+
+    @pytest.mark.parametrize("cap", range(1, 25))
+    def test_matches_series_compose(self, cap):
+        inputs = [cjones._laurent_to_gseries(LaurentPoly.monomial("u", 4 * m), cap + 1, {})
+                  for m in (-3, 0, 1, 5)]
+        for braid, alpha in ((TREFOIL, 2), (FIG8, 3), (K5_2, 4)):
+            v = colored_jones(braid, alpha)
+            u_poly = LaurentPoly("u", {4 * e: c for e, c in v.terms.items()})
+            inputs.append(cjones._laurent_to_gseries(u_poly, cap + 1, {}))
+        for gcoeffs in inputs:
+            assert cjones._gseries_to_hseries(gcoeffs, cap) == self.reference(gcoeffs, cap)
+
+    def test_rejects_non_integer_and_bad_constant(self):
+        quarter = cjones._laurent_to_gseries(LaurentPoly.monomial("u", 1), 5, {})
+        with pytest.raises(ConventionViolationError, match="non-integer"):
+            cjones._gseries_to_hseries(quarter, 4)
+        doubled = cjones._laurent_to_gseries(LaurentPoly.monomial("u", 4, 2), 5, {})
+        with pytest.raises(ConventionViolationError, match="start at 1"):
+            cjones._gseries_to_hseries(doubled, 4)
 
 
 class TestColoredJones:

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from mmjones.cli import main
+from mmjones import cjones
+from mmjones.cli import EXIT_GATE_FAILED, main
+from mmjones.exactalg import LaurentPoly
 from mmjones.reports import parse_frac, parse_linetable
 
 
@@ -124,6 +126,31 @@ class TestExpandCommand:
             main(command + ["--jobs", jobs])
         assert exc.value.code == 2
         assert "--jobs" in capsys.readouterr().err
+
+    def test_gate_failure_exit_status(self, capsys, monkeypatch):
+        # one corrupted coefficient of the minus table fails the inverse gate
+        original = cjones._braiding_table
+
+        def corrupted(alpha, sign):
+            table = original(alpha, sign)
+            if sign < 0:
+                (k, l, c), = table[(0, 0)]
+                table[(0, 0)] = [(k, l, c + LaurentPoly.monomial("u", min(c.terms)))]
+            return table
+
+        cached = (cjones._operator_pair, cjones._markov_data, cjones._gseries_entry_tables)
+        for fn in cached:
+            fn.cache_clear()
+        monkeypatch.setattr(cjones, "_braiding_table", corrupted)
+        try:
+            code, out, err = run_cli(capsys, "expand", "--knot", "3_1", "--order", "2")
+        finally:
+            for fn in cached:
+                fn.cache_clear()
+        assert code == EXIT_GATE_FAILED == 3 and out == ""
+        assert err.startswith("error: gate ConventionViolationError failed:")
+        assert "not inverse" in err and "Traceback" not in err
+        assert len(err.splitlines()) == 1
 
 
 class TestVerifyCommand:

@@ -1,11 +1,13 @@
 """Tests for braid words, Burau-based Conway polynomials, and the catalog."""
 
 import json
+import random
 
 import pytest
 
 from mmjones.exactalg import LaurentPoly, QPoly
 from mmjones.knots import (
+    DEFAULT_CATALOG_ENTRIES,
     BraidWord,
     CatalogError,
     InvalidTorusParametersError,
@@ -18,6 +20,7 @@ from mmjones.knots import (
     default_catalog,
     load_catalog,
     reduced_burau,
+    _determinant,
 )
 
 
@@ -56,6 +59,45 @@ class TestBurau:
         m = reduced_burau(BraidWord(4, [2, -2]))
         ident = reduced_burau(BraidWord(4, []))
         assert mat_eq(m, ident)
+
+
+def cofactor_determinant(mat):
+    """Determinant by cofactor expansion along the first row."""
+    if not mat:
+        return LaurentPoly.one("t")
+    det = LaurentPoly.zero("t")
+    for j, c in enumerate(mat[0]):
+        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
+        term = c * cofactor_determinant(minor)
+        det = det + term if j % 2 == 0 else det - term
+    return det
+
+
+def random_laurent(rng):
+    if rng.random() < 0.4:
+        return LaurentPoly.zero("t")
+    return LaurentPoly("t", {rng.randint(-2, 2): rng.randint(-3, 3) for _ in range(rng.randint(1, 3))})
+
+
+class TestDeterminant:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_bareiss_matches_cofactor(self, seed):
+        rng = random.Random(seed)
+        n = 1 + seed % 5
+        mat = [[random_laurent(rng) for _ in range(n)] for _ in range(n)]
+        assert _determinant(mat) == cofactor_determinant(mat)
+
+    def test_zero_pivots_and_singular(self):
+        z, one, t = LaurentPoly.zero("t"), LaurentPoly.one("t"), LaurentPoly.monomial("t", 1)
+        swapped = [[z, t, one], [one, z, z], [z, one, t]]
+        assert _determinant(swapped) == cofactor_determinant(swapped)
+        assert _determinant([[z, one], [z, t]]).is_zero()
+        assert _determinant([]) == one
+
+    def test_catalog_conway_unchanged(self):
+        for entry in DEFAULT_CATALOG_ENTRIES:
+            braid = BraidWord(entry["strands"], entry["braid"])
+            assert conway_poly(braid) == QPoly.from_z2_coeffs(entry["conway"])
 
 
 class TestConway:

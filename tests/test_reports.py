@@ -56,3 +56,20 @@ def test_tsv_round_trip(sample):
     assert text.splitlines()[0] == "n\tm\tvalue"
     parsed = parse_linetable_tsv(text, lines.N, lines.tag)
     assert parsed.rows == lines.rows
+
+
+def test_zero_denominator_is_a_value_error():
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_frac("1/0")
+
+
+@pytest.mark.parametrize("n", [-1, 7])
+def test_line_outside_budget_is_a_value_error(sample, n):
+    _, lines = sample
+    doc = linetable_doc(lines)
+    doc["lines"][0]["n"] = n
+    with pytest.raises(ValueError, match="outside"):
+        parse_linetable(doc)
+    text = linetable_tsv(lines) + f"{n}\t0\t1\n"
+    with pytest.raises(ValueError, match="outside"):
+        parse_linetable_tsv(text, lines.N, lines.tag)
