@@ -32,6 +32,13 @@ monomials and the reduction after each letter depend on the ring:
 * the ring of integer series in g = u - 1 truncated at a fixed order and
   packed into single big integers (Kronecker substitution), which gives
   h-expansions (h = q-hat - 1) at large colors (:func:`jones_h_series`).
+
+Packing g -> 2**bits modulo 2**(bits * length) is a ring homomorphism, so
+the packed state sum is the image of the exact truncated g-series however
+much wraps around in between; only the final coefficients must fit.  Their
+width comes from a truncated majorant series: the product over the letters
+of each table's row majorant, times the charge and framing monomials in
+absolute value (see :class:`_PackedRing`).
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from operator import itemgetter, mul
 from typing import Dict, Iterable, List, Tuple
 
@@ -391,49 +398,93 @@ def _laurent_to_gseries(p: LaurentPoly, length: int, rows: dict) -> List[int]:
 
 @lru_cache(maxsize=None)
 def _gseries_entry_tables(alpha: int, length: int):
-    """Crossing tables as truncated g-series coefficient tuples, both signs."""
-    out = {}
-    m_entry = 1
+    """Crossing tables as truncated g-series coefficient tuples, both signs.
+
+    Returns (tables, majorants): ``majorants[sign]`` is the row majorant of
+    that sign's table, the coefficientwise max over source keys of the sum
+    of |c| over the key's entries (see :class:`_PackedRing`).
+    """
+    tables, majorants = {}, {}
     rows: Dict[int, Tuple[int, ...]] = {}
     for sgn in (1, -1):
-        op = crossing_operator(alpha, sgn)
-        tbl = {}
-        for key, entries in op.table.items():
-            packed_entries = []
-            for (k, l, c) in entries:
-                coeffs = tuple(_laurent_to_gseries(c, length, rows))
-                m_entry = max(m_entry, max(abs(v) for v in coeffs))
-                packed_entries.append((k, l, coeffs))
-            tbl[key] = tuple(packed_entries)
-        out[sgn] = tbl
-    return out, m_entry
+        tbl = tables[sgn] = {
+            key: tuple((k, l, tuple(_laurent_to_gseries(c, length, rows))) for (k, l, c) in entries)
+            for key, entries in crossing_operator(alpha, sgn).table.items()
+        }
+        key_sums = [tuple(map(sum, zip(*(map(abs, c) for (_, _, c) in entries))))
+                    for entries in tbl.values()]
+        majorants[sgn] = tuple(map(max, zip(*key_sums)))
+    return tables, majorants
 
 
-def _bits_needed(b: BraidWord, alpha: int, length: int, m_entry: int) -> int:
+def _truncated_mul(x, y) -> List[int]:
+    """Product of two coefficient sequences, truncated to len(x) terms."""
+    return [sum(x[i] * y[k - i] for i in range(k + 1)) for k in range(len(x))]
+
+
+def _majorant_series(b: BraidWord, alpha: int, length: int, majorants: dict) -> List[int]:
+    """The truncated majorant series of :class:`_PackedRing` for ``b`` at this color.
+
+    prod_letters R_sign * sum_start |u^charge| * |u^(-f_exp writhe)| mod
+    g**length, which bounds every coefficient of the framed g-series.
+    """
     N = alpha - 1
-    letters = max(1, len(b.letters))
-    amp_bound = (m_entry * length * alpha) ** letters
-    wmax = 2 * (b.strands - 1) * N + abs(_markov_data(alpha)[2] * b.writhe()) + 4
-    m_tail = comb(wmax + length, length)
-    total = amp_bound * m_tail * length * (alpha ** b.strands) * 4
-    return total.bit_length() + 4
+    a, _, f_exp = _markov_data(alpha)
+    # counts[s]: start vectors whose free slots have index sum s
+    counts = [1]
+    for _ in range(b.strands - 1):
+        counts = [sum(counts[max(0, s - N) : s + 1]) for s in range(len(counts) + N)]
+    bound = [0] * length
+    for s, count in enumerate(counts):
+        row = _binom_row(2 * a * ((b.strands - 1) * N - 2 * s), length)
+        bound = [x + count * abs(r) for x, r in zip(bound, row)]
+    bound = _truncated_mul(bound, [abs(r) for r in _binom_row(-f_exp * b.writhe(), length)])
+    for k in b.letters:
+        bound = _truncated_mul(bound, majorants[1 if k > 0 else -1])
+    return bound
 
 
 class _PackedRing:
     """Integer series in g = u - 1 mod g**length, Kronecker-packed into one int.
 
-    Each coefficient takes ``bits`` bits in two's complement; arithmetic is
-    integer arithmetic mod 2**(bits * length), which is exact while every
-    coefficient fits the width that :func:`_bits_needed` bounds.
+    Each coefficient takes ``bits`` bits in two's complement, and arithmetic
+    is integer arithmetic mod 2**(bits * length).
+
+    Only the final coefficients must fit.  The map Z[g]/(g**length) ->
+    Z/2**(bits * length), g -> 2**bits, is a ring homomorphism, because
+    (2**bits)**length = 0 there; u -> 1 + g is one from Z[u, 1/u] to
+    Z[g]/(g**length), since 1 + g is a unit.  Table entries and monomials
+    are packed as images under the composite, and the per-letter masking,
+    the sums, the products and the final negation of :func:`_state_sum` are
+    ring operations on those images.  So the packed state sum is the image
+    of the true truncated g-series F of the framed invariant, whatever
+    wrapped around in between, and :meth:`unpack` recovers F exactly when
+    every |F_k| < 2**(bits - 1).
+
+    The width bounds |F| by a truncated majorant series.  Write |s| for the
+    coefficientwise absolute value of a series and compare series
+    coefficient by coefficient; |x y| <= |x| |y| for truncated series.  A
+    letter of sign s maps a state x to x' with
+    sum_keys |x'| <= (sum_keys |x|) * R_s, where R_s is the row majorant of
+    :func:`_gseries_entry_tables`, which bounds the sum of |c| over the
+    entries of every source key; pinned tables are subsets of the full
+    ones, so R_s bounds them too.  A start vector begins at 1 and its
+    diagonal amplitude is one term of the final state, so
+
+        |F| <= prod_letters R_sign * sum_start |u^charge| * |u^(-f_exp writhe)|
+
+    truncated at g**length.  :func:`_majorant_series` evaluates this
+    series, and the width is one sign bit over the bit length of its
+    largest coefficient.
     """
 
     zero = 0
     one = 1
 
     def __init__(self, b: BraidWord, alpha: int, length: int):
-        raw_tables, m_entry = _gseries_entry_tables(alpha, length)
+        raw_tables, majorants = _gseries_entry_tables(alpha, length)
         self.length = length
-        self.bits = _bits_needed(b, alpha, length, m_entry)
+        self.bits = max(_majorant_series(b, alpha, length, majorants)).bit_length() + 1
         self.mask = (1 << (self.bits * length)) - 1
         self.tables = {
             sgn: {

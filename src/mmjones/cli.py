@@ -52,14 +52,22 @@ DEFAULT_ORDER_CEILING = 6
 EXIT_GATE_FAILED = 3
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, low: int) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _non_negative_int(text: str) -> int:
+    return _int_at_least(text, 0)
 
 
 def _load_records(path: Optional[str]):
@@ -225,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand.add_argument("--format", choices=("json", "tsv"), default="json")
     p_expand.add_argument("--out", default=None, metavar="PATH")
     p_expand.add_argument("--catalog", default=None, metavar="FILE")
-    p_expand.add_argument("--lines", type=int, default=None, metavar="L",
+    p_expand.add_argument("--lines", type=_non_negative_int, default=None, metavar="L",
                           help="emit approximants only for lines n <= L")
     p_expand.add_argument("--exponent-mode", choices=("auto", "2n+1", "3n+1"),
                           default="auto")

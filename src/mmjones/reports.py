@@ -124,14 +124,29 @@ def linetable_tsv(lines: LineTable) -> str:
 
 
 def parse_linetable_tsv(text: str, N: int, tag: str) -> LineTable:
-    rows: List[list] = [[] for _ in range(2 * N + 1)]
+    """Line table from ``n<TAB>m<TAB>value`` rows, each value placed by its (n, m).
+
+    Line n must give every column m = 0..N - (n+1)//2 exactly once, in any
+    order.
+    """
+    rows: List[dict] = [{} for _ in range(2 * N + 1)]
     body = text.strip().splitlines()
     if body and body[0].startswith("n\t"):
         body = body[1:]
     for line in body:
-        n, m, value = line.split("\t")
-        rows[_line_index(int(n), N)].insert(int(m), parse_frac(value))
-    return LineTable(N, tag, tuple(tuple(r) for r in rows))
+        n_text, m_text, value = line.split("\t")
+        n, m = _line_index(int(n_text), N), int(m_text)
+        row, top = rows[n], N - (n + 1) // 2
+        if not 0 <= m <= top:
+            raise ValueError(f"column m={m} outside line n={n} (0..{top})")
+        if m in row:
+            raise ValueError(f"duplicate column m={m} in line n={n}")
+        row[m] = parse_frac(value)
+    for n, row in enumerate(rows):
+        missing = set(range(N - (n + 1) // 2 + 1)) - row.keys()
+        if missing:
+            raise ValueError(f"line n={n} misses column m={min(missing)}")
+    return LineTable(N, tag, tuple(tuple(row[m] for m in range(len(row))) for row in rows))
 
 
 def dump_json(document: dict, stream: Optional[IO[str]] = None) -> str:

@@ -3,24 +3,6 @@ import pytest
 from mmjones.verify import _Pipeline
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--runslow",
-        action="store_true",
-        default=False,
-        help="run the full-table verification suites (tens of minutes budget)",
-    )
-
-
-def pytest_collection_modifyitems(config, items):
-    if config.getoption("--runslow"):
-        return
-    skip = pytest.mark.skip(reason="needs --runslow (full-scope suite is opt-in)")
-    for item in items:
-        if "slow" in item.keywords:
-            item.add_marker(skip)
-
-
 @pytest.fixture(scope="session")
 def pipeline():
     """Session-wide memoized knot pipeline shared across test modules."""

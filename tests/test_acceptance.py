@@ -1,14 +1,11 @@
 """Acceptance criteria, one test per criterion, exact tolerances throughout.
 
-Criterion 4 (every tabulated entry at the full per-knot budget) is the
-opt-in slow suite: run ``pytest --runslow``.  Everything else runs in the
-default suite.  Each test prints one PASS/FAIL line; all assertions are
-exact equalities.
+Every criterion runs in the default suite, criterion 4 (every tabulated
+entry at the full per-knot budget) included.  Each test prints one
+PASS/FAIL line; all assertions are exact equalities.
 """
 
 import time
-
-import pytest
 
 from mmjones import golden
 from mmjones.cjones import colored_jones, crossing_operator, jones_h_series
@@ -69,7 +66,6 @@ class TestAcceptance:
             + (f" first failure {bad[0].name}" if bad else ""),
         )
 
-    @pytest.mark.slow
     def test_criterion_4_tables_full(self, pipeline):
         t0 = time.time()
         results = suite_tables("full", pipeline)

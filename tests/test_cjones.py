@@ -1,6 +1,8 @@
 """Gates for the braiding operators and the colored Jones evaluation."""
 
 from fractions import Fraction
+from itertools import product
+from math import comb
 
 import pytest
 
@@ -21,7 +23,7 @@ from mmjones.exactalg import (
     series_compose,
     series_pow1p,
 )
-from mmjones.knots import BraidWord, NotAKnotError
+from mmjones.knots import BraidWord, NotAKnotError, default_catalog
 
 TREFOIL = BraidWord(2, [1, 1, 1])
 FIG8 = BraidWord(3, [1, -2, 1, -2])
@@ -87,9 +89,51 @@ def tamper_minus(table):
     return {**table, (0, 0): [(k, l, c + LaurentPoly.monomial("u", min(c.terms)))]}
 
 
-def basis_vectors(alpha, strands):
-    from itertools import product
+def a_priori_bits(b, alpha, length):
+    """The former packing width, from (m_entry * length * alpha) ** letters."""
+    tables, _ = cjones._gseries_entry_tables(alpha, length)
+    m_entry = max(abs(v) for table in tables.values() for entries in table.values()
+                  for (_, _, c) in entries for v in c)
+    letters = max(1, len(b.letters))
+    amp_bound = (m_entry * length * alpha) ** letters
+    wmax = 2 * (b.strands - 1) * (alpha - 1) + abs(cjones._markov_data(alpha)[2] * b.writhe()) + 4
+    total = amp_bound * comb(wmax + length, length) * length * alpha ** b.strands * 4
+    return total.bit_length() + 4
 
+
+def abs_mul(x, y):
+    """|x| |y| for two coefficient lists, truncated to len(x) terms."""
+    return [sum(abs(x[i] * y[k - i]) for i in range(k + 1)) for k in range(len(x))]
+
+
+def brute_majorant(b, alpha, length):
+    """The width majorant with the start vectors enumerated one by one."""
+    N = alpha - 1
+    a, _, f_exp = cjones._markov_data(alpha)
+    _, majorants = cjones._gseries_entry_tables(alpha, length)
+    bound = [0] * length
+    for rest in product(range(alpha), repeat=b.strands - 1):
+        charge = cjones._binom_row(2 * a * sum(N - 2 * i for i in rest), length)
+        bound = [x + abs(c) for x, c in zip(bound, charge)]
+    bound = abs_mul(bound, cjones._binom_row(-f_exp * b.writhe(), length))
+    for k in b.letters:
+        bound = abs_mul(bound, majorants[1 if k > 0 else -1])
+    return bound
+
+
+def packed_gseries(b, alpha, length):
+    """The packed ring and the g-series its state sum unpacks to."""
+    ring = cjones._PackedRing(b, alpha, length)
+    return ring, ring.unpack(cjones._state_sum(b, alpha, ring))
+
+
+def exact_gseries(b, alpha, length):
+    """The g-series of the exact ring's framed invariant."""
+    return cjones._laurent_to_gseries(
+        cjones._state_sum(b, alpha, cjones._ExactRing(alpha)), length, {})
+
+
+def basis_vectors(alpha, strands):
     for idx in product(range(alpha), repeat=strands):
         yield TensorVector.basis(alpha, strands, idx)
 
@@ -187,6 +231,61 @@ class TestGToH:
         doubled = cjones._laurent_to_gseries(LaurentPoly.monomial("u", 4, 2), 5, {})
         with pytest.raises(ConventionViolationError, match="start at 1"):
             cjones._gseries_to_hseries(doubled, 4)
+
+
+# Largest N per catalog knot: colors 2..N+1 at cap 2N.
+WIDTH_ORDERS = {"unknot": 8, "3_1": 8, "4_1": 8, "5_2": 6, "6_1": 5, "8_3": 4}
+
+
+class TestPackingWidth:
+    @pytest.mark.parametrize("record", default_catalog(), ids=lambda r: r.name)
+    def test_width_holds_every_coefficient(self, record):
+        # Rotations are conjugates, so they share the exact invariant of the
+        # unrotated word (the exact path's conjugation invariance is tested
+        # in TestColoredJones).
+        N = WIDTH_ORDERS[record.name]
+        for word in (record.braid, record.braid.mirror()):
+            letters = word.letters
+            for alpha in range(2, N + 2):
+                exact = exact_gseries(word, alpha, 2 * N + 1)
+                for i in range(max(1, len(letters))):
+                    rotated = BraidWord(word.strands, letters[i:] + letters[:i])
+                    ring, got = packed_gseries(rotated, alpha, 2 * N + 1)
+                    assert got == exact
+                    assert ring.bits >= max(abs(c) for c in got).bit_length() + 1
+                    assert 2 * ring.bits <= a_priori_bits(rotated, alpha, 2 * N + 1)
+
+    @pytest.mark.parametrize("alpha", range(2, 8))
+    def test_row_majorant_is_largest_one_letter_image(self, alpha):
+        # each basis vector's image under one letter, summed in absolute value
+        # over output keys, has the row majorant as coefficientwise max
+        length = 9
+        _, majorants = cjones._gseries_entry_tables(alpha, length)
+        for sign in (1, -1):
+            op = crossing_operator(alpha, sign)
+            images = []
+            for vec in basis_vectors(alpha, 2):
+                amps = vec.apply_crossing(op, 0).amplitudes.values()
+                rows = [cjones._laurent_to_gseries(c, length, {}) for c in amps]
+                images.append([sum(abs(r[k]) for r in rows) for k in range(length)])
+            assert majorants[sign] == tuple(map(max, *images))
+
+    @pytest.mark.parametrize("record", default_catalog(), ids=lambda r: r.name)
+    def test_majorant_matches_start_vector_enumeration(self, record):
+        for word in (record.braid, record.braid.mirror()):
+            for alpha in (2, 3, 4):
+                _, majorants = cjones._gseries_entry_tables(alpha, 9)
+                assert (cjones._majorant_series(word, alpha, 9, majorants)
+                        == brute_majorant(word, alpha, 9))
+
+    def test_one_bit_short_breaks_the_sum(self, monkeypatch):
+        exact = exact_gseries(K6_1, 6, 11)
+        observed = max(abs(c) for c in exact).bit_length()
+        assert packed_gseries(K6_1, 6, 11)[1] == exact
+        # a majorant of bit length observed - 1 sets the width to observed
+        monkeypatch.setattr(cjones, "_majorant_series", lambda *args: [1 << (observed - 2)])
+        ring, got = packed_gseries(K6_1, 6, 11)
+        assert ring.bits == observed and got != exact
 
 
 class TestColoredJones:

@@ -127,6 +127,18 @@ class TestExpandCommand:
         assert exc.value.code == 2
         assert "--jobs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lines", ["-1", "x"])
+    def test_rejects_bad_lines(self, capsys, lines):
+        with pytest.raises(SystemExit) as exc:
+            main(["expand", "--knot", "3_1", "--order", "2", "--lines", lines])
+        assert exc.value.code == 2
+        assert "--lines" in capsys.readouterr().err
+
+    def test_lines_zero_keeps_line_zero(self, capsys):
+        assert main(["expand", "--knot", "3_1", "--order", "2", "--lines", "0"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [a["n"] for a in doc["approx"]] == [0]
+
     def test_gate_failure_exit_status(self, capsys, monkeypatch):
         # one corrupted coefficient of the minus table fails the inverse gate
         original = cjones._braiding_table

@@ -73,3 +73,23 @@ def test_line_outside_budget_is_a_value_error(sample, n):
     text = linetable_tsv(lines) + f"{n}\t0\t1\n"
     with pytest.raises(ValueError, match="outside"):
         parse_linetable_tsv(text, lines.N, lines.tag)
+
+
+def test_tsv_places_values_by_column(sample):
+    _, lines = sample
+    header, *body = linetable_tsv(lines).splitlines()
+    shuffled = "\n".join([header] + body[::-1]) + "\n"
+    assert parse_linetable_tsv(shuffled, lines.N, lines.tag).rows == lines.rows
+    assert parse_linetable_tsv("0\t1\t2\n0\t0\t7\n1\t0\t3\n2\t0\t5\n", 1, "h").rows == (
+        (Fraction(7), Fraction(2)), (Fraction(3),), (Fraction(5),))
+
+
+@pytest.mark.parametrize("text, match", [
+    ("0\t2\t7\n", "outside line n=0"),
+    ("0\t0\t7\n0\t0\t7\n0\t1\t1\n1\t0\t1\n2\t0\t1\n", "duplicate column m=0"),
+    ("0\t1\t7\n1\t0\t1\n2\t0\t1\n", "misses column m=0"),
+    ("0\t0\t7\n0\t1\t1\n1\t0\t1\n", "line n=2 misses"),
+])
+def test_tsv_column_errors(text, match):
+    with pytest.raises(ValueError, match=match):
+        parse_linetable_tsv(text, 1, "h")
