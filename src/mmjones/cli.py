@@ -42,13 +42,14 @@ from .mmexpand import (
     to_htilde_lines,
     to_z_lines,
 )
-from .toruslines import torus_lines
+from .toruslines import LineConsistencyError, torus_lines
 from .verify import SUITES, run_suite
 
 CATALOG_ENV = "MMJONES_CATALOG"
 DEFAULT_ORDER_CEILING = 6
 # Exit status when a runtime gate (operator inverse, Markov trace,
-# integrality, exact arithmetic) fails; input errors exit with 1.
+# integrality, exact arithmetic, torus line parity or integrality) fails;
+# input errors exit with 1.
 EXIT_GATE_FAILED = 3
 
 
@@ -245,10 +246,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_torus = sub.add_parser("torus", help="certified lines of a torus knot")
     p_torus.add_argument("--p", type=int, required=True)
     p_torus.add_argument("--q", type=int, required=True)
-    p_torus.add_argument("--lines", type=int, required=True, metavar="L")
-    p_torus.add_argument("--z-terms", type=int, default=8,
+    p_torus.add_argument("--lines", type=_non_negative_int, required=True, metavar="L")
+    p_torus.add_argument("--z-terms", type=_non_negative_int, default=8,
                          help="number of even series coefficients to emit")
-    p_torus.add_argument("--max-lines", type=int, default=8)
+    p_torus.add_argument("--max-lines", type=_non_negative_int, default=8)
     p_torus.add_argument("--format", choices=("json",), default="json")
     p_torus.add_argument("--out", default=None, metavar="PATH")
     p_torus.set_defaults(func=cmd_torus)
@@ -277,7 +278,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (KnotError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except (ConventionViolationError, ModelViolationError, ExactAlgError) as exc:
+    except (ConventionViolationError, ModelViolationError, ExactAlgError,
+            LineConsistencyError) as exc:
         sys.stderr.write(f"error: gate {type(exc).__name__} failed: {exc}\n")
         return EXIT_GATE_FAILED
 

@@ -78,10 +78,24 @@ def _line_index(n: int, N: int) -> int:
 
 
 def parse_linetable(doc: dict) -> LineTable:
-    rows = [()] * (2 * doc["N"] + 1)
+    """Line table from its JSON document.
+
+    Every line n = 0..2N must appear exactly once, with the N - (n+1)//2 + 1
+    values m = 0..N - (n+1)//2.
+    """
+    N = doc["N"]
+    rows: List[Optional[tuple]] = [None] * (2 * N + 1)
     for row in doc["lines"]:
-        rows[_line_index(row["n"], doc["N"])] = tuple(parse_frac(c) for c in row["values"])
-    return LineTable(doc["N"], doc["parameter"], tuple(rows))
+        n = _line_index(row["n"], N)
+        if rows[n] is not None:
+            raise ValueError(f"duplicate line n={n}")
+        values, size = row["values"], N - (n + 1) // 2 + 1
+        if len(values) != size:
+            raise ValueError(f"line n={n} has {len(values)} values, expected {size}")
+        rows[n] = tuple(parse_frac(c) for c in values)
+    if None in rows:
+        raise ValueError(f"line n={rows.index(None)} is missing")
+    return LineTable(N, doc["parameter"], tuple(rows))
 
 
 def bottom_line_doc(report: BottomLineReport) -> dict:

@@ -10,23 +10,44 @@ the generating series is
     V(z, h) = (1/z) (1+h)^c  sum_m (1/m!) (log(1+h) / (4pq))^m  g_m(z),
 
 where c = (pq - p/q - q/p)/4 and g_m = D^m (z / nabla).  The coefficient of
-h^n is the line V^(n)(z), a rational function whose reduced denominator
-divides nabla^(2n+1); multiplying back by that power certifies the integer
-numerator polynomial.
+h^n is the line V^(n)(z) = sum_{m <= n} w_{m,n} g_m / z, with w_{m,n} the
+h^n coefficient of the m-th weight series.  Only finitely many m contribute
+per h-order because log(1+h) has valuation one, so every line is exact.
 
-Only finitely many m contribute per h-order because log(1+h) has valuation
-one, so every line is computed exactly.
+Integer ladder.  Each rung is held as an integer polynomial P_m (a
+``LaurentPoly`` in z with exponents >= 0) with g_m = P_m / nabla^(2m+1).
+For f = P / nabla^k the quotient rule gives
+
+    A = P' nabla - k P nabla'           (f'  = A / nabla^(k+1))
+    B = A' nabla - (k+1) A nabla'       (f'' = B / nabla^(k+2))
+    D f = (z A nabla + (z^2 + 4) B) / nabla^(k+2),
+
+so P_(m+1) comes from P_m with ring operations only.  nabla, z and D have
+integer coefficients, hence every P_m lies in Z[z]; no rung is ever reduced,
+so no polynomial gcd runs.  Line n is then
+
+    V^(n) = S_n / (L_n z nabla^(2n+1)),   S_n = sum_m (L_n w_{m,n}) P_m nabla^(2(n-m)),
+
+with L_n the lcm of the weight denominators, so S_n is an integer sum.  The
+denominator nabla^(2n+1) holds by construction; what the theory promises
+beyond it stays a runtime gate (``LineConsistencyError``):
+
+* parity: every P_m is odd (g_m is odd and nabla is even);
+* an odd sum, i.e. an even numerator: S_n has only odd powers, which is the
+  same as S_n / z having only even powers, so one test covers both;
+* integrality: L_n divides every coefficient of S_n / z, so the numerator
+  S_n / (L_n z) is an integer polynomial in z^2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import List, Optional
 
 from .exactalg import (
-    InexactDivisionError,
+    LaurentPoly,
     QPoly,
     RationalFn,
     TruncSeries,
@@ -45,38 +66,42 @@ class LineFunction:
     """One line of a torus knot: index, rational-function value, numerator."""
 
     n: int
-    value: RationalFn
-    numerator: Optional[QPoly] = None  # certified against nabla^(2n+1)
+    value: RationalFn  # numerator / nabla^(2n+1), not reduced
+    numerator: QPoly
 
     def series_coeffs(self, z_cap: int) -> List[Fraction]:
         return list(self.value.series(z_cap).coeffs)
 
 
-def apply_D(f: RationalFn) -> RationalFn:
-    """z f' + (z^2 + 4) f'', reduced."""
-    d1 = f.derivative()
-    d2 = d1.derivative()
-    z = QPoly([0, 1])
-    shift = QPoly([4, 0, 1])
-    return (d1 * z + d2 * shift).reduce()
+def _derivative(p: LaurentPoly) -> LaurentPoly:
+    return LaurentPoly(p.var, {e - 1: e * c for e, c in p.terms.items() if e})
 
 
-def _derivative_chain(t: TorusParams, n_max: int) -> List[RationalFn]:
-    nabla = conway_torus(t)
-    g = RationalFn(QPoly([0, 1]), nabla)
-    chain = [g]
-    for _ in range(n_max):
-        g = apply_D(g)
-        chain.append(g)
-    return chain
+def _dense(p: LaurentPoly) -> QPoly:
+    return QPoly([p.coeff(e) for e in range(p.max_exp() + 1)])
 
 
-def _odd_numerator_over_z(f: RationalFn) -> RationalFn:
-    """Divide an odd rational function by z exactly."""
-    if not f.num.only_odd_powers() or not f.den.only_even_powers():
-        raise LineConsistencyError("derivative chain lost its parity")
-    num = QPoly(f.num.coeffs[1:])
-    return RationalFn(num, f.den, reduce=False)
+_SHIFT = LaurentPoly("z", {0: 4, 2: 1})  # z^2 + 4
+
+
+def apply_D(num: LaurentPoly, k: int, nabla: LaurentPoly) -> LaurentPoly:
+    """The numerator of D(num / nabla^k) over nabla^(k+2), in Z[z]."""
+    dnabla = _derivative(nabla)
+    a = _derivative(num) * nabla - num * dnabla * k
+    b = _derivative(a) * nabla - a * dnabla * (k + 1)
+    return (a * nabla).shift(1) + _SHIFT * b
+
+
+def _ladder(nabla: LaurentPoly, n_max: int) -> List[LaurentPoly]:
+    """P_0..P_n_max with D^m(z / nabla) = P_m / nabla^(2m+1), each checked odd."""
+    rung = LaurentPoly.monomial("z", 1)
+    ladder = [rung]
+    for m in range(n_max):
+        rung = apply_D(rung, 2 * m + 1, nabla)
+        if any(e % 2 == 0 for e in rung.terms):
+            raise LineConsistencyError("derivative chain lost its parity")
+        ladder.append(rung)
+    return ladder
 
 
 def torus_lines(t: TorusParams, n_max: int, h_cap: Optional[int] = None) -> List[LineFunction]:
@@ -96,8 +121,6 @@ def torus_lines(t: TorusParams, n_max: int, h_cap: Optional[int] = None) -> List
     c = (Fraction(pq) - Fraction(p, q) - Fraction(q, p)) / 4
     prefactor = series_pow1p(c, h_cap)
     logf = series_log1p(h_cap) * Fraction(1, 4 * pq)
-    chain = _derivative_chain(t, n_max)
-    odd_over_z = [_odd_numerator_over_z(g) for g in chain]
     # weights[m] = (1+h)^c * (log(1+h)/(4pq))^m / m!
     weights: List[TruncSeries] = []
     log_pow = TruncSeries.constant("h", h_cap, 1)
@@ -105,34 +128,37 @@ def torus_lines(t: TorusParams, n_max: int, h_cap: Optional[int] = None) -> List
         if m > 0:
             log_pow = log_pow * logf
         weights.append(prefactor * log_pow * Fraction(1, factorial(m)))
-    nabla = conway_torus(t)
+    nabla = LaurentPoly("z", {e: int(c) for e, c in enumerate(conway_torus(t).coeffs)})
+    ladder = _ladder(nabla, n_max)
+    # even_powers[j] = nabla^(2j)
+    even_powers = [LaurentPoly.one("z")]
+    for _ in range(n_max):
+        even_powers.append(even_powers[-1] * nabla * nabla)
     lines = []
     for n in range(n_max + 1):
-        acc = RationalFn.zero()
-        for m in range(n + 1):
-            w = weights[m].coeff(n)
+        ws = [weights[m].coeff(n) for m in range(n + 1)]
+        scale = lcm(*(w.denominator for w in ws))
+        total = LaurentPoly.zero("z")
+        for m, w in enumerate(ws):
             if w:
-                acc = acc + odd_over_z[m] * w
-        lf = LineFunction(n, acc)
-        numerator = certify_numerator(lf, nabla)
-        lines.append(LineFunction(n, acc, numerator))
+                weight = w.numerator * (scale // w.denominator)
+                total = total + ladder[m] * even_powers[n - m] * weight
+        numerator = certify_numerator(n, total, scale)
+        value = RationalFn(numerator, _dense(even_powers[n] * nabla), reduce=False)
+        lines.append(LineFunction(n, value, numerator))
     return lines
 
 
-def certify_numerator(lf: LineFunction, conway: QPoly) -> QPoly:
-    """Certify value = P / conway^(2n+1) with P an integer polynomial in z^2."""
-    power = conway ** (2 * lf.n + 1)
-    try:
-        numerator = lf.value.numerator_against(power)
-    except InexactDivisionError as exc:
-        raise LineConsistencyError(
-            f"line {lf.n}: denominator does not divide the required Conway power"
-        ) from exc
-    if not numerator.only_even_powers():
-        raise LineConsistencyError(f"line {lf.n}: numerator has odd powers")
-    if not numerator.has_integer_coeffs():
-        raise LineConsistencyError(f"line {lf.n}: numerator is not integral")
-    return numerator
+def certify_numerator(n: int, total: LaurentPoly, scale: int) -> QPoly:
+    """Line n's numerator total / (scale z), certified even and integral."""
+    if any(e % 2 == 0 for e in total.terms):
+        raise LineConsistencyError(f"line {n}: numerator has odd powers")
+    numerator = [0] * max(total.terms, default=0)
+    for e, coeff in total.terms.items():
+        numerator[e - 1], rem = divmod(coeff, scale)
+        if rem:
+            raise LineConsistencyError(f"line {n}: numerator is not integral")
+    return QPoly(numerator)
 
 
 def torus_line_series(t: TorusParams, n: int, z_cap: int) -> List[Fraction]:

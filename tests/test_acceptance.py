@@ -9,7 +9,7 @@ import time
 
 from mmjones import golden
 from mmjones.cjones import colored_jones, crossing_operator, jones_h_series
-from mmjones.exactalg import QPoly, RationalFn
+from mmjones.exactalg import LaurentPoly, QPoly, RationalFn
 from mmjones.knots import BraidWord, TorusParams, conway_poly, conway_torus
 from mmjones.mmexpand import approx_poly, bottom_line_check, integrality_report
 from mmjones.toruslines import apply_D, torus_lines
@@ -153,13 +153,24 @@ class TestAcceptance:
         for name in ("4_1", "5_2", "6_1", "8_3"):
             rep = integrality_report(pipeline.lines(name, 5, "h"))
             ok = ok and rep.all_integer
-        # oddness and denominator divisibility of the derivative chain
+        # oddness and denominator divisibility of the derivative chain: each
+        # integer rung over nabla^(2m+1) is odd, and one ladder step equals
+        # z g' + (z^2 + 4) g'' by quotient-rule derivatives
         nabla = conway_torus(TorusParams(2, 5))
-        g = RationalFn(QPoly([0, 1]), nabla)
+        ints = LaurentPoly("z", {e: int(c) for e, c in enumerate(nabla.coeffs)})
+        rung = LaurentPoly.monomial("z", 1)
+
+        def dense(p):
+            return QPoly([p.coeff(e) for e in range(p.max_exp() + 1)])
+
         for m in range(4):
+            g = RationalFn(dense(rung), nabla ** (2 * m + 1))
             ok = ok and g.num.only_odd_powers()
             (nabla ** (2 * m + 1)).exact_div(g.den)
-            g = apply_D(g)
+            d1 = g.derivative()
+            rung = apply_D(rung, 2 * m + 1, ints)
+            step = RationalFn(dense(rung), nabla ** (2 * m + 3), reduce=False)
+            ok = ok and step == d1 * QPoly([0, 1]) + d1.derivative() * QPoly([4, 0, 1])
         report(9, ok, "(Yang-Baxter, inverses, Markov, integrality, derivative chain)")
 
     def test_criterion_10_fractional_flag(self, pipeline):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from mmjones import cjones
+from mmjones import cjones, toruslines
 from mmjones.cli import EXIT_GATE_FAILED, main
 from mmjones.exactalg import LaurentPoly
 from mmjones.reports import parse_frac, parse_linetable
@@ -33,6 +33,29 @@ class TestTorusCommand:
         code, _, err = run_cli(capsys, "torus", "--p", "2", "--q", "4", "--lines", "1")
         assert code != 0
         assert "gcd" in err or "error" in err
+
+    @pytest.mark.parametrize("flag", ["--lines", "--z-terms", "--max-lines"])
+    @pytest.mark.parametrize("value", ["-1", "x"])
+    def test_rejects_bad_counts(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["torus", "--p", "2", "--q", "3", "--lines", "1", flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_gate_failure_exit_status(self, capsys, monkeypatch):
+        # one ladder step gains an even power, which fails the parity gate
+        original = toruslines.apply_D
+
+        def corrupted(num, k, nabla):
+            rung = original(num, k, nabla)
+            return rung + LaurentPoly.one("z") if k == 3 else rung
+
+        monkeypatch.setattr(toruslines, "apply_D", corrupted)
+        code, out, err = run_cli(capsys, "torus", "--p", "2", "--q", "5", "--lines", "3")
+        assert code == EXIT_GATE_FAILED == 3 and out == ""
+        assert err.startswith("error: gate LineConsistencyError failed:")
+        assert "parity" in err and "Traceback" not in err
+        assert len(err.splitlines()) == 1
 
 
 class TestExpandCommand:

@@ -1,10 +1,12 @@
 """Serialization round trips and formatting rules."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
-from mmjones.knots import BraidWord
+from mmjones.cli import main
+from mmjones.knots import BraidWord, catalog_lookup, default_catalog
 from mmjones.mmexpand import build_dtable, to_z_lines
 from mmjones.reports import (
     dtable_doc,
@@ -73,6 +75,36 @@ def test_line_outside_budget_is_a_value_error(sample, n):
     text = linetable_tsv(lines) + f"{n}\t0\t1\n"
     with pytest.raises(ValueError, match="outside"):
         parse_linetable_tsv(text, lines.N, lines.tag)
+
+
+def test_json_round_trip_of_a_report(capsys):
+    assert main(["expand", "--knot", "4_1", "--order", "3"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    lines = to_z_lines(build_dtable(catalog_lookup(default_catalog(), "4_1"), 3))
+    assert parse_linetable(doc["lines"]) == lines
+    assert linetable_doc(parse_linetable(doc["lines"])) == doc["lines"]
+
+
+def _doc(N, lines):
+    return {"parameter": "h", "N": N, "lines": [{"n": n, "values": v} for n, v in lines]}
+
+
+@pytest.mark.parametrize("lines, match", [
+    ([(0, ["7", "1", "5", "9"]), (0, ["3"])], "has 4 values, expected 2"),
+    ([(0, ["7", "1"]), (0, ["3", "2"]), (1, ["1"]), (2, ["1"])], "duplicate line n=0"),
+    ([(0, ["7"]), (1, ["1"]), (2, ["1"])], "has 1 values, expected 2"),
+    ([(0, ["7", "1"]), (1, ["1", "2"]), (2, ["1"])], "has 2 values, expected 1"),
+    ([(0, ["7", "1"]), (2, ["1"])], "line n=1 is missing"),
+    ([], "line n=0 is missing"),
+])
+def test_json_line_errors(lines, match):
+    with pytest.raises(ValueError, match=match):
+        parse_linetable(_doc(1, lines))
+
+
+def test_json_lines_in_any_order():
+    doc = _doc(1, [(2, ["5"]), (0, ["7", "2"]), (1, ["3"])])
+    assert parse_linetable(doc).rows == ((Fraction(7), Fraction(2)), (Fraction(3),), (Fraction(5),))
 
 
 def test_tsv_places_values_by_column(sample):

@@ -1,10 +1,26 @@
-"""Tests for the closed-form torus line generator."""
+"""Tests for the closed-form torus line generator.
+
+The reduced route the generator used before its integer ladder is kept here
+as the oracle: every rung D^m(z / nabla) is a gcd-reduced ``RationalFn``
+from the quotient rule, and every line a reduced sum certified against
+nabla^(2n+1).
+"""
 
 from fractions import Fraction
+from functools import lru_cache
+from math import factorial
 
 import pytest
 
-from mmjones.exactalg import QPoly, RationalFn
+from mmjones import toruslines
+from mmjones.exactalg import (
+    LaurentPoly,
+    QPoly,
+    RationalFn,
+    TruncSeries,
+    series_log1p,
+    series_pow1p,
+)
 from mmjones.knots import TorusParams, conway_torus
 from mmjones.mmexpand import build_dtable, to_z_lines
 from mmjones.toruslines import (
@@ -20,12 +36,79 @@ def ratfn(num, den=None):
     return RationalFn(QPoly(num), QPoly(den) if den is not None else QPoly.one())
 
 
+def zpoly(coeffs) -> LaurentPoly:
+    """Integer polynomial in z from its coefficients of z^0, z^1, ..."""
+    return LaurentPoly("z", dict(enumerate(coeffs)))
+
+
+def over_power(rung: LaurentPoly, nabla: QPoly, k: int) -> RationalFn:
+    """rung / nabla^k, not reduced."""
+    num = QPoly([rung.coeff(e) for e in range(rung.max_exp() + 1)])
+    return RationalFn(num, nabla ** k, reduce=False)
+
+
+def oracle_apply_D(f: RationalFn) -> RationalFn:
+    """z f' + (z^2 + 4) f'' through reduced quotient-rule derivatives."""
+    d1 = f.derivative()
+    d2 = d1.derivative()
+    return (d1 * QPoly([0, 1]) + d2 * QPoly([4, 0, 1])).reduce()
+
+
+ORACLE_RUNGS = 5
+
+
+@lru_cache(maxsize=None)
+def oracle_chain(p: int, q: int):
+    """Reduced g_0..g_5 = D^m(z / nabla); depends on |p|, |q| only."""
+    g = RationalFn(QPoly([0, 1]), conway_torus(TorusParams(p, q)))
+    chain = [g]
+    for _ in range(ORACLE_RUNGS):
+        g = oracle_apply_D(g)
+        chain.append(g)
+    return tuple(chain)
+
+
+@lru_cache(maxsize=None)
+def oracle_lines(p: int, q: int, n_max: int):
+    """(numerator, value) per line by the reduced route.
+
+    The closed form is symmetric in p and q, so callers pass one order of
+    each knot or mirror.
+    """
+    pq = p * q
+    c = (Fraction(pq) - Fraction(p, q) - Fraction(q, p)) / 4
+    prefactor = series_pow1p(c, n_max)
+    logf = series_log1p(n_max) * Fraction(1, 4 * pq)
+    chain = oracle_chain(*sorted((abs(p), abs(q))))
+    odd_over_z = []
+    for g in chain[: n_max + 1]:
+        assert g.num.only_odd_powers() and g.den.only_even_powers()
+        odd_over_z.append(RationalFn(QPoly(g.num.coeffs[1:]), g.den, reduce=False))
+    weights, log_pow = [], TruncSeries.constant("h", n_max, 1)
+    for m in range(n_max + 1):
+        if m > 0:
+            log_pow = log_pow * logf
+        weights.append(prefactor * log_pow * Fraction(1, factorial(m)))
+    nabla = conway_torus(TorusParams(p, q))
+    out = []
+    for n in range(n_max + 1):
+        acc = RationalFn.zero()
+        for m in range(n + 1):
+            w = weights[m].coeff(n)
+            if w:
+                acc = acc + odd_over_z[m] * w
+        numerator = acc.numerator_against(nabla ** (2 * n + 1))
+        assert numerator.only_even_powers() and numerator.has_integer_coeffs()
+        out.append((numerator, acc))
+    return tuple(out)
+
+
 class TestApplyD:
     def test_on_z(self):
-        assert apply_D(ratfn([0, 1])) == ratfn([0, 1])
+        assert apply_D(zpoly([0, 1]), 0, zpoly([1])) == zpoly([0, 1])
 
     def test_on_z_squared(self):
-        assert apply_D(ratfn([0, 0, 1])) == ratfn([8, 0, 4])
+        assert apply_D(zpoly([0, 0, 1]), 0, zpoly([1])) == zpoly([8, 0, 4])
 
     def test_quotient_rule_oracle(self):
         # independent oracle: symbolic quotient-rule derivative at small degree
@@ -38,10 +121,61 @@ class TestApplyD:
         d1 = oracle_derivative(f)
         d2 = oracle_derivative(d1)
         expected = d1 * QPoly([0, 1]) + d2 * QPoly([4, 0, 1])
-        got = apply_D(f)
-        assert got == expected
-        assert got.num.only_odd_powers()
-        assert got.den == QPoly([1, 0, 1]) ** 3
+        got = apply_D(zpoly([0, 1]), 1, zpoly([1, 0, 1]))
+        assert over_power(got, QPoly([1, 0, 1]), 3) == expected
+        assert all(e % 2 for e in got.terms)
+        assert expected.den == QPoly([1, 0, 1]) ** 3
+
+
+class TestLadder:
+    @pytest.mark.parametrize("p,q", [(2, 3), (2, 5), (3, 4), (-2, 3), (2, -5)])
+    def test_matches_reduced_chain(self, p, q):
+        t = TorusParams(p, q)
+        nabla = conway_torus(t)
+        ladder = toruslines._ladder(zpoly(int(c) for c in nabla.coeffs), ORACLE_RUNGS)
+        chain = oracle_chain(*sorted((abs(p), abs(q))))
+        for m, (rung, g) in enumerate(zip(ladder, chain)):
+            assert all(type(c) is int for c in rung.terms.values())
+            assert over_power(rung, nabla, 2 * m + 1) == g
+
+    def test_parity_gate(self, monkeypatch):
+        original = toruslines.apply_D
+
+        def corrupted(num, k, nabla):
+            return original(num, k, nabla) + LaurentPoly.one("z")
+
+        monkeypatch.setattr(toruslines, "apply_D", corrupted)
+        with pytest.raises(LineConsistencyError, match="lost its parity"):
+            torus_lines(TorusParams(2, 3), 2)
+
+    def test_apply_D_called_once_per_rung(self, monkeypatch):
+        calls = []
+        original = toruslines.apply_D
+
+        def counted(*args):
+            calls.append(args[1])
+            return original(*args)
+
+        monkeypatch.setattr(toruslines, "apply_D", counted)
+        torus_lines(TorusParams(3, 5), 4)
+        assert calls == [1, 3, 5, 7]
+
+
+@pytest.mark.parametrize("p,q", [
+    (a, b)
+    for base in ((2, 7), (3, 4), (3, 5))
+    for a, b in (base, base[::-1], (-base[0], base[1]), (base[1], -base[0]))
+])
+def test_lines_match_oracle_route(p, q):
+    lines = torus_lines(TorusParams(p, q), 4)
+    key = sorted((abs(p), abs(q)))
+    if p * q < 0:
+        key[0] = -key[0]
+    expected = oracle_lines(*key, 4)
+    assert len(lines) == len(expected) == 5
+    for lf, (numerator, value) in zip(lines, expected):
+        assert lf.numerator == numerator
+        assert lf.series_coeffs(16) == list(value.series(16).coeffs)
 
 
 class TestTorusLines:
@@ -82,19 +216,27 @@ class TestTorusLines:
 
     def test_oddness_and_denominator_growth(self):
         nabla = conway_torus(TorusParams(2, 5))
-        g = RationalFn(QPoly([0, 1]), nabla)
+        ints = zpoly(int(c) for c in nabla.coeffs)
+        g, rung = RationalFn(QPoly([0, 1]), nabla), zpoly([0, 1])
         for m in range(4):
+            assert all(e % 2 for e in rung.terms)
+            assert over_power(rung, nabla, 2 * m + 1) == g
             assert g.num.only_odd_powers()
             assert g.den.only_even_powers()
             # reduced denominator divides nabla^(2m+1)
             (nabla ** (2 * m + 1)).exact_div(g.den)
-            g = apply_D(g)
+            g, rung = oracle_apply_D(g), apply_D(rung, 2 * m + 1, ints)
 
-    def test_certify_rejects_wrong_power(self):
-        lines = torus_lines(TorusParams(2, 3), 1)
-        bad = type(lines[1])(0, lines[1].value)  # claim the n=1 line is n=0
-        with pytest.raises(LineConsistencyError):
-            certify_numerator(bad, conway_torus(TorusParams(2, 3)))
+    def test_certify_rejects_non_integral_sum(self):
+        assert certify_numerator(1, zpoly([0, 4, 0, -6]), 2) == QPoly([2, 0, -3])
+        with pytest.raises(LineConsistencyError, match="not integral"):
+            certify_numerator(1, zpoly([0, 4, 0, 3]), 2)
+
+    def test_certify_rejects_even_sum(self):
+        with pytest.raises(LineConsistencyError, match="odd powers"):
+            certify_numerator(1, zpoly([0, 4, 2, 6]), 2)
+        with pytest.raises(LineConsistencyError, match="odd powers"):
+            certify_numerator(0, zpoly([1, 1]), 1)
 
 
 class TestTorusLineSeries:
