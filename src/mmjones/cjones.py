@@ -65,17 +65,6 @@ class ConventionViolationError(Exception):
 POSITIVE_CROSSING_SIGN = 1
 
 
-@dataclass(frozen=True)
-class ColorDimension:
-    """Dimension of the coloring representation; alpha = 1 is trivial."""
-
-    alpha: int
-
-    def __post_init__(self):
-        if self.alpha < 1:
-            raise ValueError("alpha must be >= 1")
-
-
 @lru_cache(maxsize=None)
 def _qbinom(m: int, k: int) -> LaurentPoly:
     """Symmetric q-binomial [m choose k] with q = u**2, 0 <= k <= m.
@@ -196,13 +185,15 @@ class CrossingOperator:
     sign: int
     table: dict
 
-    def entries(self, i: int, j: int):
-        return self.table[(i, j)]
 
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _operator_pair(alpha: int) -> Tuple[CrossingOperator, CrossingOperator]:
-    """Both braiding operators, verified to be exact mutual inverses."""
+    """Both braiding operators, verified to be exact mutual inverses.
+
+    Only the color in flight is kept: colors run one after another, and each
+    is built once (its tables, both signs and :func:`_markov_data` all read
+    the one entry).
+    """
     plus = _braiding_table(alpha, 1)
     minus = _braiding_table(alpha, -1)
     _check_inverse(plus, minus, alpha)
@@ -212,15 +203,13 @@ def _operator_pair(alpha: int) -> Tuple[CrossingOperator, CrossingOperator]:
     )
 
 
-def crossing_operator(alpha, sign: int) -> CrossingOperator:
+def crossing_operator(alpha: int, sign: int) -> CrossingOperator:
     """The braiding operator for the alpha-dimensional coloring.
 
     ``sign=+1`` gives the operator used for positive braid letters under the
     package convention; ``sign=-1`` its exact inverse (verified on basis
     vectors at construction).
     """
-    if isinstance(alpha, ColorDimension):
-        alpha = alpha.alpha
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
     if sign not in (1, -1):
@@ -396,9 +385,10 @@ def _laurent_to_gseries(p: LaurentPoly, length: int, rows: dict) -> List[int]:
     return [sum(map(mul, coeffs, map(itemgetter(k), picked))) for k in range(length)]
 
 
-@lru_cache(maxsize=None)
 def _gseries_entry_tables(alpha: int, length: int):
     """Crossing tables as truncated g-series coefficient tuples, both signs.
+
+    Built once per color, by :class:`_PackedRing`, and not kept after it.
 
     Returns (tables, majorants): ``majorants[sign]`` is the row majorant of
     that sign's table, the coefficientwise max over source keys of the sum
@@ -528,42 +518,12 @@ class _PackedRing:
 
 
 # ---------------------------------------------------------------------------
-# Exact tensor states and the exact invariant
+# The exact invariant
 # ---------------------------------------------------------------------------
 
 
-class TensorVector:
-    """Sparse state on the strands-fold tensor power, amplitudes in Z[u, 1/u]."""
-
-    __slots__ = ("alpha", "strands", "amplitudes")
-
-    def __init__(self, alpha: int, strands: int, amplitudes=None):
-        self.alpha = alpha
-        self.strands = strands
-        self.amplitudes = dict(amplitudes or {})
-
-    @classmethod
-    def basis(cls, alpha: int, strands: int, index: Tuple[int, ...]) -> "TensorVector":
-        return cls(alpha, strands, {tuple(index): LaurentPoly.one("u")})
-
-    def apply_crossing(self, op: CrossingOperator, pos: int) -> "TensorVector":
-        """Act on tensor slots (pos, pos+1), 0-based."""
-        out = _apply_letter(self.amplitudes, op.table, pos, _drop_zeros)
-        return TensorVector(self.alpha, self.strands, out)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TensorVector)
-            and self.alpha == other.alpha
-            and self.strands == other.strands
-            and self.amplitudes == other.amplitudes
-        )
-
-
-def _knot_color(b: BraidWord, alpha) -> int:
-    """The color as an int, after checking it and that ``b`` closes to a knot."""
-    if isinstance(alpha, ColorDimension):
-        alpha = alpha.alpha
+def _knot_color(b: BraidWord, alpha: int) -> int:
+    """The color, after checking it and that ``b`` closes to a knot."""
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
     if not b.is_knot():
@@ -573,7 +533,7 @@ def _knot_color(b: BraidWord, alpha) -> int:
     return alpha
 
 
-def colored_jones(b: BraidWord, alpha) -> LaurentPoly:
+def colored_jones(b: BraidWord, alpha: int) -> LaurentPoly:
     """V_alpha of the closure of ``b`` as a Laurent polynomial in q-hat.
 
     Normalized so the unknot gives 1 for every color; the writhe dependence
@@ -600,7 +560,7 @@ def colored_jones(b: BraidWord, alpha) -> LaurentPoly:
 # ---------------------------------------------------------------------------
 
 
-def jones_h_series(b: BraidWord, alpha, cap: int) -> List[Fraction]:
+def jones_h_series(b: BraidWord, alpha: int, cap: int) -> List[Fraction]:
     """Coefficients of the h-expansion of V_alpha(closure of b) through h**cap.
 
     Same invariant as :func:`colored_jones`, evaluated in the packed
@@ -649,7 +609,3 @@ def _gseries_to_hseries(gcoeffs: List[int], cap: int) -> List[Fraction]:
         raise ConventionViolationError("h-expansion does not start at 1")
     return coeffs
 
-
-def jones_h_expansion(b: BraidWord, alpha, cap: int) -> TruncSeries:
-    """h-expansion of the colored Jones polynomial as a truncated series."""
-    return TruncSeries("h", cap, jones_h_series(b, alpha, cap))

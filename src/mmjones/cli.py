@@ -229,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_expand = sub.add_parser("expand", help="expansion pipeline for a catalog knot")
     p_expand.add_argument("--knot", required=True)
-    p_expand.add_argument("--order", type=int, required=True, metavar="N")
+    p_expand.add_argument("--order", type=_positive_int, required=True, metavar="N")
     p_expand.add_argument("--parameter", choices=("h", "ht"), default="h")
     p_expand.add_argument("--format", choices=("json", "tsv"), default="json")
     p_expand.add_argument("--out", default=None, metavar="PATH")
@@ -238,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="emit approximants only for lines n <= L")
     p_expand.add_argument("--exponent-mode", choices=("auto", "2n+1", "3n+1"),
                           default="auto")
-    p_expand.add_argument("--max-order", type=int, default=DEFAULT_ORDER_CEILING,
+    p_expand.add_argument("--max-order", type=_positive_int, default=DEFAULT_ORDER_CEILING,
                           help="runtime ceiling on N (default %(default)s)")
     p_expand.add_argument("--jobs", type=_positive_int, default=1)
     p_expand.set_defaults(func=cmd_expand)

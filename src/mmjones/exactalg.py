@@ -1,4 +1,4 @@
-"""Exact scalar, polynomial, Laurent, truncated-series and rational-function arithmetic.
+"""Exact scalar, polynomial, Laurent and truncated-series arithmetic.
 
 Everything here is immutable after construction and computes over exact
 rationals (``fractions.Fraction``) or exact integers.  No floats anywhere.
@@ -11,8 +11,6 @@ Conventions used throughout the package:
 * ``TruncSeries`` is a power series truncated at a fixed cap; arithmetic
   never reports coefficients beyond the minimum cap of its operands.
 * ``BiSeries`` is a plain container for a doubly truncated series in (z, h).
-* ``RationalFn`` is a ratio of two ``QPoly`` with the denominator
-  normalized to constant term 1.
 """
 
 from __future__ import annotations
@@ -34,10 +32,6 @@ class CompositionError(ExactAlgError):
 
 class InexactDivisionError(ExactAlgError):
     """A division that was required to be exact left a remainder."""
-
-
-class InvalidRationalFunctionError(ExactAlgError):
-    """Zero denominator or a denominator that cannot be normalized."""
 
 
 def _frac(x) -> Fraction:
@@ -296,11 +290,6 @@ class QPoly:
     def constant_term(self) -> Fraction:
         return self.coeff(0)
 
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def even_part_coeffs(self) -> list:
         return [self.coeff(2 * m) for m in range((len(self.coeffs) + 1) // 2)]
 
@@ -369,56 +358,11 @@ class QPoly:
                 base = base * base
         return out
 
-    def shift(self, k: int) -> "QPoly":
-        """Multiply by z**k (k >= 0)."""
-        return QPoly((_ZERO,) * k + self.coeffs)
-
-    def divmod(self, other: "QPoly"):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dl = other.degree
-        dlc = other.leading()
-        q = [_ZERO] * max(0, len(rem) - dl)
-        while len(rem) - 1 >= dl and rem:
-            lead = rem[-1]
-            if lead == 0:
-                rem.pop()
-                continue
-            k = len(rem) - 1 - dl
-            f = lead / dlc
-            q[k] = f
-            for i, c in enumerate(other.coeffs):
-                rem[k + i] -= f * c
-            rem.pop()
-        return QPoly(q), QPoly(rem)
-
-    def exact_div(self, other: "QPoly") -> "QPoly":
-        q, r = self.divmod(other)
-        if not r.is_zero():
-            raise InexactDivisionError("inexact polynomial division")
-        return q
-
-    def derivative(self) -> "QPoly":
-        return QPoly([i * c for i, c in enumerate(self.coeffs)][1:])
-
     def compose(self, inner: "QPoly") -> "QPoly":
         out = QPoly.zero()
         for c in reversed(self.coeffs):
             out = out * inner + QPoly((c,))
         return out
-
-    def evaluate(self, x) -> Fraction:
-        acc = _ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def monic(self) -> "QPoly":
-        if self.is_zero():
-            return self
-        inv = 1 / self.leading()
-        return self * inv
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -434,16 +378,6 @@ class QPoly:
             else:
                 bits.append(f"{c}*z^{i}")
         return " + ".join(bits)
-
-
-def poly_gcd(a: QPoly, b: QPoly) -> QPoly:
-    """Monic Euclidean GCD over Q."""
-    while not b.is_zero():
-        _, r = a.divmod(b)
-        a, b = b, r
-    if a.is_zero():
-        return a
-    return a.monic()
 
 
 # ---------------------------------------------------------------------------
@@ -642,12 +576,6 @@ class TruncSeries:
             out[k] = -inv0 * s
         return TruncSeries(self.var, self.cap, out)
 
-    def valuation(self) -> int:
-        for k, c in enumerate(self.coeffs):
-            if c != 0:
-                return k
-        return self.cap + 1
-
     def __repr__(self) -> str:
         bits = [
             f"{c}*{self.var}^{k}" for k, c in enumerate(self.coeffs) if c != 0
@@ -737,108 +665,3 @@ class BiSeries:
         return all(
             all(c == 0 for c in self.rows[zd]) for zd in range(1, self.zcap + 1, 2)
         )
-
-
-# ---------------------------------------------------------------------------
-# Rational functions in z over Q
-# ---------------------------------------------------------------------------
-
-
-class RationalFn:
-    """Ratio of two QPoly; denominator normalized to constant term 1."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: QPoly, den: QPoly, reduce: bool = True):
-        if den.is_zero():
-            raise InvalidRationalFunctionError("zero denominator")
-        if reduce:
-            g = poly_gcd(num, den)
-            if not g.is_zero() and g.degree > 0:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-        c0 = den.constant_term()
-        if c0 == 0:
-            raise InvalidRationalFunctionError(
-                "denominator has zero constant term after reduction"
-            )
-        if c0 != 1:
-            inv = 1 / c0
-            num = num * inv
-            den = den * inv
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def from_poly(cls, p: QPoly) -> "RationalFn":
-        return cls(p, QPoly.one(), reduce=False)
-
-    @classmethod
-    def zero(cls) -> "RationalFn":
-        return cls(QPoly.zero(), QPoly.one(), reduce=False)
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RationalFn):
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    def __add__(self, other: "RationalFn") -> "RationalFn":
-        return RationalFn(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __neg__(self) -> "RationalFn":
-        return RationalFn(-self.num, self.den, reduce=False)
-
-    def __sub__(self, other: "RationalFn") -> "RationalFn":
-        return self + (-other)
-
-    def __mul__(self, other) -> "RationalFn":
-        if isinstance(other, (int, Fraction)):
-            return RationalFn(self.num * other, self.den, reduce=False)
-        if isinstance(other, QPoly):
-            return RationalFn(self.num * other, self.den)
-        return RationalFn(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def derivative(self) -> "RationalFn":
-        """Quotient-rule derivative, reduced."""
-        return RationalFn(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
-
-    def reduce(self) -> "RationalFn":
-        return RationalFn(self.num, self.den)
-
-    def series(self, cap: int, var: str = "z") -> TruncSeries:
-        """Power-series expansion to ``cap`` (denominator is a unit)."""
-        den_series = TruncSeries(var, cap, self.den.coeffs).invert()
-        return TruncSeries(var, cap, self.num.coeffs) * den_series
-
-    def numerator_against(self, den_power: QPoly) -> QPoly:
-        """Return self * den_power as a QPoly; raises if not polynomial."""
-        prod_num = self.num * den_power
-        return prod_num.exact_div(self.den)
-
-    def __repr__(self) -> str:
-        return f"({self.num!r}) / ({self.den!r})"
-
-
-def laurent_to_hseries(p: LaurentPoly, cap: int, var: str = "h") -> TruncSeries:
-    """Substitute the Laurent variable by 1 + h, truncated at ``cap``.
-
-    Negative powers expand through the binomial series.  For integer Laurent
-    input the coefficients are integers; this is asserted.
-    """
-    out = TruncSeries.zero(var, cap)
-    for e, c in sorted(p.terms.items()):
-        out = out + c * series_pow1p(e, cap, var=var)
-    for coeff in out.coeffs:
-        if coeff.denominator != 1:
-            raise ExactAlgError("h-expansion of an integer Laurent lost integrality")
-    return out

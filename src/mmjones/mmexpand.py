@@ -492,12 +492,3 @@ def approx_poly(lines: LineTable, conway: QPoly, n: int, exponent: int) -> Appro
         for j in range(min(head_bound, guaranteed) // 2 + 1, guaranteed // 2 + 1)
     ]
     return ApproxPoly(n, exponent, tuple(head), tuple(window), guaranteed)
-
-
-def mirror_line_sign_map(lines: LineTable) -> LineTable:
-    """The mirror image's reparametrized table: d^(n)_m -> (-1)^n d^(n)_m."""
-    rows = tuple(
-        tuple(c if n % 2 == 0 else -c for c in lines.rows[n])
-        for n in range(len(lines.rows))
-    )
-    return LineTable(lines.N, lines.tag, rows)

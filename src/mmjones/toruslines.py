@@ -46,14 +46,7 @@ from fractions import Fraction
 from math import factorial, lcm
 from typing import List, Optional
 
-from .exactalg import (
-    LaurentPoly,
-    QPoly,
-    RationalFn,
-    TruncSeries,
-    series_log1p,
-    series_pow1p,
-)
+from .exactalg import LaurentPoly, QPoly, TruncSeries, series_log1p, series_pow1p
 from .knots import TorusParams, conway_torus
 
 
@@ -63,22 +56,21 @@ class LineConsistencyError(Exception):
 
 @dataclass(frozen=True)
 class LineFunction:
-    """One line of a torus knot: index, rational-function value, numerator."""
+    """Line n of a torus knot: numerator / nabla^(2n+1), not reduced."""
 
     n: int
-    value: RationalFn  # numerator / nabla^(2n+1), not reduced
     numerator: QPoly
+    denominator: LaurentPoly  # nabla^(2n+1), constant term 1
 
     def series_coeffs(self, z_cap: int) -> List[Fraction]:
-        return list(self.value.series(z_cap).coeffs)
+        """z-series coefficients through z^z_cap; the denominator is a unit."""
+        den = [self.denominator.coeff(e) for e in range(z_cap + 1)]
+        num = TruncSeries("z", z_cap, self.numerator.coeffs)
+        return list((num * TruncSeries("z", z_cap, den).invert()).coeffs)
 
 
 def _derivative(p: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(p.var, {e - 1: e * c for e, c in p.terms.items() if e})
-
-
-def _dense(p: LaurentPoly) -> QPoly:
-    return QPoly([p.coeff(e) for e in range(p.max_exp() + 1)])
 
 
 _SHIFT = LaurentPoly("z", {0: 4, 2: 1})  # z^2 + 4
@@ -144,8 +136,7 @@ def torus_lines(t: TorusParams, n_max: int, h_cap: Optional[int] = None) -> List
                 weight = w.numerator * (scale // w.denominator)
                 total = total + ladder[m] * even_powers[n - m] * weight
         numerator = certify_numerator(n, total, scale)
-        value = RationalFn(numerator, _dense(even_powers[n] * nabla), reduce=False)
-        lines.append(LineFunction(n, value, numerator))
+        lines.append(LineFunction(n, numerator, even_powers[n] * nabla))
     return lines
 
 

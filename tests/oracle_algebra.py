@@ -1,0 +1,110 @@
+"""Reference algebra the tests check the pipeline against.
+
+The pipeline never reduces a rational function: a torus line is an integer
+numerator over nabla^(2n+1), and an h-series comes from the packed state
+sum.  The routes here are independent of both: gcd-reduced rational
+functions in z with quotient-rule derivatives (Euclidean division over Q),
+the substitution q = 1 + h term by term, and exact tensor states acted on
+one crossing at a time.
+"""
+
+from fractions import Fraction
+
+from mmjones import cjones
+from mmjones.exactalg import LaurentPoly, QPoly, TruncSeries, series_pow1p
+
+
+def poly_divmod(a: QPoly, b: QPoly):
+    """Euclidean division over Q."""
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a.coeffs)
+    quot = [Fraction(0)] * max(0, len(rem) - b.degree)
+    while len(rem) > b.degree:
+        k = len(rem) - 1 - b.degree
+        quot[k] = f = rem[-1] / b.coeffs[-1]
+        for i, c in enumerate(b.coeffs):
+            rem[k + i] -= f * c
+        rem.pop()
+    return QPoly(quot), QPoly(rem)
+
+
+def poly_exact_div(a: QPoly, b: QPoly) -> QPoly:
+    quot, rem = poly_divmod(a, b)
+    assert rem.is_zero(), f"{b} does not divide {a}"
+    return quot
+
+
+def poly_gcd(a: QPoly, b: QPoly) -> QPoly:
+    """Monic Euclidean gcd over Q."""
+    while not b.is_zero():
+        a, b = b, poly_divmod(a, b)[1]
+    return a * (1 / a.coeffs[-1]) if a.coeffs else a
+
+
+def poly_derivative(p: QPoly) -> QPoly:
+    return QPoly([i * c for i, c in enumerate(p.coeffs)][1:])
+
+
+class RationalFn:
+    """num / den over Q, gcd-reduced unless ``reduce=False``, den(0) = 1."""
+
+    def __init__(self, num: QPoly, den: QPoly, reduce: bool = True):
+        if reduce:
+            g = poly_gcd(num, den)
+            num, den = poly_exact_div(num, g), poly_exact_div(den, g)
+        inv = 1 / den.constant_term()  # ZeroDivisionError when den(0) = 0
+        self.num, self.den = num * inv, den * inv
+
+    @classmethod
+    def zero(cls) -> "RationalFn":
+        return cls(QPoly.zero(), QPoly.one(), reduce=False)
+
+    def __eq__(self, other) -> bool:
+        return self.num * other.den == other.num * self.den
+
+    def __add__(self, other: "RationalFn") -> "RationalFn":
+        return RationalFn(self.num * other.den + other.num * self.den, self.den * other.den)
+
+    def __mul__(self, other) -> "RationalFn":
+        """Times a QPoly (reduced) or a scalar."""
+        if isinstance(other, QPoly):
+            return RationalFn(self.num * other, self.den)
+        return RationalFn(self.num * other, self.den, reduce=False)
+
+    def derivative(self) -> "RationalFn":
+        """Quotient rule, reduced."""
+        num = poly_derivative(self.num) * self.den - self.num * poly_derivative(self.den)
+        return RationalFn(num, self.den * self.den)
+
+    def reduce(self) -> "RationalFn":
+        return RationalFn(self.num, self.den)
+
+    def series(self, cap: int) -> TruncSeries:
+        """z-series through z^cap (the denominator is a unit)."""
+        inverse = TruncSeries("z", cap, self.den.coeffs).invert()
+        return TruncSeries("z", cap, self.num.coeffs) * inverse
+
+    def numerator_against(self, den_power: QPoly) -> QPoly:
+        """self * den_power, which must be a polynomial."""
+        return poly_exact_div(self.num * den_power, self.den)
+
+
+def laurent_to_hseries(p: LaurentPoly, cap: int) -> TruncSeries:
+    """p(1 + h) through h^cap; negative powers expand binomially."""
+    out = TruncSeries.zero("h", cap)
+    for e, c in sorted(p.terms.items()):
+        out = out + c * series_pow1p(e, cap)
+    return out
+
+
+def basis_state(index) -> dict:
+    """The tensor basis vector ``index``, amplitudes in Z[u, 1/u]."""
+    return {tuple(index): LaurentPoly.one("u")}
+
+
+def apply_crossings(state: dict, *steps) -> dict:
+    """Each (op, pos) in turn: ``op`` on tensor slots (pos, pos+1), 0-based."""
+    for op, pos in steps:
+        state = cjones._apply_letter(state, op.table, pos, cjones._drop_zeros)
+    return state

@@ -150,6 +150,15 @@ class TestExpandCommand:
         assert exc.value.code == 2
         assert "--jobs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--order", "--max-order"])
+    @pytest.mark.parametrize("value", ["0", "-1", "x"])
+    def test_rejects_bad_order(self, capsys, flag, value):
+        argv = ["expand", "--knot", "3_1", "--order", "2", flag, value]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
     @pytest.mark.parametrize("lines", ["-1", "x"])
     def test_rejects_bad_lines(self, capsys, lines):
         with pytest.raises(SystemExit) as exc:
@@ -173,7 +182,7 @@ class TestExpandCommand:
                 table[(0, 0)] = [(k, l, c + LaurentPoly.monomial("u", min(c.terms)))]
             return table
 
-        cached = (cjones._operator_pair, cjones._markov_data, cjones._gseries_entry_tables)
+        cached = (cjones._operator_pair, cjones._markov_data)
         for fn in cached:
             fn.cache_clear()
         monkeypatch.setattr(cjones, "_braiding_table", corrupted)

@@ -10,18 +10,16 @@ from mmjones.exactalg import (
     CompositionError,
     ExactAlgError,
     InexactDivisionError,
-    InvalidRationalFunctionError,
     LaurentPoly,
     QPoly,
-    RationalFn,
     TruncSeries,
-    poly_gcd,
     series_compose,
     series_log1p,
     series_pow1p,
     series_two_arcsinh_half,
     solve_linear_system,
 )
+from oracle_algebra import RationalFn, poly_divmod, poly_gcd
 
 F = Fraction
 
@@ -80,8 +78,10 @@ class TestQPoly:
     def test_divmod(self):
         p = QPoly([0, 0, 1, 0, 1])  # z^2 + z^4
         d = QPoly([1, 0, 1])  # 1 + z^2
-        q, r = p.divmod(d)
+        q, r = poly_divmod(p, d)
         assert r.is_zero() and q == QPoly([0, 0, 1])
+        q, r = poly_divmod(QPoly([1, 2, 3]), QPoly([1, 1]))
+        assert q == QPoly([-1, 3]) and r == QPoly([2])
 
     def test_gcd(self):
         a = QPoly([1, 0, 1]) * QPoly([1, 2])
@@ -91,7 +91,7 @@ class TestQPoly:
 
     def test_compose_evaluate(self):
         p = QPoly([1, 0, 2])
-        assert p.evaluate(F(1, 2)) == F(3, 2)
+        assert p.compose(QPoly([F(1, 2)])) == QPoly([F(3, 2)])
         assert p.compose(QPoly([0, 0, 1])) == QPoly([1, 0, 0, 0, 2])
 
 
@@ -156,6 +156,8 @@ class TestSeriesKernels:
 
 
 class TestRationalFn:
+    """The reduced route the torus tests use as their oracle."""
+
     def test_reduce_examples(self):
         f = RationalFn(QPoly([0, 0, 1, 0, 1]), QPoly([1, 0, 1]))
         assert f.num == QPoly([0, 0, 1]) and f.den == QPoly.one()
@@ -165,12 +167,14 @@ class TestRationalFn:
         assert h.num == QPoly([0, 0, 1]) and h.den == QPoly.one()
 
     def test_zero_denominator(self):
-        with pytest.raises(InvalidRationalFunctionError):
+        with pytest.raises(ZeroDivisionError):
             RationalFn(QPoly.one(), QPoly.zero())
+        with pytest.raises(ZeroDivisionError):
+            RationalFn(QPoly.one(), QPoly([0, 1]))
 
     def test_derivative_examples(self):
         z = QPoly([0, 1])
-        assert RationalFn.from_poly(z).derivative() == RationalFn.from_poly(QPoly.one())
+        assert RationalFn(z, QPoly.one()).derivative() == RationalFn(QPoly.one(), QPoly.one())
         f = RationalFn(QPoly.one(), QPoly([1, 0, 1]))
         df = f.derivative()
         assert df == RationalFn(QPoly([0, -2]), QPoly([1, 0, 1]) ** 2)
