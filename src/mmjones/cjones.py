@@ -12,15 +12,31 @@ at construction, the Markov partial trace is verified to be a monomial
 multiple of the identity (which fixes the charge weights), and the torus
 cross-path suite in the tests fixes the global mirror.
 
-The operator entries are built without division, from the q-binomial
-closed form u^w (q - 1/q)^n [n]! [i choose n] [N-j choose n] of the
-R-matrix, with the symmetric q-binomials taken from Pascal's rule.  The
-inverse gate packs each Laurent entry into one integer (Kronecker
-substitution), so every product of the composition is one big-integer
-multiplication; its width is a sign bit over the largest sum, over paths,
-of products of entry 1-norms, which bounds every coefficient of the
-composition and makes equal packed integers mean equal polynomials (see
-:func:`_gate_packing`).
+The operator entries come from the q-binomial closed form
+u^w (q - 1/q)^n [n]! [i choose n] [N-j choose n] of the R-matrix and are
+kept factored, as sgn u^w S B with S = prod_{k=1..n} (q^k - q^-k)
+[i choose n] and B = [N-j choose n], symmetric q-binomials from Pascal's
+rule: no polynomial is divided, and the factors, which do not depend on the
+color, number only O(alpha^2).  Both table consumers on the h-series path
+multiply Kronecker-packed factors instead of Laurent polynomials, one
+big-integer product per factor pair and per entry:
+
+* The inverse gate packs u -> 2^width and checks plus after minus against
+  the identity with one big-integer product per path.  Its width is a sign
+  bit over the largest path sum of |S|_1 |B|_1 |S'|_1 |B'|_1, which bounds
+  every coefficient of the composition since the 1-norm is
+  submultiplicative, so equal packed integers mean equal polynomials (see
+  :func:`_gate_packing`).
+* The g-series tables compute each entry as row(w) gS gB mod g**length,
+  (1+g)**w times the factor g-series, packed g -> 2**W mod 2**(W length).
+  W is a sign bit over max |S|_1 |B|_1 times the largest coefficient of
+  (1+g)**lo and (1+g)**hi, lo and hi the extreme exponents: the g**k
+  coefficient of sum_e c_e u^e is at most |c|_1 max_e |binom(e, k)|, and
+  |binom(e, k)| grows with |e| on each side of 0 (see
+  :func:`_gseries_entry_tables`).
+
+Only the Markov data expands entries, and only the diagonal ones; the exact
+ring expands whole tables for the test oracle.
 
 One state-sum kernel, :func:`_state_sum`, evaluates the invariant over
 either of two coefficient rings; only the table coefficients, the weight
@@ -86,35 +102,65 @@ def _scaled_qbinom(m: int, n: int) -> LaurentPoly:
     return out
 
 
-def _braiding_table(alpha: int, sign: int) -> Dict[Tuple[int, int], List[Tuple[int, int, LaurentPoly]]]:
-    """Entries of the braiding operator (sign=+1) or its inverse (sign=-1).
+def _braiding_table(alpha: int, sign: int) -> Dict[Tuple[int, int], List[tuple]]:
+    """Factored entries of the braiding operator (sign=+1) or its inverse (sign=-1).
 
     Basis vectors are indexed 0..alpha-1 with weights N-2i, N = alpha-1.
-    Output maps (i, j) -> list of (k, l, coefficient) with coefficient in
-    Z[u, u^-1].  The coefficient of the n-th entry of (i, j) is the
-    q-binomial closed form u^w (q - 1/q)^n [n]! [i choose n] [N-j choose n]
-    (for sign=-1: (-1)^n u^w' with i and j in the binomials swapped), so no
-    polynomial is ever divided.
+    Output maps (i, j) -> list of entries (k, l, w, s, b, sgn): the entry
+    sends (i, j) to (k, l) with coefficient sgn u^w S(s) B(b) in Z[u, u^-1],
+    where S(m, n) = prod_{k=1..n} (q^k - q^-k) [m choose n] and
+    B(m, n) = [m choose n] (:func:`_scaled_qbinom`, :func:`_qbinom`).  This
+    is the q-binomial closed form u^w (q - 1/q)^n [n]! [i choose n]
+    [N-j choose n] of the R-matrix: s = (i, n), b = (N-j, n), sgn = 1, and
+    for sign=-1 s = (j, n), b = (N-i, n), sgn = (-1)^n.  No polynomial is
+    divided, and none is multiplied until a consumer expands an entry
+    (:func:`_entry_poly`); the packed consumers multiply packed factors.
     """
     N = alpha - 1
-    table: Dict[Tuple[int, int], List[Tuple[int, int, LaurentPoly]]] = {}
+    table: Dict[Tuple[int, int], List[tuple]] = {}
     for i in range(alpha):
         for j in range(alpha):
-            entries = []
             if sign > 0:
-                for n in range(0, min(i, N - j) + 1):
-                    weight = n * (n - 1) + (N - 2 * (i - n)) * (N - 2 * (j + n))
-                    coeff = (_scaled_qbinom(i, n) * _qbinom(N - j, n)).shift(weight)
-                    entries.append((j + n, i - n, coeff))
+                table[(i, j)] = [
+                    (j + n, i - n, n * (n - 1) + (N - 2 * (i - n)) * (N - 2 * (j + n)),
+                     (i, n), (N - j, n), 1)
+                    for n in range(min(i, N - j) + 1)
+                ]
             else:
-                for n in range(0, min(j, N - i) + 1):
-                    weight = -(n * (n - 1)) - (N - 2 * i) * (N - 2 * j)
-                    coeff = (_scaled_qbinom(j, n) * _qbinom(N - i, n)).shift(weight)
-                    if n % 2:
-                        coeff = -coeff
-                    entries.append((j - n, i + n, coeff))
-            table[(i, j)] = entries
+                table[(i, j)] = [
+                    (j - n, i + n, -(n * (n - 1)) - (N - 2 * i) * (N - 2 * j),
+                     (j, n), (N - i, n), -1 if n % 2 else 1)
+                    for n in range(min(j, N - i) + 1)
+                ]
     return table
+
+
+def _entry_poly(entry: tuple) -> LaurentPoly:
+    """The coefficient sgn u^w S(s) B(b) of a factored entry, expanded."""
+    _, _, w, s, b, sgn = entry
+    return (_scaled_qbinom(*s) * _qbinom(*b)).shift(w) * sgn
+
+
+def _expand_table(table: dict) -> dict:
+    """A factored table with every coefficient expanded: (i, j) -> [(k, l, c)]."""
+    return {key: [(e[0], e[1], _entry_poly(e)) for e in entries]
+            for key, entries in table.items()}
+
+
+def _entries(*tables: dict) -> List[tuple]:
+    """Every entry of the tables, in one list."""
+    return [e for table in tables for entries in table.values() for e in entries]
+
+
+def _factor_polys(entries: List[tuple]) -> Tuple[Dict[tuple, LaurentPoly], ...]:
+    """The distinct factors of factored entries: ({s: S(s)}, {b: B(b)})."""
+    return ({e[3]: _scaled_qbinom(*e[3]) for e in entries},
+            {e[4]: _qbinom(*e[4]) for e in entries})
+
+
+def _norm1(p: LaurentPoly) -> int:
+    """|p|_1, the sum of the absolute coefficients."""
+    return sum(map(abs, p.terms.values()))
 
 
 def _gate_packing(plus: dict, minus: dict) -> Tuple[int, int, int]:
@@ -125,51 +171,79 @@ def _gate_packing(plus: dict, minus: dict) -> Tuple[int, int, int]:
     both tables or 0 if that is lower, and step divides every offset e - lo
     and 2 lo.  Packing is a ring map, so the packed product of two entries
     is the packed exact product at offset 2 lo, where the identity packs to
-    2^(width * -2 lo / step).
+    2^(width * -2 lo / step).  A factored entry sgn u^w S B has lowest
+    exponent w + lo(S) + lo(B) (the lowest terms of a product multiply), so
+    it packs as sgn pack(S) pack(B) shifted by w + lo(S) + lo(B) - lo, with
+    each factor packed from its own lowest exponent: one big-integer product
+    per factor pair, and step divides the offsets of each piece.
 
     Width: a coefficient of the exact composition at a source key is a sum,
     over the paths through an intermediate key, of products c c' of a minus
-    and a plus entry, so its absolute value is at most M, the largest over
-    source keys of sum_paths |c|_1 |c'|_1 (|.|_1 the sum of absolute
-    coefficients).  With width = bits(M) + 1 (a sign bit on top of M), a
+    and a plus entry, so its absolute value is at most
+    sum_paths |c|_1 |c'|_1 (|.|_1 the sum of absolute coefficients).  The
+    1-norm is submultiplicative, so |c|_1 <= |S|_1 |B|_1 for c = +-u^w S B.
+    Let M be the largest over source keys of
+    sum_paths |S|_1 |B|_1 |S'|_1 |B'|_1, which bounds every coefficient of
+    the composition.  With width = bits(M) + 1 (a sign bit on top of M), a
     coefficient of the composition minus the identity is at most
     M + 1 <= 2^(width-1) < 2^width in absolute value.  Such a difference
     vector packs to zero only if every coefficient is zero (the lowest
     nonzero one would have to be a multiple of 2^width), so within the
     bound equal packed integers mean equal polynomials.
     """
-    def norm(c: LaurentPoly) -> int:
-        return sum(map(abs, c.terms.values()))
+    entries = _entries(plus, minus)
+    factors = _factor_polys(entries)
+    s_norm, b_norm = ({key: _norm1(p) for key, p in polys.items()} for polys in factors)
+    s_low, b_low = ({key: min(p.terms) for key, p in polys.items()} for polys in factors)
 
-    row = {key: sum(norm(c) for (_, _, c) in entries) for key, entries in plus.items()}
-    bound = max(sum(norm(c) * row[(k, l)] for (k, l, c) in entries)
-                for entries in minus.values())
-    exps = [e for table in (plus, minus) for entries in table.values()
-            for (_, _, c) in entries for e in c.terms]
-    lo = min(0, *exps)
-    return bound.bit_length() + 1, gcd(2 * lo, *(e - lo for e in exps)) or 1, lo
+    def norm(e: tuple) -> int:
+        return s_norm[e[3]] * b_norm[e[4]]
+
+    row = {key: sum(map(norm, es)) for key, es in plus.items()}
+    bound = max(sum(norm(e) * row[e[:2]] for e in es) for es in minus.values())
+    lows = [e[2] + s_low[e[3]] + b_low[e[4]] for e in entries]
+    lo = min(0, *lows)
+    spans = [x - min(p.terms) for polys in factors for p in polys.values() for x in p.terms]
+    return bound.bit_length() + 1, gcd(2 * lo, *(x - lo for x in lows), *spans) or 1, lo
 
 
 def _check_inverse(plus: dict, minus: dict, alpha: int) -> None:
     """Raise unless plus after minus is the identity, one big-int product per path.
 
-    See :func:`_gate_packing` for why comparing packed integers is exact.
+    Entries are packed from their packed factors, one product per factor
+    pair; no Laurent polynomial is multiplied.  See :func:`_gate_packing`
+    for the layout and for why comparing packed integers is exact.
     """
     width, step, lo = _gate_packing(plus, minus)
 
-    def pack(table):
-        return {
-            key: [(k, l, sum(c << (width * ((e - lo) // step)) for e, c in p.terms.items()))
-                  for (k, l, p) in entries]
-            for key, entries in table.items()
-        }
+    def pack_factor(p: LaurentPoly) -> Tuple[int, int]:
+        """p packed from its lowest exponent, and that exponent."""
+        low = min(p.terms)
+        return sum(c << (width * ((e - low) // step)) for e, c in p.terms.items()), low
 
-    a, b = pack(plus), pack(minus)
+    packed_s, packed_b = ({key: pack_factor(p) for key, p in polys.items()}
+                          for polys in _factor_polys(_entries(plus, minus)))
+    pairs: Dict[Tuple[tuple, tuple], Tuple[int, int]] = {}
+
+    def pack(table: dict) -> dict:
+        out = {}
+        for key, entries in table.items():
+            row = []
+            for (k, l, w, s, b, sgn) in entries:
+                pair = pairs.get((s, b))
+                if pair is None:
+                    (xs, ls), (xb, lb) = packed_s[s], packed_b[b]
+                    pair = pairs[(s, b)] = (xs * xb, ls + lb)
+                row.append((k, l, (sgn * pair[0]) << (width * ((w + pair[1] - lo) // step))))
+            out[key] = row
+        return out
+
+    packed_plus = pack(plus)
     one = 1 << (width * (-2 * lo // step))
-    for key, entries in b.items():
+    for key, entries in pack(minus).items():
         acc: Dict[Tuple[int, int], int] = {}
         for (k, l, x) in entries:
-            for (k2, l2, y) in a[(k, l)]:
+            for (k2, l2, y) in packed_plus[(k, l)]:
                 acc[(k2, l2)] = acc.get((k2, l2), 0) + x * y
         if {tgt: v for tgt, v in acc.items() if v} != {key: one}:
             raise ConventionViolationError(
@@ -179,7 +253,11 @@ def _check_inverse(plus: dict, minus: dict, alpha: int) -> None:
 
 @dataclass(frozen=True)
 class CrossingOperator:
-    """Braiding operator on two adjacent tensor slots, entries exact in u."""
+    """Braiding operator on two adjacent tensor slots, entries factored exactly.
+
+    ``table`` maps (i, j) to the entries (k, l, w, s, b, sgn) of
+    :func:`_braiding_table`.
+    """
 
     alpha: int
     sign: int
@@ -231,17 +309,23 @@ def _markov_data(alpha: int) -> Tuple[int, int, int]:
     """
     N = alpha - 1
     plus, minus = _operator_pair(alpha)
+    # only the entries that fix (i, j), n = i - j (plus) or j - i (minus), are expanded
+    diagonals = [
+        {key: _entry_poly(e) for key, entries in op.table.items() for e in entries
+         if e[:2] == key}
+        for op in (plus, minus)
+    ]
     for a in (1, -1):
         scalars = []
         ok = True
-        for table in (plus.table, minus.table):
+        for entries in diagonals:
             diag = []
             for i in range(alpha):
                 acc = LaurentPoly.zero("u")
                 for j in range(alpha):
-                    for (k, l, c) in table[(i, j)]:
-                        if k == i and l == j:
-                            acc = acc + c * LaurentPoly.monomial("u", 2 * a * (N - 2 * j))
+                    c = entries.get((i, j))
+                    if c is not None:
+                        acc = acc + c.shift(2 * a * (N - 2 * j))
                 diag.append(acc)
             if any(d != diag[0] for d in diag):
                 ok = False
@@ -354,7 +438,7 @@ class _ExactRing:
     reduce = staticmethod(_drop_zeros)
 
     def __init__(self, alpha: int):
-        self.tables = {sgn: crossing_operator(alpha, sgn).table for sgn in (1, -1)}
+        self.tables = {sgn: _expand_table(crossing_operator(alpha, sgn).table) for sgn in (1, -1)}
 
     @staticmethod
     def monomial(exp: int) -> LaurentPoly:
@@ -374,9 +458,7 @@ def _binom_row(exp: int, length: int) -> Tuple[int, ...]:
 def _laurent_to_gseries(p: LaurentPoly, length: int, rows: dict) -> List[int]:
     """Series of p(u) in g = u - 1, truncated to ``length`` coefficients.
 
-    ``rows`` caches :func:`_binom_row` at this length by exponent.  It lives
-    for one table conversion: kept for the whole process, the rows of every
-    color raised the peak memory of a 13-color job by about 0.3 MB.
+    ``rows`` caches :func:`_binom_row` at this length by exponent.
     """
     for e in p.terms.keys() - rows.keys():
         rows[e] = _binom_row(e, length)
@@ -385,24 +467,116 @@ def _laurent_to_gseries(p: LaurentPoly, length: int, rows: dict) -> List[int]:
     return [sum(map(mul, coeffs, map(itemgetter(k), picked))) for k in range(length)]
 
 
+@lru_cache(maxsize=1)
+def _factor_gseries(length: int) -> Tuple[dict, dict]:
+    """The g-series of the factors at ``length``: ({s: S(s)}, {b: B(b)}), filled on demand.
+
+    The factors do not depend on the color, and the colors of one D-table
+    share one length, so each factor is converted once per D-table; only
+    the current length is kept.
+    """
+    return {}, {}
+
+
+def _pack(coeffs: Iterable[int], bits: int) -> int:
+    """sum_k coeffs[k] 2**(bits k), the exact integer (not reduced)."""
+    x = 0
+    for c in reversed(tuple(coeffs)):
+        x = (x << bits) + c
+    return x
+
+
+def _unpack(x: int, bits: int, length: int) -> List[int]:
+    """The ``length`` signed ``bits``-wide digits of x mod 2**(bits length), lowest first."""
+    out = []
+    dm = (1 << bits) - 1
+    half = 1 << (bits - 1)
+    for _ in range(length):
+        d = x & dm
+        if d >= half:
+            d -= dm + 1
+        out.append(d)
+        x = (x - d) >> bits
+    return out
+
+
+def _gseries_width(entries: List[tuple], length: int) -> int:
+    """The digit width W of :func:`_gseries_entry_tables` (see there for the proof).
+
+    One sign bit over max |S|_1 |B|_1 * max(|row(lo)|_inf, |row(hi)|_inf),
+    lo and hi the lowest and highest exponents of the entries.
+    """
+    s_polys, b_polys = factors = _factor_polys(entries)
+    s_norm, b_norm = ({key: _norm1(p) for key, p in polys.items()} for polys in factors)
+    norm = max(s_norm[e[3]] * b_norm[e[4]] for e in entries)
+    lo = min(e[2] + min(s_polys[e[3]].terms) + min(b_polys[e[4]].terms) for e in entries)
+    hi = max(e[2] + max(s_polys[e[3]].terms) + max(b_polys[e[4]].terms) for e in entries)
+    peak = max(map(abs, _binom_row(lo, length) + _binom_row(hi, length)))
+    return (norm * peak).bit_length() + 1
+
+
 def _gseries_entry_tables(alpha: int, length: int):
     """Crossing tables as truncated g-series coefficient tuples, both signs.
 
     Built once per color, by :class:`_PackedRing`, and not kept after it.
 
+    An entry c = sgn u^w S B has the g-series sgn row(w) gS gB mod
+    g**length, where row(w) = (1+g)**w (:func:`_binom_row`) and gS, gB are
+    the factor g-series (:func:`_factor_gseries`).  Packed with g -> 2**W,
+    that is one big-integer product per entry, (sgn row(w) (gS gB)) mod
+    2**(W length), with gS gB one product per factor pair, shared by both
+    signs; the signed W-bit digits are the coefficients.
+
+    Width: c_k, the g**k coefficient of c = sum_e c_e u^e, is
+    sum_e c_e C(e, k) with C(e, k) that of (1+g)**e, so
+    |c_k| <= |c|_1 max_e |C(e, k)|, and |c|_1 <= |S|_1 |B|_1 (|.|_1 the
+    sum of absolute coefficients, which is submultiplicative).
+    |C(e, k)| is binom(e, k) for e >= 0 and binom(-e + k - 1, k) for e < 0,
+    nondecreasing in |e| on each side of 0, so for every exponent e of
+    every entry, lo <= e <= hi (the lowest and highest over both tables),
+    |C(e, k)| <= max(|C(lo, k)|, |C(hi, k)|).  Hence every coefficient is
+    at most P = max |S|_1 |B|_1 * max(|row(lo)|_inf, |row(hi)|_inf) in
+    absolute value, and W = bits(P) + 1 leaves a sign bit.  As in
+    :class:`_PackedRing`, g -> 2**W mod 2**(W length) is a ring map from
+    Z[g]/(g**length), so the reduced product is the image of the true
+    truncated series whatever its factors wrap, and the digits recover it.
+
     Returns (tables, majorants): ``majorants[sign]`` is the row majorant of
     that sign's table, the coefficientwise max over source keys of the sum
     of |c| over the key's entries (see :class:`_PackedRing`).
     """
-    tables, majorants = {}, {}
+    factored = {sgn: crossing_operator(alpha, sgn).table for sgn in (1, -1)}
+    entries = _entries(*factored.values())
+    width = _gseries_width(entries, length)
+    mask = (1 << (width * length)) - 1
+
     rows: Dict[int, Tuple[int, ...]] = {}
-    for sgn in (1, -1):
-        tbl = tables[sgn] = {
-            key: tuple((k, l, tuple(_laurent_to_gseries(c, length, rows))) for (k, l, c) in entries)
-            for key, entries in crossing_operator(alpha, sgn).table.items()
-        }
-        key_sums = [tuple(map(sum, zip(*(map(abs, c) for (_, _, c) in entries))))
-                    for entries in tbl.values()]
+    packed_s, packed_b = {}, {}
+    for cache, polys, packed in zip(_factor_gseries(length), _factor_polys(entries),
+                                    (packed_s, packed_b)):
+        for key, p in polys.items():
+            series = cache.get(key)
+            if series is None:
+                series = cache[key] = tuple(_laurent_to_gseries(p, length, rows))
+            packed[key] = _pack(series, width)
+    pairs: Dict[Tuple[tuple, tuple], int] = {}
+    packed_rows: Dict[int, int] = {}
+    tables, majorants = {}, {}
+    for sgn, table in factored.items():
+        tbl = tables[sgn] = {}
+        for key, es in table.items():
+            out = []
+            for (k, l, w, s, b, esgn) in es:
+                pair = pairs.get((s, b))
+                if pair is None:
+                    pair = pairs[(s, b)] = (packed_s[s] * packed_b[b]) & mask
+                row = packed_rows.get(w)
+                if row is None:
+                    row = packed_rows[w] = _pack(_binom_row(w, length), width)
+                out.append((k, l, tuple(_unpack((esgn * row * pair) & mask, width, length))))
+            tbl[key] = tuple(out)
+        key_sums = [tuple(map(sum, zip(*(map(abs, c) for (_, _, c) in es))))
+                    for es in tbl.values()]
         majorants[sgn] = tuple(map(max, zip(*key_sums)))
     return tables, majorants
 
@@ -486,11 +660,7 @@ class _PackedRing:
         self._monomials: Dict[int, int] = {}
 
     def pack(self, coeffs: Iterable[int]) -> int:
-        x = 0
-        b = self.bits
-        for c in reversed(list(coeffs)):
-            x = (x << b) + c
-        return x & self.mask
+        return _pack(coeffs, self.bits) & self.mask
 
     def monomial(self, exp: int) -> int:
         v = self._monomials.get(exp)
@@ -503,18 +673,7 @@ class _PackedRing:
         return {key: amp & mask for key, amp in state.items()}
 
     def unpack(self, x: int) -> List[int]:
-        x &= self.mask
-        out = []
-        b = self.bits
-        dm = (1 << b) - 1
-        half = 1 << (b - 1)
-        for _ in range(self.length):
-            d = x & dm
-            if d >= half:
-                d -= dm + 1
-            out.append(d)
-            x = (x - d) >> b
-        return out
+        return _unpack(x & self.mask, self.bits, self.length)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from .knots import (
 )
 from .mmexpand import (
     ModelViolationError,
+    OutOfRangeError,
     approx_poly,
     bottom_line_check,
     build_dtable,
@@ -51,24 +52,39 @@ DEFAULT_ORDER_CEILING = 6
 # integrality, exact arithmetic, torus line parity or integrality) fails;
 # input errors exit with 1.
 EXIT_GATE_FAILED = 3
+# Fixed ceilings on the torus inputs, well above every tabulated, tested and
+# benchmarked value (|p|, |q| <= 9, 10 z-terms); the (19, 20) knot at 8
+# lines already runs for over a minute on a 2-vCPU VM.
+TORUS_INDEX_CEILING = 16
+Z_TERMS_CEILING = 256
 
 
-def _int_at_least(text: str, low: int) -> int:
+def _int_between(text: str, low: int, high: Optional[int] = None) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < low:
         raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
     return value
 
 
 def _positive_int(text: str) -> int:
-    return _int_at_least(text, 1)
+    return _int_between(text, 1)
 
 
 def _non_negative_int(text: str) -> int:
-    return _int_at_least(text, 0)
+    return _int_between(text, 0)
+
+
+def _torus_index(text: str) -> int:
+    return _int_between(text, -TORUS_INDEX_CEILING, TORUS_INDEX_CEILING)
+
+
+def _z_terms(text: str) -> int:
+    return _int_between(text, 0, Z_TERMS_CEILING)
 
 
 def _load_records(path: Optional[str]):
@@ -244,11 +260,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand.set_defaults(func=cmd_expand)
 
     p_torus = sub.add_parser("torus", help="certified lines of a torus knot")
-    p_torus.add_argument("--p", type=int, required=True)
-    p_torus.add_argument("--q", type=int, required=True)
+    p_torus.add_argument("--p", type=_torus_index, required=True,
+                         help=f"|p| <= {TORUS_INDEX_CEILING}")
+    p_torus.add_argument("--q", type=_torus_index, required=True,
+                         help=f"|q| <= {TORUS_INDEX_CEILING}")
     p_torus.add_argument("--lines", type=_non_negative_int, required=True, metavar="L")
-    p_torus.add_argument("--z-terms", type=_non_negative_int, default=8,
-                         help="number of even series coefficients to emit")
+    p_torus.add_argument("--z-terms", type=_z_terms, default=8,
+                         help="number of even series coefficients to emit "
+                              f"(at most {Z_TERMS_CEILING})")
     p_torus.add_argument("--max-lines", type=_non_negative_int, default=8)
     p_torus.add_argument("--format", choices=("json",), default="json")
     p_torus.add_argument("--out", default=None, metavar="PATH")
@@ -275,7 +294,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (KnotError, ValueError, OSError) as exc:
+    except (KnotError, OutOfRangeError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except (ConventionViolationError, ModelViolationError, ExactAlgError,

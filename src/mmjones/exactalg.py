@@ -173,10 +173,6 @@ class LaurentPoly:
         """Multiply by var**k."""
         return LaurentPoly(self.var, {e + k: c for e, c in self.terms.items()})
 
-    def invert_variable(self) -> "LaurentPoly":
-        """Substitute var -> var**-1."""
-        return LaurentPoly(self.var, {-e: c for e, c in self.terms.items()})
-
     def exponents_divisible_by(self, k: int) -> bool:
         return all(e % k == 0 for e in self.terms)
 
@@ -295,9 +291,6 @@ class QPoly:
 
     def only_even_powers(self) -> bool:
         return all(c == 0 for c in self.coeffs[1::2])
-
-    def only_odd_powers(self) -> bool:
-        return all(c == 0 for c in self.coeffs[0::2])
 
     def has_integer_coeffs(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)

@@ -95,17 +95,11 @@ class BraidWord:
     def is_knot(self) -> bool:
         return self.closure_component_count() == 1
 
-    def mirror(self) -> "BraidWord":
-        return BraidWord(self.strands, tuple(-k for k in self.letters))
-
     def stabilized(self, sign: int = 1) -> "BraidWord":
         """Markov stabilization: one more strand and a final +/-(strands) letter."""
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         return BraidWord(self.strands + 1, self.letters + (sign * self.strands,))
-
-    def conjugated(self, letter: int) -> "BraidWord":
-        return BraidWord(self.strands, (letter,) + self.letters + (-letter,))
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,18 @@ The pipeline never reduces a rational function: a torus line is an integer
 numerator over nabla^(2n+1), and an h-series comes from the packed state
 sum.  The routes here are independent of both: gcd-reduced rational
 functions in z with quotient-rule derivatives (Euclidean division over Q),
-the substitution q = 1 + h term by term, and exact tensor states acted on
-one crossing at a time.
+the substitution q = 1 + h term by term, exact tensor states acted on
+one crossing at a time, and g-series crossing tables converted term by
+term from the expanded entries.  The braid and polynomial helpers at the
+end (mirror, conjugate, u -> 1/u, odd parity) are what the tests use to
+state invariances; the pipeline never calls them.
 """
 
 from fractions import Fraction
 
 from mmjones import cjones
 from mmjones.exactalg import LaurentPoly, QPoly, TruncSeries, series_pow1p
+from mmjones.knots import BraidWord
 
 
 def poly_divmod(a: QPoly, b: QPoly):
@@ -105,6 +109,46 @@ def basis_state(index) -> dict:
 
 def apply_crossings(state: dict, *steps) -> dict:
     """Each (op, pos) in turn: ``op`` on tensor slots (pos, pos+1), 0-based."""
+    expanded = {}
     for op, pos in steps:
-        state = cjones._apply_letter(state, op.table, pos, cjones._drop_zeros)
+        if id(op) not in expanded:
+            expanded[id(op)] = cjones._expand_table(op.table)
+        state = cjones._apply_letter(state, expanded[id(op)], pos, cjones._drop_zeros)
     return state
+
+
+def gseries_entry_tables(expanded: dict, length: int):
+    """The g-series tables and row majorants, each expanded entry converted term by term.
+
+    ``expanded`` maps sign -> expanded operator table, (i, j) -> [(k, l, c)].
+    """
+    tables, majorants = {}, {}
+    for sign, table in expanded.items():
+        tables[sign] = {
+            key: tuple((k, l, tuple(cjones._laurent_to_gseries(c, length, {})))
+                       for (k, l, c) in entries)
+            for key, entries in table.items()
+        }
+        sums = [[sum(abs(c[i]) for (_, _, c) in entries) for i in range(length)]
+                for entries in tables[sign].values()]
+        majorants[sign] = tuple(map(max, zip(*sums)))
+    return tables, majorants
+
+
+def mirror(b: BraidWord) -> BraidWord:
+    """Every crossing switched."""
+    return BraidWord(b.strands, tuple(-k for k in b.letters))
+
+
+def conjugated(b: BraidWord, letter: int) -> BraidWord:
+    """letter * b * letter^-1, the same closure."""
+    return BraidWord(b.strands, (letter,) + b.letters + (-letter,))
+
+
+def invert_variable(p: LaurentPoly) -> LaurentPoly:
+    """Substitute var -> var**-1."""
+    return LaurentPoly(p.var, {-e: c for e, c in p.terms.items()})
+
+
+def only_odd_powers(p: QPoly) -> bool:
+    return all(c == 0 for c in p.coeffs[0::2])

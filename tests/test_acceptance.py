@@ -14,7 +14,14 @@ from mmjones.knots import BraidWord, TorusParams, conway_poly, conway_torus
 from mmjones.mmexpand import approx_poly, bottom_line_check, integrality_report
 from mmjones.toruslines import apply_D, torus_lines
 from mmjones.verify import suite_cross, suite_tables
-from oracle_algebra import RationalFn, apply_crossings, basis_state, poly_exact_div
+from oracle_algebra import (
+    RationalFn,
+    apply_crossings,
+    basis_state,
+    conjugated,
+    only_odd_powers,
+    poly_exact_div,
+)
 
 
 def report(criterion, passed, note=""):
@@ -146,7 +153,7 @@ class TestAcceptance:
         base = pipeline.record("5_2").braid
         for alpha in (2, 3):
             v = colored_jones(base, alpha)
-            ok = ok and colored_jones(base.conjugated(1), alpha) == v
+            ok = ok and colored_jones(conjugated(base, 1), alpha) == v
             ok = ok and colored_jones(base.stabilized(-1), alpha) == v
         # integrality of all emitted line coefficients, four catalog knots
         for name in ("4_1", "5_2", "6_1", "8_3"):
@@ -164,7 +171,7 @@ class TestAcceptance:
 
         for m in range(4):
             g = RationalFn(dense(rung), nabla ** (2 * m + 1))
-            ok = ok and g.num.only_odd_powers()
+            ok = ok and only_odd_powers(g.num)
             poly_exact_div(nabla ** (2 * m + 1), g.den)
             d1 = g.derivative()
             rung = apply_D(rung, 2 * m + 1, ints)

@@ -18,7 +18,15 @@ from mmjones.cjones import (
 from mmjones.exactalg import LaurentPoly, TruncSeries, series_compose, series_pow1p
 from mmjones.knots import BraidWord, NotAKnotError, default_catalog
 from mmjones.mmexpand import build_dtable
-from oracle_algebra import apply_crossings, basis_state, laurent_to_hseries
+from oracle_algebra import (
+    apply_crossings,
+    basis_state,
+    conjugated,
+    gseries_entry_tables,
+    invert_variable,
+    laurent_to_hseries,
+    mirror,
+)
 
 TREFOIL = BraidWord(2, [1, 1, 1])
 FIG8 = BraidWord(3, [1, -2, 1, -2])
@@ -72,23 +80,39 @@ def oracle_braiding_table(alpha, sign):
 
 
 def compose_paths(plus, minus):
-    """Every path product c * c' and every entry of plus after minus, exactly."""
-    products, composed = [], []
-    for entries in minus.values():
-        acc = {}
+    """Every path product c * c' and every entry of plus after minus, exactly.
+
+    Both tables are expanded: (i, j) -> [(k, l, c)].
+    """
+    products, composed = [], {}
+    for key, entries in minus.items():
+        acc = composed[key] = {}
         for (k, l, c) in entries:
             for (k2, l2, c2) in plus[(k, l)]:
                 prod = c * c2
                 products.append(prod)
                 acc[(k2, l2)] = acc.get((k2, l2), LaurentPoly.zero("u")) + prod
-        composed.extend(acc.values())
     return products, composed
 
 
-def tamper_minus(table):
-    """The table with one coefficient of its (0, 0) entry raised by one."""
-    (k, l, c), = table[(0, 0)]
-    return {**table, (0, 0): [(k, l, c + LaurentPoly.monomial("u", min(c.terms)))]}
+TAMPERS = ("weight", "sign")
+
+
+def tamper_minus(table, how):
+    """The factored table with its (0, 0) entry's weight raised by 2 or its sign flipped."""
+    (k, l, w, s, b, sgn), = table[(0, 0)]
+    entry = (k, l, w + 2, s, b, sgn) if how == "weight" else (k, l, w, s, b, -sgn)
+    return {**table, (0, 0): [entry]}
+
+
+def path_bound(plus, minus):
+    """The largest path sum of |S|_1 |B|_1 products over the source keys of minus."""
+    def norm(e):
+        return (sum(map(abs, cjones._scaled_qbinom(*e[3]).terms.values()))
+                * sum(map(abs, cjones._qbinom(*e[4]).terms.values())))
+
+    return max(sum(norm(e) * norm(e2) for e in entries for e2 in plus[e[:2]])
+               for entries in minus.values())
 
 
 def a_priori_bits(b, alpha, length):
@@ -143,7 +167,7 @@ def basis_vectors(alpha, strands):
 class TestCrossingOperator:
     def test_alpha_one_is_scalar_unit(self):
         op = crossing_operator(1, 1)
-        assert op.table[(0, 0)] == [(0, 0, LaurentPoly.one("u"))]
+        assert cjones._expand_table(op.table)[(0, 0)] == [(0, 0, LaurentPoly.one("u"))]
 
     @pytest.mark.parametrize("alpha", [2, 3, 4])
     def test_inverse_pair_on_basis(self, alpha):
@@ -174,30 +198,84 @@ class TestOperatorTables:
     @pytest.mark.parametrize("alpha", range(1, 10))
     @pytest.mark.parametrize("sign", [1, -1])
     def test_division_free_build_matches_oracle(self, alpha, sign):
-        assert cjones._braiding_table(alpha, sign) == oracle_braiding_table(alpha, sign)
+        table = cjones._expand_table(cjones._braiding_table(alpha, sign))
+        assert table == oracle_braiding_table(alpha, sign)
 
     @pytest.mark.parametrize("alpha", [2, 3, 5])
     def test_tampered_minus_table_fails_gate(self, alpha, monkeypatch):
         original = cjones._braiding_table
+        for how in TAMPERS:
+            def tampered(a, sign, how=how):
+                table = original(a, sign)
+                return tamper_minus(table, how) if sign < 0 else table
 
-        def tampered(a, sign):
-            table = original(a, sign)
-            return tamper_minus(table) if sign < 0 else table
-
-        monkeypatch.setattr(cjones, "_braiding_table", tampered)
-        with pytest.raises(ConventionViolationError, match=f"alpha={alpha}"):
-            cjones._operator_pair.__wrapped__(alpha)
+            monkeypatch.setattr(cjones, "_braiding_table", tampered)
+            with pytest.raises(ConventionViolationError, match=f"alpha={alpha}"):
+                cjones._operator_pair.__wrapped__(alpha)
 
     @pytest.mark.parametrize("alpha", range(1, 8))
     def test_gate_width_covers_exact_composition(self, alpha):
+        # the width is a sign bit over the |S|_1 |B|_1 path bound, and that
+        # bound covers every coefficient of the exact products and composition
         plus = cjones._braiding_table(alpha, 1)
-        for minus in (cjones._braiding_table(alpha, -1),
-                      tamper_minus(cjones._braiding_table(alpha, -1))):
+        true_minus = cjones._braiding_table(alpha, -1)
+        for minus in (true_minus, *(tamper_minus(true_minus, how) for how in TAMPERS)):
             width, step, lo = cjones._gate_packing(plus, minus)
-            products, composed = compose_paths(plus, minus)
-            bits = max(abs(c).bit_length() for p in products + composed for c in p.terms.values())
-            assert width > bits
+            bound = path_bound(plus, minus)
+            assert width >= bound.bit_length() + 1
+            products, composed = compose_paths(cjones._expand_table(plus),
+                                               cjones._expand_table(minus))
+            polys = products + [p for acc in composed.values() for p in acc.values()]
+            assert max(abs(c) for p in polys for c in p.terms.values()) <= bound
             assert all((e - 2 * lo) % step == 0 for p in products for e in p.terms)
+
+    @pytest.mark.parametrize("alpha", range(1, 8))
+    def test_packed_gate_verdict_matches_exact(self, alpha):
+        plus = cjones._braiding_table(alpha, 1)
+        true_minus = cjones._braiding_table(alpha, -1)
+        for minus in (true_minus, *(tamper_minus(true_minus, how) for how in TAMPERS)):
+            _, composed = compose_paths(cjones._expand_table(plus), cjones._expand_table(minus))
+            identity = all({tgt: p for tgt, p in acc.items() if p} == {key: LaurentPoly.one("u")}
+                           for key, acc in composed.items())
+            try:
+                cjones._check_inverse(plus, minus, alpha)
+                packed_identity = True
+            except ConventionViolationError:
+                packed_identity = False
+            assert packed_identity == identity == (minus is true_minus)
+
+    @pytest.mark.parametrize("alpha", [2, 5, 9])
+    def test_gate_and_gseries_tables_multiply_no_laurent_poly(self, alpha, monkeypatch):
+        # warm the process-wide factor caches, then count products
+        cjones._operator_pair.__wrapped__(alpha)
+        products = []
+        original = LaurentPoly.__mul__
+
+        def counted(self, other):
+            products.append(other)
+            return original(self, other)
+
+        monkeypatch.setattr(LaurentPoly, "__mul__", counted)
+        cjones._operator_pair.__wrapped__(alpha)
+        cjones._gseries_entry_tables(alpha, 11)
+        assert products == []
+
+    @pytest.mark.parametrize("alpha", [2, 5, 9])
+    def test_markov_data_expands_only_diagonal_entries(self, alpha, monkeypatch):
+        expanded = []
+        original = cjones._entry_poly
+
+        def counted(entry):
+            expanded.append(entry)
+            return original(entry)
+
+        monkeypatch.setattr(cjones, "_entry_poly", counted)
+        cjones._markov_data.__wrapped__(alpha)
+        diagonal = [e for sign in (1, -1)
+                    for key, entries in crossing_operator(alpha, sign).table.items()
+                    for e in entries if e[:2] == key]
+        # n = i - j (plus) or j - i (minus): alpha (alpha + 1) / 2 entries per sign
+        assert sorted(expanded) == sorted(diagonal) and len(diagonal) == alpha * (alpha + 1)
 
 
 class TestGToH:
@@ -237,7 +315,7 @@ class TestPackingWidth:
         # unrotated word (the exact path's conjugation invariance is tested
         # in TestColoredJones).
         N = WIDTH_ORDERS[record.name]
-        for word in (record.braid, record.braid.mirror()):
+        for word in (record.braid, mirror(record.braid)):
             letters = word.letters
             for alpha in range(2, N + 2):
                 exact = exact_gseries(word, alpha, 2 * N + 1)
@@ -265,7 +343,7 @@ class TestPackingWidth:
 
     @pytest.mark.parametrize("record", default_catalog(), ids=lambda r: r.name)
     def test_majorant_matches_start_vector_enumeration(self, record):
-        for word in (record.braid, record.braid.mirror()):
+        for word in (record.braid, mirror(record.braid)):
             for alpha in (2, 3, 4):
                 _, majorants = cjones._gseries_entry_tables(alpha, 9)
                 assert (cjones._majorant_series(word, alpha, 9, majorants)
@@ -279,6 +357,39 @@ class TestPackingWidth:
         monkeypatch.setattr(cjones, "_majorant_series", lambda *args: [1 << (observed - 2)])
         ring, got = packed_gseries(K6_1, 6, 11)
         assert ring.bits == observed and got != exact
+
+
+class TestGSeriesTables:
+    @pytest.mark.parametrize("alpha", range(2, 14))
+    def test_factored_tables_match_term_by_term(self, alpha):
+        # and the digit width is a sign bit over max |S|_1 |B|_1 times the
+        # largest binomial row at the extreme exponents, which bounds every
+        # coefficient of the tables
+        factored = {sign: crossing_operator(alpha, sign).table for sign in (1, -1)}
+        expanded = {sign: cjones._expand_table(table) for sign, table in factored.items()}
+        entries = [e for table in factored.values() for es in table.values() for e in es]
+        norm = max(sum(map(abs, cjones._scaled_qbinom(*e[3]).terms.values()))
+                   * sum(map(abs, cjones._qbinom(*e[4]).terms.values())) for e in entries)
+        exps = [x for table in expanded.values() for es in table.values()
+                for (_, _, c) in es for x in c.terms]
+        for length in (11, 17, 21, 25):
+            tables, majorants = gseries_entry_tables(expanded, length)
+            assert cjones._gseries_entry_tables(alpha, length) == (tables, majorants)
+            rows = cjones._binom_row(min(exps), length) + cjones._binom_row(max(exps), length)
+            bound = norm * max(map(abs, rows))
+            assert max(abs(x) for table in tables.values() for es in table.values()
+                       for (_, _, c) in es for x in c) <= bound
+            assert cjones._gseries_width(entries, length) >= bound.bit_length() + 1
+
+    def test_factor_cache_keeps_one_length(self):
+        for length in (11, 17, 11):
+            cjones._gseries_entry_tables(4, length)
+            assert cjones._factor_gseries.cache_info().currsize == 1
+            cache_s, cache_b = cjones._factor_gseries(length)
+            assert cache_s[(3, 2)] == tuple(
+                cjones._laurent_to_gseries(cjones._scaled_qbinom(3, 2), length, {}))
+            assert cache_b[(3, 2)] == tuple(
+                cjones._laurent_to_gseries(cjones._qbinom(3, 2), length, {}))
 
 
 class TestColoredJones:
@@ -304,13 +415,13 @@ class TestColoredJones:
         for braid in (FIG8, K8_3):
             for alpha in (2, 3):
                 v = colored_jones(braid, alpha)
-                assert v == v.invert_variable()
+                assert v == invert_variable(v)
 
     def test_markov_conjugation(self):
         for alpha in (2, 3):
             base = colored_jones(K5_2, alpha)
-            assert colored_jones(K5_2.conjugated(2), alpha) == base
-            assert colored_jones(K5_2.conjugated(-1), alpha) == base
+            assert colored_jones(conjugated(K5_2, 2), alpha) == base
+            assert colored_jones(conjugated(K5_2, -1), alpha) == base
 
     def test_markov_stabilization(self):
         for alpha in (2, 3):
@@ -374,7 +485,7 @@ class TestHExpansion:
         for alpha in (2, 3):
             series = jones_h_series(b, alpha, 8)
             assert series == list(laurent_to_hseries(colored_jones(b, alpha), 8).coeffs)
-            for moved in (b.conjugated(1), b.conjugated(-1), b.stabilized(1), b.stabilized(-1)):
+            for moved in (conjugated(b, 1), conjugated(b, -1), b.stabilized(1), b.stabilized(-1)):
                 assert jones_h_series(moved, alpha, 8) == series
 
 

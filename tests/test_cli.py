@@ -5,7 +5,15 @@ import json
 import pytest
 
 from mmjones import cjones, toruslines
-from mmjones.cli import EXIT_GATE_FAILED, main
+from mmjones import cli
+from mmjones.cli import (
+    EXIT_GATE_FAILED,
+    TORUS_INDEX_CEILING,
+    Z_TERMS_CEILING,
+    build_parser,
+    main,
+)
+from mmjones.mmexpand import OutOfRangeError
 from mmjones.exactalg import LaurentPoly
 from mmjones.reports import parse_frac, parse_linetable
 
@@ -42,6 +50,27 @@ class TestTorusCommand:
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, low, high", [
+        ("--p", -TORUS_INDEX_CEILING, TORUS_INDEX_CEILING),
+        ("--q", -TORUS_INDEX_CEILING, TORUS_INDEX_CEILING),
+        ("--z-terms", 0, Z_TERMS_CEILING),
+    ])
+    def test_ceilings_in_parser(self, capsys, flag, low, high):
+        # parsed only: no value at or beyond a ceiling is ever run here
+        def argv(value):
+            args = {"--p": "2", "--q": "3", "--lines": "1", flag: str(value)}
+            return ["torus", *(x for item in args.items() for x in item)]
+
+        for value in (low, high):
+            parsed = build_parser().parse_args(argv(value))
+            assert getattr(parsed, flag[2:].replace("-", "_")) == value
+        for value in (low - 1, high + 1):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv(value))
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert flag in err and str(value) in err
+
     def test_gate_failure_exit_status(self, capsys, monkeypatch):
         # one ladder step gains an even power, which fails the parity gate
         original = toruslines.apply_D
@@ -68,6 +97,15 @@ class TestExpandCommand:
         assert doc["bottom_line"]["passed"] is True
         parsed = parse_linetable(doc["lines"])
         assert parsed.entry(2, 2) == 226
+
+    def test_out_of_range_is_an_input_error(self, capsys, monkeypatch):
+        def beyond(d):
+            raise OutOfRangeError(f"line {2 * d.N + 1} outside budget 2N = {2 * d.N}")
+
+        monkeypatch.setattr(cli, "to_z_lines", beyond)
+        code, out, err = run_cli(capsys, "expand", "--knot", "3_1", "--order", "2")
+        assert code == 1 and out == ""
+        assert err == "error: line 5 outside budget 2N = 4\n"
 
     def test_determinism(self, capsys):
         _, out1, _ = run_cli(capsys, "expand", "--knot", "4_1", "--order", "2")
@@ -172,29 +210,31 @@ class TestExpandCommand:
         assert [a["n"] for a in doc["approx"]] == [0]
 
     def test_gate_failure_exit_status(self, capsys, monkeypatch):
-        # one corrupted coefficient of the minus table fails the inverse gate
+        # one corrupted factored entry of the minus table, its weight raised
+        # by 2 or its sign flipped, fails the inverse gate
         original = cjones._braiding_table
-
-        def corrupted(alpha, sign):
-            table = original(alpha, sign)
-            if sign < 0:
-                (k, l, c), = table[(0, 0)]
-                table[(0, 0)] = [(k, l, c + LaurentPoly.monomial("u", min(c.terms)))]
-            return table
-
         cached = (cjones._operator_pair, cjones._markov_data)
-        for fn in cached:
-            fn.cache_clear()
-        monkeypatch.setattr(cjones, "_braiding_table", corrupted)
-        try:
-            code, out, err = run_cli(capsys, "expand", "--knot", "3_1", "--order", "2")
-        finally:
+        for how in ("weight", "sign"):
+            def corrupted(alpha, sign, how=how):
+                table = original(alpha, sign)
+                if sign < 0:
+                    (k, l, w, s, b, sgn), = table[(0, 0)]
+                    table[(0, 0)] = [(k, l, w + 2, s, b, sgn) if how == "weight"
+                                     else (k, l, w, s, b, -sgn)]
+                return table
+
             for fn in cached:
                 fn.cache_clear()
-        assert code == EXIT_GATE_FAILED == 3 and out == ""
-        assert err.startswith("error: gate ConventionViolationError failed:")
-        assert "not inverse" in err and "Traceback" not in err
-        assert len(err.splitlines()) == 1
+            monkeypatch.setattr(cjones, "_braiding_table", corrupted)
+            try:
+                code, out, err = run_cli(capsys, "expand", "--knot", "3_1", "--order", "2")
+            finally:
+                for fn in cached:
+                    fn.cache_clear()
+            assert code == EXIT_GATE_FAILED == 3 and out == ""
+            assert err.startswith("error: gate ConventionViolationError failed:")
+            assert "not inverse" in err and "Traceback" not in err
+            assert len(err.splitlines()) == 1
 
 
 class TestVerifyCommand:

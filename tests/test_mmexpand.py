@@ -21,6 +21,7 @@ from mmjones.mmexpand import (
     to_z_lines,
     z_lines_by_basis_change,
 )
+from oracle_algebra import mirror
 
 CATALOG = default_catalog()
 UNKNOT = BraidWord(1, [])
@@ -186,7 +187,7 @@ class TestHtildeLines:
     def test_mirror_sign_map(self):
         rec = knot("5_2")
         tl = to_htilde_lines(build_dtable(rec, 2))
-        tl_mirror = to_htilde_lines(build_dtable(rec.braid.mirror(), 2))
+        tl_mirror = to_htilde_lines(build_dtable(mirror(rec.braid), 2))
         # the mirror maps d^(n)_m to (-1)^n d^(n)_m
         assert tl_mirror.rows == tuple(
             tuple((-1) ** n * c for c in row) for n, row in enumerate(tl.rows))

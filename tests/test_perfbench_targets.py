@@ -46,5 +46,6 @@ def test_traced_jobs_report_layer_counts(tracer, tmp_path):
         jobs.append((wall, json.loads(span_file.read_text()), len(done.stdout)))
     metrics = tracer.layer_metrics(jobs)
     assert metrics["cjones.colors"][0] == 4
-    assert metrics["cjones.operator_entries"][0] > 0
+    # colors 2..4, both signs, as at the unfactored tables
+    assert metrics["cjones.operator_entries"][0] == 98
     assert metrics["toruslines.apply_D_calls"][0] == 2

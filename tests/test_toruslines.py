@@ -23,7 +23,7 @@ from mmjones.toruslines import (
     torus_line_series,
     torus_lines,
 )
-from oracle_algebra import RationalFn, poly_derivative, poly_exact_div
+from oracle_algebra import RationalFn, only_odd_powers, poly_derivative, poly_exact_div
 
 
 def zpoly(coeffs) -> LaurentPoly:
@@ -72,7 +72,7 @@ def oracle_lines(p: int, q: int, n_max: int):
     chain = oracle_chain(*sorted((abs(p), abs(q))))
     odd_over_z = []
     for g in chain[: n_max + 1]:
-        assert g.num.only_odd_powers() and g.den.only_even_powers()
+        assert only_odd_powers(g.num) and g.den.only_even_powers()
         odd_over_z.append(RationalFn(QPoly(g.num.coeffs[1:]), g.den, reduce=False))
     weights, log_pow = [], TruncSeries.constant("h", n_max, 1)
     for m in range(n_max + 1):
@@ -211,7 +211,7 @@ class TestTorusLines:
         for m in range(4):
             assert all(e % 2 for e in rung.terms)
             assert over_power(rung, nabla, 2 * m + 1) == g
-            assert g.num.only_odd_powers()
+            assert only_odd_powers(g.num)
             assert g.den.only_even_powers()
             # reduced denominator divides nabla^(2m+1)
             poly_exact_div(nabla ** (2 * m + 1), g.den)
