@@ -35,8 +35,9 @@ big-integer product per factor pair and per entry:
   |binom(e, k)| grows with |e| on each side of 0 (see
   :func:`_gseries_entry_tables`).
 
-Only the Markov data expands entries, and only the diagonal ones; the exact
-ring expands whole tables for the test oracle.
+The Markov data packs its diagonal rows the same way (see
+:func:`_markov_data`); only the exact ring expands entries, whole tables,
+for the test oracle.
 
 One state-sum kernel, :func:`_state_sum`, evaluates the invariant over
 either of two coefficient rings; only the table coefficients, the weight
@@ -48,6 +49,15 @@ monomials and the reduction after each letter depend on the ring:
 * the ring of integer series in g = u - 1 truncated at a fixed order and
   packed into single big integers (Kronecker substitution), which gives
   h-expansions (h = q-hat - 1) at large colors (:func:`jones_h_series`).
+
+The kernel cuts the closure open at a cut (r, f): the word rotated by r,
+slot f pinned, charge mu on the slots right of f and mu^-1 on those left
+of it.  Every cut gives the invariant (the proof is in :func:`_state_sum`)
+but the products it runs depend on the cut: from 4,416 to 47,545 over the
+cuts of 6_1 at alpha = 6.  From alpha = 4 on, :func:`jones_h_series` uses
+the cut that :func:`_closure_cut` picks once per word by running the
+kernel's per-start loop over a third, key-only ring that counts products
+(:class:`_CountingRing`), with a runtime gate at alpha = 2.
 
 Packing g -> 2**bits modulo 2**(bits * length) is a ring homomorphism, so
 the packed state sum is the image of the exact truncated g-series however
@@ -63,15 +73,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from operator import itemgetter, mul
 from typing import Dict, Iterable, List, Tuple
 
-from .exactalg import LaurentPoly, TruncSeries, series_pow1p
+from .exactalg import GateError, LaurentPoly, TruncSeries, series_pow1p
 from .knots import BraidWord, NotAKnotError
 
 
-class ConventionViolationError(Exception):
+class ConventionViolationError(GateError):
     """An operator gate failed or normalization left fractional powers."""
 
 
@@ -102,12 +112,28 @@ def _scaled_qbinom(m: int, n: int) -> LaurentPoly:
     return out
 
 
+def _braiding_shape(alpha: int, sign: int) -> Dict[Tuple[int, int], List[Tuple[int, int, int]]]:
+    """Which basis pairs the braiding operator (sign=+1) or its inverse connects.
+
+    Maps (i, j) to its terms (k, l, n): term n sends (i, j) to
+    (k, l) = (j + n, i - n) for sign=+1, n <= min(i, N - j), and to
+    (j - n, i + n) for sign=-1, n <= min(j, N - i); N = alpha - 1.
+    """
+    N = alpha - 1
+    if sign > 0:
+        return {(i, j): [(j + n, i - n, n) for n in range(min(i, N - j) + 1)]
+                for i in range(alpha) for j in range(alpha)}
+    return {(i, j): [(j - n, i + n, n) for n in range(min(j, N - i) + 1)]
+            for i in range(alpha) for j in range(alpha)}
+
+
 def _braiding_table(alpha: int, sign: int) -> Dict[Tuple[int, int], List[tuple]]:
     """Factored entries of the braiding operator (sign=+1) or its inverse (sign=-1).
 
     Basis vectors are indexed 0..alpha-1 with weights N-2i, N = alpha-1.
-    Output maps (i, j) -> list of entries (k, l, w, s, b, sgn): the entry
-    sends (i, j) to (k, l) with coefficient sgn u^w S(s) B(b) in Z[u, u^-1],
+    Output maps (i, j) -> list of entries (k, l, w, s, b, sgn), one per term
+    of :func:`_braiding_shape`: the entry sends (i, j) to (k, l) with
+    coefficient sgn u^w S(s) B(b) in Z[u, u^-1],
     where S(m, n) = prod_{k=1..n} (q^k - q^-k) [m choose n] and
     B(m, n) = [m choose n] (:func:`_scaled_qbinom`, :func:`_qbinom`).  This
     is the q-binomial closed form u^w (q - 1/q)^n [n]! [i choose n]
@@ -117,22 +143,14 @@ def _braiding_table(alpha: int, sign: int) -> Dict[Tuple[int, int], List[tuple]]
     (:func:`_entry_poly`); the packed consumers multiply packed factors.
     """
     N = alpha - 1
-    table: Dict[Tuple[int, int], List[tuple]] = {}
-    for i in range(alpha):
-        for j in range(alpha):
-            if sign > 0:
-                table[(i, j)] = [
-                    (j + n, i - n, n * (n - 1) + (N - 2 * (i - n)) * (N - 2 * (j + n)),
-                     (i, n), (N - j, n), 1)
-                    for n in range(min(i, N - j) + 1)
-                ]
-            else:
-                table[(i, j)] = [
-                    (j - n, i + n, -(n * (n - 1)) - (N - 2 * i) * (N - 2 * j),
-                     (j, n), (N - i, n), -1 if n % 2 else 1)
-                    for n in range(min(j, N - i) + 1)
-                ]
-    return table
+    if sign > 0:
+        return {(i, j): [(k, l, n * (n - 1) + (N - 2 * l) * (N - 2 * k), (i, n), (N - j, n), 1)
+                         for (k, l, n) in terms]
+                for (i, j), terms in _braiding_shape(alpha, 1).items()}
+    return {(i, j): [(k, l, -(n * (n - 1)) - (N - 2 * i) * (N - 2 * j), (j, n), (N - i, n),
+                      -1 if n % 2 else 1)
+                     for (k, l, n) in terms]
+            for (i, j), terms in _braiding_shape(alpha, -1).items()}
 
 
 def _entry_poly(entry: tuple) -> LaurentPoly:
@@ -207,6 +225,16 @@ def _gate_packing(plus: dict, minus: dict) -> Tuple[int, int, int]:
     return bound.bit_length() + 1, gcd(2 * lo, *(x - lo for x in lows), *spans) or 1, lo
 
 
+def _pack_factor(p: LaurentPoly, width: int, step: int = 1) -> Tuple[int, int]:
+    """p packed u^step -> 2^width from its lowest exponent, and that exponent.
+
+    That is (u^-low p)(2^(width/step)) for exponents low + step k, a ring
+    map on such polynomials.
+    """
+    low = min(p.terms)
+    return sum(c << (width * ((e - low) // step)) for e, c in p.terms.items()), low
+
+
 def _check_inverse(plus: dict, minus: dict, alpha: int) -> None:
     """Raise unless plus after minus is the identity, one big-int product per path.
 
@@ -215,13 +243,7 @@ def _check_inverse(plus: dict, minus: dict, alpha: int) -> None:
     for the layout and for why comparing packed integers is exact.
     """
     width, step, lo = _gate_packing(plus, minus)
-
-    def pack_factor(p: LaurentPoly) -> Tuple[int, int]:
-        """p packed from its lowest exponent, and that exponent."""
-        low = min(p.terms)
-        return sum(c << (width * ((e - low) // step)) for e, c in p.terms.items()), low
-
-    packed_s, packed_b = ({key: pack_factor(p) for key, p in polys.items()}
+    packed_s, packed_b = ({key: _pack_factor(p, width, step) for key, p in polys.items()}
                           for polys in _factor_polys(_entries(plus, minus)))
     pairs: Dict[Tuple[tuple, tuple], Tuple[int, int]] = {}
 
@@ -298,6 +320,23 @@ def crossing_operator(alpha: int, sign: int) -> CrossingOperator:
     return minus
 
 
+def _diagonals(operators) -> List[List[tuple]]:
+    """Per operator, its diagonal entries (i, j, entry): those sending (i, j) to itself."""
+    return [[(i, j, e) for (i, j), entries in op.table.items() for e in entries if e[:2] == (i, j)]
+            for op in operators]
+
+
+def _diagonal_width(diagonals: List[List[tuple]]) -> int:
+    """One sign bit over the largest row sum of |S|_1 |B|_1 (see :func:`_markov_data`)."""
+    s_norm, b_norm = ({key: _norm1(p) for key, p in polys.items()} for polys in
+                      _factor_polys([e for diagonal in diagonals for (_, _, e) in diagonal]))
+    row_norms: Dict[Tuple[int, int], int] = {}
+    for side, diagonal in enumerate(diagonals):
+        for (i, _, e) in diagonal:
+            row_norms[(side, i)] = row_norms.get((side, i), 0) + s_norm[e[3]] * b_norm[e[4]]
+    return max(row_norms.values()).bit_length() + 1
+
+
 @lru_cache(maxsize=None)
 def _markov_data(alpha: int) -> Tuple[int, int, int]:
     """Charge-weight sign and the stabilization monomial.
@@ -306,44 +345,63 @@ def _markov_data(alpha: int) -> Tuple[int, int, int]:
     partial trace over the second slot of (1 x mu) Rhat equals
     f_sign * u^f_exp times the identity, and the sign-flipped operator
     gives the inverse monomial.
+
+    Row i of the partial trace is sum_j c_ij u^(2a(N-2j)) over the diagonal
+    entries c_ij = sgn u^w S B, those that send (i, j) to itself
+    (n = i - j for the plus table, j - i for the minus table).  Each row is
+    packed, without expanding an entry, as its value at u = 2^width times
+    2^(-width lo) (lo the lowest exponent of every row of both tables and
+    both signs a): a sum of one product pack(S) pack(B) per entry, each
+    factor packed from its own lowest exponent (:func:`_pack_factor`) and
+    the product shifted to its entry's lowest exponent.  Evaluation at
+    2^width is a ring map, so this is the packed row.
+
+    Width (:func:`_diagonal_width`): a coefficient of row i is at most
+    M_i = sum_j |S_ij|_1 |B_ij|_1 in absolute value (|.|_1, the sum of
+    absolute coefficients, is submultiplicative).  With M the largest M_i
+    and width = bits(M) + 1, a coefficient of the difference of two rows is
+    at most 2M < 2^width, so two packed rows are equal only if the rows are
+    (the lowest nonzero coefficient of the difference would have to be a
+    multiple of 2^width); and every coefficient of a row is below
+    2^(width - 1), so the signed width-bit digits of a packed row are its
+    coefficients, and a row is a monomial c u^e exactly when one digit, c,
+    is nonzero.
     """
     N = alpha - 1
-    plus, minus = _operator_pair(alpha)
-    # only the entries that fix (i, j), n = i - j (plus) or j - i (minus), are expanded
-    diagonals = [
-        {key: _entry_poly(e) for key, entries in op.table.items() for e in entries
-         if e[:2] == key}
-        for op in (plus, minus)
-    ]
+    diagonals = _diagonals(_operator_pair(alpha))
+    width = _diagonal_width(diagonals)
+    entries = [e for diagonal in diagonals for (_, _, e) in diagonal]
+    factors = _factor_polys(entries)
+    s_span, b_span = ({key: (min(p.terms), max(p.terms)) for key, p in polys.items()}
+                      for polys in factors)
+    reach = 2 * N  # |2a(N - 2j)| <= 2N
+    lo = min(e[2] + s_span[e[3]][0] + b_span[e[4]][0] for e in entries) - reach
+    hi = max(e[2] + s_span[e[3]][1] + b_span[e[4]][1] for e in entries) + reach
+    packed_s, packed_b = ({key: _pack_factor(p, width) for key, p in polys.items()}
+                          for polys in factors)
+    pairs = {}
+    for (_, _, _, s, b, _) in entries:
+        if (s, b) not in pairs:
+            (xs, ls), (xb, lb) = packed_s[s], packed_b[b]
+            pairs[(s, b)] = (xs * xb, ls + lb)
     for a in (1, -1):
         scalars = []
-        ok = True
-        for entries in diagonals:
-            diag = []
-            for i in range(alpha):
-                acc = LaurentPoly.zero("u")
-                for j in range(alpha):
-                    c = entries.get((i, j))
-                    if c is not None:
-                        acc = acc + c.shift(2 * a * (N - 2 * j))
-                diag.append(acc)
-            if any(d != diag[0] for d in diag):
-                ok = False
+        for diagonal in diagonals:
+            rows = [0] * alpha
+            for (i, j, (_, _, w, s, b, sgn)) in diagonal:
+                x, low = pairs[(s, b)]
+                rows[i] += (sgn * x) << (width * (w + low + 2 * a * (N - 2 * j) - lo))
+            if any(row != rows[0] for row in rows):
                 break
-            diag0 = diag[0]
-            if not diag0.is_monomial():
-                ok = False
+            nonzero = [(t, d) for t, d in enumerate(_unpack(rows[0], width, hi - lo + 1)) if d]
+            if len(nonzero) != 1:
                 break
-            scalars.append(diag0)
-        if not ok:
-            continue
-        fp, fm = scalars
-        if (fp * fm) != LaurentPoly.one("u"):
-            continue
-        ((e, c),) = fp.terms.items()
-        if c not in (1, -1):
-            continue
-        return (a, c, e)
+            ((t, c),) = nonzero
+            scalars.append((c, lo + t))
+        else:
+            (cp, ep), (cm, em) = scalars
+            if cp * cm == 1 and ep + em == 0:
+                return (a, cp, ep)
     raise ConventionViolationError(
         f"no charge weight makes the partial trace scalar at alpha={alpha}"
     )
@@ -361,12 +419,14 @@ def _apply_letter(state: dict, table: dict, pos: int, reduce) -> dict:
     ``reduce`` normalizes the accumulated amplitudes once per letter.
     """
     new: dict = {}
+    get = new.get
+    end = pos + 2
     for key, amp in state.items():
         pre = key[:pos]
-        post = key[pos + 2 :]
-        for (k, l, c) in table[key[pos], key[pos + 1]]:
+        post = key[end:]
+        for (k, l, c) in table[key[pos:end]]:
             nk = pre + (k, l) + post
-            prev = new.get(nk)
+            prev = get(nk)
             new[nk] = amp * c if prev is None else prev + amp * c
     return reduce(new)
 
@@ -386,44 +446,88 @@ def _pinned(table: dict, want_k, want_l) -> dict:
     }
 
 
-def _state_sum(b: BraidWord, alpha: int, ring):
-    """Framed Markov trace of the braiding operators of ``b``, in ``ring``.
-
-    The closure is the sum, over start vectors with slot 0 fixed to index 0,
-    of each start vector's diagonal amplitude times its charge weight
-    u^(2a * sum(N - 2i)); the framing monomial and, for an odd word, the
-    stabilization sign then remove the writhe dependence.  Only the diagonal
-    amplitude counts, so the last letter to touch a slot keeps only the
-    entries that put the slot back at its start index; states that cannot
-    contribute are never built.
-
-    ``ring`` supplies ``zero``, ``one``, ``tables`` (braid sign -> operator
-    table with ring coefficients), ``monomial(exp)`` for u**exp and
-    ``reduce(state)``, applied after each letter.
-    """
-    N = alpha - 1
-    a, f_sign, f_exp = _markov_data(alpha)
+def _closure_steps(letters: tuple) -> List[Tuple[int, int, bool, bool]]:
+    """(pos, sign, pin_k, pin_l) per letter: its slots, its sign, and whether
+    it is the last letter to touch slot pos (pin_k) or pos + 1 (pin_l)."""
     steps = []
     touched: set = set()
-    for k in reversed(b.letters):
+    for k in reversed(letters):
         pos = abs(k) - 1
         steps.append((pos, 1 if k > 0 else -1, pos not in touched, pos + 1 not in touched))
         touched.update((pos, pos + 1))
     steps.reverse()
-    pinned: dict = {}
+    return steps
+
+
+def _start_vectors(alpha: int, strands: int, f: int):
+    """Each start vector with slot f at index 0, and its charge
+    sum_(i>f) (N - 2s_i) - sum_(i<f) (N - 2s_i), s_i the index of slot i."""
+    N = alpha - 1
+    for rest in product(range(alpha), repeat=strands - 1):
+        charge = sum(N - 2 * i for i in rest[f:]) - sum(N - 2 * i for i in rest[:f])
+        yield rest[:f] + (0,) + rest[f:], charge
+
+
+def _diagonal_amplitude(steps: list, start: tuple, ring):
+    """The amplitude of ``start`` after the letters act on it, or None.
+
+    Only the diagonal amplitude counts, so the last letter to touch a slot
+    keeps only the entries that put the slot back at its start index;
+    states that cannot contribute are never built.
+    """
+    pinned, reduce = ring.pinned, ring.reduce
+    state = {start: ring.one}
+    for pos, sign, pin_k, pin_l in steps:
+        key = (sign, start[pos] if pin_k else None, start[pos + 1] if pin_l else None)
+        table = pinned.get(key)
+        if table is None:
+            table = pinned[key] = _pinned(ring.tables[sign], key[1], key[2])
+        state = _apply_letter(state, table, pos, reduce)
+    return state.get(start)
+
+
+def _state_sum(b: BraidWord, alpha: int, ring, cut: Tuple[int, int] = (0, 0)):
+    """Framed Markov trace of the braiding operators of ``b``, in ``ring``.
+
+    ``cut`` = (r, f) says where the closure is cut open: the letters are
+    rotated by r (``b.letters[r:] + b.letters[:r]``) and slot f is pinned.
+    The closure is the sum, over start vectors with slot f fixed to index 0,
+    of each start vector's diagonal amplitude (:func:`_diagonal_amplitude`)
+    times its charge weight u^(2a charge), where charge is
+    sum_(i>f) (N - 2s_i) - sum_(i<f) (N - 2s_i) over the indices s_i of the
+    other slots (:func:`_start_vectors`); the framing monomial and, for an
+    odd word, the stabilization sign then remove the writhe dependence.
+
+    Every cut gives the same value.  A rotation is a conjugation, and the
+    trace is cyclic.  For the slot: mu = u^(2a(N - 2s)) on index s is the
+    charge of :func:`_markov_data`, the pivotal weight that makes the right
+    partial trace of the crossing a scalar.  Closing a slot to the right
+    of slot f is that right quantum trace (weight mu), and closing a slot to
+    its left is the left quantum trace (weight mu^-1).  Closing every slot
+    but f leaves the partial quantum trace of the braid operator, an
+    operator on the open copy of V_alpha.  The braid operator commutes with
+    the quantum-group action and both quantum traces keep that property, so
+    by Schur's lemma on the irreducible V_alpha the operator is a scalar,
+    read off at index 0.  It is the invariant of the (1,1)-tangle left by
+    opening the closure at slot f, and a knot cut open anywhere gives one
+    (1,1)-tangle up to isotopy.  With mu on the left slots as well, the
+    value changes (the tests and the gate of :func:`_closure_cut` check
+    this).
+
+    ``ring`` supplies ``zero``, ``one``, ``tables`` (braid sign -> operator
+    table with ring coefficients), ``monomial(exp)`` for u**exp,
+    ``reduce(state)``, applied after each letter, and ``pinned``, a dict
+    that keeps the tables filtered for finished slots across the sums the
+    ring runs.
+    """
+    a, f_sign, f_exp = _markov_data(alpha)
+    r, f = cut
+    steps = _closure_steps(b.letters[r:] + b.letters[:r])
     total = ring.zero
-    for rest in product(range(alpha), repeat=b.strands - 1):
-        start = (0,) + rest
-        state = {start: ring.one}
-        for pos, sign, pin_k, pin_l in steps:
-            key = (sign, start[pos] if pin_k else None, start[pos + 1] if pin_l else None)
-            table = pinned.get(key)
-            if table is None:
-                table = pinned[key] = _pinned(ring.tables[sign], key[1], key[2])
-            state = _apply_letter(state, table, pos, ring.reduce)
-        amp = state.get(start)
+    for start, charge in _start_vectors(alpha, b.strands, f):
+        amp = _diagonal_amplitude(steps, start, ring)
         if amp is not None:
-            total = total + amp * ring.monomial(2 * a * sum(N - 2 * i for i in rest))
+            total = total + amp * ring.monomial(2 * a * charge)
     framed = total * ring.monomial(-f_exp * b.writhe())
     if f_sign == -1 and len(b.letters) % 2 == 1:
         framed = -framed
@@ -439,10 +543,107 @@ class _ExactRing:
 
     def __init__(self, alpha: int):
         self.tables = {sgn: _expand_table(crossing_operator(alpha, sgn).table) for sgn in (1, -1)}
+        self.pinned: dict = {}
 
     @staticmethod
     def monomial(exp: int) -> LaurentPoly:
         return LaurentPoly.monomial("u", exp)
+
+
+class _CountingRing:
+    """Keys only: every coefficient and amplitude is 1, and products are counted.
+
+    The states hold the same keys as in :class:`_PackedRing` (neither drops
+    a key), and each product ``amp * c`` of :func:`_apply_letter` adds 1 to
+    its target key, so the amplitudes after a letter sum to the products it
+    ran; :meth:`reduce` adds them to ``products`` and resets them to 1.
+    """
+
+    one = 1
+
+    def __init__(self, alpha: int):
+        self.alpha = alpha
+        self.tables = {
+            sgn: {key: tuple((k, l, 1) for (k, l, _) in terms) for key, terms in
+                  _braiding_shape(alpha, sgn * POSITIVE_CROSSING_SIGN).items()}
+            for sgn in (1, -1)
+        }
+        self.pinned: dict = {}
+        self.products = 0
+        # (rotated word, start vector) -> products of its diagonal amplitude
+        self._per_start: Dict[Tuple[tuple, tuple], int] = {}
+
+    def reduce(self, state: dict) -> dict:
+        self.products += sum(state.values())
+        return dict.fromkeys(state, 1)
+
+    def count(self, b: BraidWord, cut: Tuple[int, int], budget: float = inf) -> float:
+        """The products :func:`_state_sum` runs for ``b`` at ``cut`` in this color.
+
+        The start vectors of one rotated word are the same for every pinned
+        slot, so each one's count is kept and shared by the cuts of that
+        word.  A count that passes ``budget`` stops and reads ``inf``.
+        """
+        r, f = cut
+        word = b.letters[r:] + b.letters[:r]
+        steps = _closure_steps(word)
+        total = 0
+        for start, _ in _start_vectors(self.alpha, b.strands, f):
+            n = self._per_start.get((word, start))
+            if n is None:
+                self.products = 0
+                _diagonal_amplitude(steps, start, self)
+                n = self._per_start[(word, start)] = self.products
+            total += n
+            if total > budget:
+                return inf
+        return total
+
+
+@lru_cache(maxsize=1)
+def _closure_cut(b: BraidWord) -> Tuple[int, int]:
+    """The cut (r, f) of :func:`_state_sum` with the fewest products at large colors.
+
+    The product count of a cut grows with the color at a rate set by the
+    word, so the counts at small colors rank the cuts.  Stage 1 counts every
+    cut at alpha = 2 in :class:`_CountingRing`; stage 2 counts, at
+    alpha = 3, the cuts at most an eighth above the least stage-1 count
+    and the given cut (0, 0).  Stage 1 alone can
+    mislead: two cuts of 8_3 tie at alpha = 2 and differ by 1.8x at
+    alpha = 9.  The least (alpha = 3 count, alpha = 2 count, f, rotated
+    word) wins.  A cut is known by its pinned slot and its rotated word,
+    never by r, so every rotation of a word picks the same cut.
+
+    Gate: the chosen cut must give the given cut's exact invariant at
+    alpha = 2 (:class:`ConventionViolationError` otherwise); a wrong charge
+    on the slots left of the pinned one fails it.
+    """
+    letters = b.letters
+    cuts: Dict[Tuple[int, tuple], Tuple[int, int]] = {}
+    for r in range(max(1, len(letters))):
+        for f in range(b.strands):
+            cuts.setdefault((f, letters[r:] + letters[:r]), (r, f))
+    given = (0, letters)
+    if len(cuts) == 1:
+        return cuts[given]
+    counting = _CountingRing(2)
+    first = {key: counting.count(b, cut) for key, cut in cuts.items()}
+    least = min(first.values())
+    near = {key for key, n in first.items() if 8 * n <= 9 * least} | {given}
+    # a count above the least one so far cannot win, so it stops there
+    counting = _CountingRing(3)
+    second: Dict[Tuple[int, tuple], float] = {}
+    for key in sorted(near, key=lambda key: (first[key], key)):
+        second[key] = counting.count(b, cuts[key], min(second.values(), default=inf))
+    best = min(near, key=lambda key: (second[key], first[key], key))
+    cut = cuts[best]
+    if best != given:
+        exact = _ExactRing(2)
+        if _state_sum(b, 2, exact, cut) != _state_sum(b, 2, exact):
+            raise ConventionViolationError(
+                f"the closure cut {cut} changes the invariant at alpha=2"
+            )
+    return cut
 
 
 def _binom_row(exp: int, length: int) -> Tuple[int, ...]:
@@ -640,6 +841,14 @@ class _PackedRing:
     truncated at g**length.  :func:`_majorant_series` evaluates this
     series, and the width is one sign bit over the bit length of its
     largest coefficient.
+
+    The bound, and so the width, is the same at every cut (r, f) of
+    :func:`_state_sum`.  The series R_sign commute, so a rotation leaves
+    their product alone.  The charges of the start vectors pinned at slot f
+    sum N - 2s_i over the slots right of f and -(N - 2s_i) over those left
+    of it, each s_i running over 0..N; s -> N - s maps N - 2s to its
+    negative and permutes 0..N, so every pinned slot gives one multiset of
+    charges, that of slot 0.
     """
 
     zero = 0
@@ -658,6 +867,7 @@ class _PackedRing:
             for sgn, tbl in raw_tables.items()
         }
         self._monomials: Dict[int, int] = {}
+        self.pinned: dict = {}
 
     def pack(self, coeffs: Iterable[int]) -> int:
         return _pack(coeffs, self.bits) & self.mask
@@ -731,8 +941,10 @@ def jones_h_series(b: BraidWord, alpha: int, cap: int) -> List[Fraction]:
         raise ValueError("cap must be >= 0")
     if alpha == 1:
         return [Fraction(1)] + [Fraction(0)] * cap
+    # the cut search costs more than it saves below alpha = 4
+    cut = _closure_cut(b) if alpha > 3 else (0, 0)
     ring = _PackedRing(b, alpha, cap + 1)
-    return _gseries_to_hseries(ring.unpack(_state_sum(b, alpha, ring)), cap)
+    return _gseries_to_hseries(ring.unpack(_state_sum(b, alpha, ring, cut)), cap)
 
 
 @lru_cache(maxsize=None)

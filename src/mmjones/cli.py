@@ -12,6 +12,10 @@ Subcommands:
 The default catalog is embedded; ``--catalog`` or the MMJONES_CATALOG
 environment variable select an external JSON file.  Reports are JSON by
 default (rationals as exact strings), with a TSV export for line tables.
+
+Each subcommand imports the modules it runs when it runs, so ``torus`` and
+``catalog`` never load the braid pipeline (``cjones``, ``mmexpand``,
+``verify``).
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ import sys
 from typing import List, Optional
 
 from . import __version__, reports
-from .cjones import ConventionViolationError
-from .exactalg import ExactAlgError
+from .exactalg import GateError
+from .golden import SUITES
 from .knots import (
     CatalogError,
     KnotError,
@@ -33,30 +37,25 @@ from .knots import (
     default_catalog,
     load_catalog,
 )
-from .mmexpand import (
-    ModelViolationError,
-    OutOfRangeError,
-    approx_poly,
-    bottom_line_check,
-    build_dtable,
-    integrality_report,
-    to_htilde_lines,
-    to_z_lines,
-)
-from .toruslines import LineConsistencyError, torus_lines
-from .verify import SUITES, run_suite
 
 CATALOG_ENV = "MMJONES_CATALOG"
 DEFAULT_ORDER_CEILING = 6
-# Exit status when a runtime gate (operator inverse, Markov trace,
-# integrality, exact arithmetic, torus line parity or integrality) fails;
-# input errors exit with 1.
+# Exit status when a runtime gate (operator inverse, Markov trace, closure
+# cut, integrality, exact arithmetic, torus line parity or integrality)
+# fails, that is on any GateError; input errors exit with 1.
 EXIT_GATE_FAILED = 3
 # Fixed ceilings on the torus inputs, well above every tabulated, tested and
-# benchmarked value (|p|, |q| <= 9, 10 z-terms); the (19, 20) knot at 8
-# lines already runs for over a minute on a 2-vCPU VM.
+# benchmarked value (|p|, |q| <= 9, 10 z-terms, 6 lines); the (19, 20) knot
+# at 8 lines already runs for over a minute on a 2-vCPU VM.  The line
+# ceiling bounds --max-lines: on the same VM (3, 5) takes 1.05 s at 32
+# lines and 5.9 s at 48, and (9, 10) at 32 lines runs for over 4 minutes.
 TORUS_INDEX_CEILING = 16
 Z_TERMS_CEILING = 256
+MAX_LINES_CEILING = 32
+# Fixed ceiling on expand --max-order, twice the largest golden budget
+# (N = 12): on a 2-vCPU VM 3_1, the cheapest knot, takes 3.2 s at N = 16
+# and 55 s (114 MB) at N = 24, and 6_1 takes 15 s at N = 12.
+MAX_ORDER_CEILING = 24
 
 
 def _int_between(text: str, low: int, high: Optional[int] = None) -> int:
@@ -85,6 +84,14 @@ def _torus_index(text: str) -> int:
 
 def _z_terms(text: str) -> int:
     return _int_between(text, 0, Z_TERMS_CEILING)
+
+
+def _max_lines(text: str) -> int:
+    return _int_between(text, 0, MAX_LINES_CEILING)
+
+
+def _max_order(text: str) -> int:
+    return _int_between(text, 1, MAX_ORDER_CEILING)
 
 
 def _load_records(path: Optional[str]):
@@ -116,6 +123,15 @@ def _approx_exponents(n: int, parameter: str, mode: str) -> List[int]:
 
 
 def cmd_expand(args) -> int:
+    from .mmexpand import (
+        approx_poly,
+        bottom_line_check,
+        build_dtable,
+        integrality_report,
+        to_htilde_lines,
+        to_z_lines,
+    )
+
     records = _load_records(args.catalog)
     rec = catalog_lookup(records, args.knot)
     if args.order > args.max_order:
@@ -153,6 +169,8 @@ def cmd_expand(args) -> int:
 
 
 def cmd_torus(args) -> int:
+    from .toruslines import torus_lines
+
     t = TorusParams(args.p, args.q)
     if args.lines > args.max_lines:
         raise SystemExit(
@@ -183,6 +201,8 @@ def cmd_torus(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_suite
+
     records = _load_records(args.catalog)
     results = run_suite(args.suite, scope=args.scope, records=records, jobs=args.jobs)
     failed = [r for r in results if not r.passed]
@@ -254,8 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="emit approximants only for lines n <= L")
     p_expand.add_argument("--exponent-mode", choices=("auto", "2n+1", "3n+1"),
                           default="auto")
-    p_expand.add_argument("--max-order", type=_positive_int, default=DEFAULT_ORDER_CEILING,
-                          help="runtime ceiling on N (default %(default)s)")
+    p_expand.add_argument("--max-order", type=_max_order, default=DEFAULT_ORDER_CEILING,
+                          help="runtime ceiling on N (default %(default)s, "
+                               f"at most {MAX_ORDER_CEILING})")
     p_expand.add_argument("--jobs", type=_positive_int, default=1)
     p_expand.set_defaults(func=cmd_expand)
 
@@ -268,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_torus.add_argument("--z-terms", type=_z_terms, default=8,
                          help="number of even series coefficients to emit "
                               f"(at most {Z_TERMS_CEILING})")
-    p_torus.add_argument("--max-lines", type=_non_negative_int, default=8)
+    p_torus.add_argument("--max-lines", type=_max_lines, default=8,
+                         help=f"runtime ceiling on L (default %(default)s, at most {MAX_LINES_CEILING})")
     p_torus.add_argument("--format", choices=("json",), default="json")
     p_torus.add_argument("--out", default=None, metavar="PATH")
     p_torus.set_defaults(func=cmd_torus)
@@ -294,11 +316,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (KnotError, OutOfRangeError, ValueError, OSError) as exc:
+    except (KnotError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except (ConventionViolationError, ModelViolationError, ExactAlgError,
-            LineConsistencyError) as exc:
+    except GateError as exc:
         sys.stderr.write(f"error: gate {type(exc).__name__} failed: {exc}\n")
         return EXIT_GATE_FAILED
 

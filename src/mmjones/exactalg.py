@@ -22,7 +22,15 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-class ExactAlgError(Exception):
+class GateError(Exception):
+    """A runtime gate failed: an identity every correct result satisfies does not hold.
+
+    The base of the gate failures of every layer; the CLI exits with status 3
+    on it.
+    """
+
+
+class ExactAlgError(GateError):
     """Base class for arithmetic-layer failures."""
 
 

@@ -82,6 +82,10 @@ PRINTED_VARIANTS = {
     ("8_3", 0, 6): 256,
 }
 
+# The verification suites of ``mmjones verify``, in the order ``all`` runs them
+# (see :mod:`mmjones.verify`).
+SUITES = ("torus", "tables", "mm", "cross", "all")
+
 # Order budget needed to cover every tabulated row at 7 columns.
 TABLE_BUDGET = {"5_2": 9, "6_1": 9, "4_1": 10, "8_3": 8}
 

@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .cjones import jones_h_series
 from .exactalg import (
     BiSeries,
+    GateError,
     QPoly,
     TruncSeries,
     series_compose,
@@ -42,11 +43,11 @@ from .exactalg import (
 from .knots import BraidWord, KnotRecord
 
 
-class ModelViolationError(Exception):
+class ModelViolationError(GateError):
     """The solved table violates a structural identity (vanishing, fit, parity)."""
 
 
-class OutOfRangeError(Exception):
+class OutOfRangeError(ValueError):
     """A requested line or entry lies beyond what the truncation knows."""
 
 

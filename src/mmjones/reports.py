@@ -10,16 +10,21 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import IO, List, Optional
+from typing import IO, TYPE_CHECKING, List, Optional
 
 from .exactalg import QPoly
-from .mmexpand import (
-    ApproxPoly,
-    BottomLineReport,
-    DTable,
-    IntegralityReport,
-    LineTable,
-)
+
+# The table types are imported where a table is built, so that the torus
+# and catalog commands, which serialize no table, do not load the braid
+# pipeline.
+if TYPE_CHECKING:
+    from .mmexpand import (
+        ApproxPoly,
+        BottomLineReport,
+        DTable,
+        IntegralityReport,
+        LineTable,
+    )
 
 
 def frac_str(x) -> str:
@@ -55,6 +60,8 @@ def dtable_doc(d: DTable) -> dict:
 
 
 def parse_dtable(doc: dict) -> DTable:
+    from .mmexpand import DTable
+
     rows = tuple(tuple(parse_frac(c) for c in row) for row in doc["rows"])
     return DTable(doc["N"], rows)
 
@@ -83,6 +90,8 @@ def parse_linetable(doc: dict) -> LineTable:
     Every line n = 0..2N must appear exactly once, with the N - (n+1)//2 + 1
     values m = 0..N - (n+1)//2.
     """
+    from .mmexpand import LineTable
+
     N = doc["N"]
     rows: List[Optional[tuple]] = [None] * (2 * N + 1)
     for row in doc["lines"]:
@@ -143,6 +152,8 @@ def parse_linetable_tsv(text: str, N: int, tag: str) -> LineTable:
     Line n must give every column m = 0..N - (n+1)//2 exactly once, in any
     order.
     """
+    from .mmexpand import LineTable
+
     rows: List[dict] = [{} for _ in range(2 * N + 1)]
     body = text.strip().splitlines()
     if body and body[0].startswith("n\t"):

@@ -46,11 +46,11 @@ from fractions import Fraction
 from math import factorial, lcm
 from typing import List, Optional
 
-from .exactalg import LaurentPoly, QPoly, TruncSeries, series_log1p, series_pow1p
+from .exactalg import GateError, LaurentPoly, QPoly, TruncSeries, series_log1p, series_pow1p
 from .knots import TorusParams, conway_torus
 
 
-class LineConsistencyError(Exception):
+class LineConsistencyError(GateError):
     """An oddness/divisibility/integrality certification failed."""
 
 

@@ -309,7 +309,7 @@ def suite_cross(pipeline: Optional[_Pipeline] = None) -> List[CheckResult]:
     return out
 
 
-SUITES = ("torus", "tables", "mm", "cross", "all")
+SUITES = golden.SUITES
 
 
 def run_suite(

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmjones import cjones
+from mmjones import cjones, golden
 from mmjones.cjones import (
     ConventionViolationError,
     colored_jones,
@@ -261,21 +261,92 @@ class TestOperatorTables:
         assert products == []
 
     @pytest.mark.parametrize("alpha", [2, 5, 9])
-    def test_markov_data_expands_only_diagonal_entries(self, alpha, monkeypatch):
-        expanded = []
-        original = cjones._entry_poly
-
-        def counted(entry):
-            expanded.append(entry)
-            return original(entry)
-
-        monkeypatch.setattr(cjones, "_entry_poly", counted)
+    def test_markov_data_expands_no_entry(self, alpha, monkeypatch):
+        # warm the process-wide factor caches, then count expansions and products
         cjones._markov_data.__wrapped__(alpha)
-        diagonal = [e for sign in (1, -1)
-                    for key, entries in crossing_operator(alpha, sign).table.items()
-                    for e in entries if e[:2] == key]
-        # n = i - j (plus) or j - i (minus): alpha (alpha + 1) / 2 entries per sign
-        assert sorted(expanded) == sorted(diagonal) and len(diagonal) == alpha * (alpha + 1)
+        expanded, products = [], []
+        original_entry, original_mul = cjones._entry_poly, LaurentPoly.__mul__
+
+        def counted_entry(entry):
+            expanded.append(entry)
+            return original_entry(entry)
+
+        def counted_mul(self, other):
+            products.append(other)
+            return original_mul(self, other)
+
+        monkeypatch.setattr(cjones, "_entry_poly", counted_entry)
+        monkeypatch.setattr(LaurentPoly, "__mul__", counted_mul)
+        cjones._markov_data.__wrapped__(alpha)
+        assert expanded == [] and products == []
+
+
+def oracle_markov_data(alpha):
+    """(a, f_sign, f_exp) from the expanded diagonal entries, row by row."""
+    N = alpha - 1
+    diagonals = [
+        {key: cjones._entry_poly(e) for key, entries in crossing_operator(alpha, sign).table.items()
+         for e in entries if e[:2] == key}
+        for sign in (1, -1)
+    ]
+    for a in (1, -1):
+        scalars = []
+        for entries in diagonals:
+            rows = [sum((c.shift(2 * a * (N - 2 * j)) for (i, j), c in entries.items() if i == row),
+                        LaurentPoly.zero("u")) for row in range(alpha)]
+            if any(r != rows[0] for r in rows) or len(rows[0].terms) != 1:
+                break
+            scalars.append(rows[0])
+        else:
+            if scalars[0] * scalars[1] == LaurentPoly.one("u"):
+                ((e, c),) = scalars[0].terms.items()
+                return (a, c, e)
+    return None
+
+
+def tampered_pair(alpha, how):
+    """The operator pair with the plus table's (0, 0) diagonal entry tampered."""
+    plus, minus = cjones._operator_pair(alpha)
+    (k, l, w, s, b, sgn), *rest = plus.table[(0, 0)]
+    entry = (k, l, w + 2, s, b, sgn) if how == "weight" else (k, l, w, s, b, -sgn)
+    table = {**plus.table, (0, 0): [entry, *rest]}
+    return cjones.CrossingOperator(alpha, 1, table), minus
+
+
+class TestMarkovData:
+    @pytest.mark.parametrize("alpha", range(2, 14))
+    def test_packed_rows_match_expanded_oracle(self, alpha):
+        assert cjones._markov_data.__wrapped__(alpha) == oracle_markov_data(alpha)
+
+    @pytest.mark.parametrize("alpha", range(2, 10))
+    def test_width_covers_every_row(self, alpha):
+        # a sign bit over the largest row sum of |S|_1 |B|_1, a bound on every
+        # coefficient of the rows, for both charge signs, true and tampered
+        N = alpha - 1
+        for operators in (cjones._operator_pair(alpha), *(tampered_pair(alpha, how) for how in TAMPERS)):
+            diagonals = cjones._diagonals(operators)
+            norm = {id(e): sum(map(abs, cjones._scaled_qbinom(*e[3]).terms.values()))
+                    * sum(map(abs, cjones._qbinom(*e[4]).terms.values()))
+                    for diagonal in diagonals for (_, _, e) in diagonal}
+            bound = max(sum(norm[id(e)] for (i, _, e) in diagonal if i == row)
+                        for diagonal in diagonals for row in range(alpha))
+            assert cjones._diagonal_width(diagonals) >= bound.bit_length() + 1
+            for a in (1, -1):
+                for diagonal in diagonals:
+                    for row in range(alpha):
+                        poly = sum((cjones._entry_poly(e).shift(2 * a * (N - 2 * j))
+                                    for (i, j, e) in diagonal if i == row), LaurentPoly.zero("u"))
+                        assert max(map(abs, poly.terms.values()), default=0) <= bound
+
+    @pytest.mark.parametrize("alpha", [2, 3, 6])
+    def test_tampered_diagonal_raises(self, alpha, monkeypatch):
+        for how in TAMPERS:
+            pair = tampered_pair(alpha, how)
+            monkeypatch.setattr(cjones, "_operator_pair", lambda a, pair=pair: pair)
+            assert oracle_markov_data(alpha) is None
+            with pytest.raises(ConventionViolationError, match=f"alpha={alpha}"):
+                cjones._markov_data.__wrapped__(alpha)
+            monkeypatch.undo()
 
 
 class TestGToH:
@@ -504,3 +575,142 @@ class TestColorCaches:
         build_dtable(FIG8, 4)
         assert sorted(built) == [(alpha, sign) for alpha in range(2, 6) for sign in (-1, 1)]
         assert cjones._operator_pair.cache_info().currsize <= 1
+
+
+# 3- and 4-strand words of at most 8 letters whose closure is a knot
+CUT_WORDS = st.one_of(
+    KNOT_WORDS,
+    st.lists(st.sampled_from((1, -1, 2, -2, 3, -3)), max_size=8)
+    .map(lambda letters: BraidWord(4, letters))
+    .filter(lambda b: b.is_knot()),
+)
+
+
+def every_cut(b):
+    return [(r, f) for r in range(max(1, len(b.letters))) for f in range(b.strands)]
+
+
+def cut_word(b, cut):
+    """A cut by what it does: (pinned slot, rotated word)."""
+    r, f = cut
+    return f, b.letters[r:] + b.letters[:r]
+
+
+def packed_products(b, alpha, cut, monkeypatch):
+    """The products the packed state sum runs at ``cut``, counted at each letter."""
+    products = []
+    original = cjones._apply_letter
+
+    def counted(state, table, pos, reduce):
+        products.append(sum(len(table[key[pos:pos + 2]]) for key in state))
+        return original(state, table, pos, reduce)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cjones, "_apply_letter", counted)
+        cjones._state_sum(b, alpha, cjones._PackedRing(b, alpha, 5), cut)
+    return sum(products)
+
+
+def catalog_words():
+    return {r.name: r.braid for r in default_catalog() if r.braid.letters}
+
+
+class TestClosureCut:
+    @given(b=CUT_WORDS)
+    @settings(max_examples=12, deadline=None)
+    def test_every_cut_gives_the_invariant(self, b):
+        # the pinned slot's left neighbours carry mu^-1; with mu there this fails
+        for alpha in (2, 3):
+            ring = cjones._ExactRing(alpha)
+            invariant = colored_jones(b, alpha)
+            exact = cjones._laurent_to_gseries(cjones._state_sum(b, alpha, ring), 7, {})
+            for cut in every_cut(b):
+                framed = cjones._state_sum(b, alpha, ring, cut)
+                assert framed.compress_exponents(4, "q") == invariant
+                packed = cjones._PackedRing(b, alpha, 7)
+                assert packed.unpack(cjones._state_sum(b, alpha, packed, cut)) == exact
+
+    def test_wrong_left_charge_fails_the_gate(self, monkeypatch):
+        def mu_everywhere(alpha, strands, f):
+            for start, _ in original(alpha, strands, f):
+                yield start, sum(alpha - 1 - 2 * i for slot, i in enumerate(start) if slot != f)
+
+        # each of these words moves its pinned slot off slot 0
+        original = cjones._start_vectors
+        monkeypatch.setattr(cjones, "_start_vectors", mu_everywhere)
+        for b in (K5_2, catalog_words()["6_1"], K8_3):
+            with pytest.raises(ConventionViolationError, match="alpha=2"):
+                cjones._closure_cut.__wrapped__(b)
+
+    @pytest.mark.parametrize("alpha", [2, 3, 4])
+    def test_counting_ring_counts_packed_products(self, alpha, monkeypatch):
+        for b in (K5_2, K6_1):
+            ring = cjones._CountingRing(alpha)
+            for cut in every_cut(b):
+                assert ring.count(b, cut) == packed_products(b, alpha, cut, monkeypatch)
+
+    def test_count_stops_past_its_budget(self):
+        ring = cjones._CountingRing(3)
+        full = ring.count(K6_1, (0, 0))
+        assert ring.count(K6_1, (0, 0), full) == full
+        assert ring.count(K6_1, (0, 0), full - 1) == float("inf")
+
+    @pytest.mark.parametrize("name", ["3_1", "4_1", "5_2", "6_1", "8_3"])
+    def test_catalog_cuts(self, name):
+        b = catalog_words()[name]
+        cut = cjones._closure_cut(b)
+        chosen = cut_word(b, cut)
+        count = {alpha: cjones._CountingRing(alpha).count for alpha in (5, golden.TABLE_BUDGET.get(name, 12) + 1)}
+        for r in range(len(b.letters)):
+            rotated = BraidWord(b.strands, b.letters[r:] + b.letters[:r])
+            rotated_cut = cjones._closure_cut(rotated)
+            assert cut_word(rotated, rotated_cut) == chosen
+            assert count[5](rotated, rotated_cut) <= count[5](rotated, (0, 0))
+        for alpha, counted in count.items():
+            assert counted(b, cut) <= counted(b, (0, 0))
+
+    def test_golden_top_color_counts(self):
+        words = catalog_words()
+        for name, most in (("5_2", 1905), ("6_1", 49147)):
+            b = words[name]
+            assert cjones._CountingRing(10).count(b, cjones._closure_cut(b)) <= most
+
+    @pytest.mark.parametrize("name", ["3_1", "4_1", "5_2", "6_1", "8_3"])
+    def test_width_is_the_same_for_every_cut(self, name):
+        # the letter product commutes, and the charges of every pinned slot
+        # have one distribution (N - 2s and its negative are both charges)
+        b = catalog_words()[name]
+        for alpha in (2, 3, 5):
+            charges = sorted(c for _, c in cjones._start_vectors(alpha, b.strands, 0))
+            for f in range(b.strands):
+                assert sorted(c for _, c in cjones._start_vectors(alpha, b.strands, f)) == charges
+            bits = cjones._PackedRing(b, alpha, 9).bits
+            for r in range(len(b.letters)):
+                rotated = BraidWord(b.strands, b.letters[r:] + b.letters[:r])
+                assert cjones._PackedRing(rotated, alpha, 9).bits == bits
+
+    def test_small_colors_keep_the_given_cut(self, monkeypatch):
+        def no_search(b):
+            raise AssertionError("cut search at a small color")
+
+        monkeypatch.setattr(cjones, "_closure_cut", no_search)
+        for alpha in (1, 2, 3):
+            jones_h_series(K8_3, alpha, 4)
+        with pytest.raises(AssertionError, match="small color"):
+            jones_h_series(K8_3, 4, 4)
+
+    def test_search_builds_tables_only_for_its_gate(self, monkeypatch):
+        # the counts read the table shapes; only the alpha = 2 gate builds
+        # coefficient tables, and only when the cut changes
+        built = []
+        original = cjones._braiding_table
+
+        def counted(alpha, sign):
+            built.append((alpha, sign))
+            return original(alpha, sign)
+
+        cjones._operator_pair.cache_clear()
+        monkeypatch.setattr(cjones, "_braiding_table", counted)
+        assert cjones._closure_cut.__wrapped__(FIG8) == (0, 0) and built == []
+        assert cjones._closure_cut.__wrapped__(K5_2) != (0, 0)
+        assert sorted(built) == [(2, -1), (2, 1)]

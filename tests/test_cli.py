@@ -1,13 +1,18 @@
 """Command-line surface: exit codes, formats, determinism, round trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from mmjones import cjones, toruslines
-from mmjones import cli
+from mmjones import cjones, mmexpand, toruslines
 from mmjones.cli import (
     EXIT_GATE_FAILED,
+    MAX_LINES_CEILING,
+    MAX_ORDER_CEILING,
     TORUS_INDEX_CEILING,
     Z_TERMS_CEILING,
     build_parser,
@@ -54,6 +59,7 @@ class TestTorusCommand:
         ("--p", -TORUS_INDEX_CEILING, TORUS_INDEX_CEILING),
         ("--q", -TORUS_INDEX_CEILING, TORUS_INDEX_CEILING),
         ("--z-terms", 0, Z_TERMS_CEILING),
+        ("--max-lines", 0, MAX_LINES_CEILING),
     ])
     def test_ceilings_in_parser(self, capsys, flag, low, high):
         # parsed only: no value at or beyond a ceiling is ever run here
@@ -102,7 +108,7 @@ class TestExpandCommand:
         def beyond(d):
             raise OutOfRangeError(f"line {2 * d.N + 1} outside budget 2N = {2 * d.N}")
 
-        monkeypatch.setattr(cli, "to_z_lines", beyond)
+        monkeypatch.setattr(mmexpand, "to_z_lines", beyond)
         code, out, err = run_cli(capsys, "expand", "--knot", "3_1", "--order", "2")
         assert code == 1 and out == ""
         assert err == "error: line 5 outside budget 2N = 4\n"
@@ -130,6 +136,19 @@ class TestExpandCommand:
             capsys, "expand", "--knot", "unknot", "--order", "7", "--max-order", "8"
         )
         assert code == 0
+
+    def test_max_order_ceiling_in_parser(self, capsys):
+        # parsed only: no order at or beyond the ceiling is ever run here
+        def argv(value):
+            return ["expand", "--knot", "3_1", "--order", "2", "--max-order", str(value)]
+
+        for value in (1, MAX_ORDER_CEILING):
+            assert build_parser().parse_args(argv(value)).max_order == value
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv(MAX_ORDER_CEILING + 1))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--max-order" in err and str(MAX_ORDER_CEILING + 1) in err
 
     def test_unknown_knot(self, capsys):
         code, _, err = run_cli(capsys, "expand", "--knot", "9_99", "--order", "2")
@@ -293,3 +312,42 @@ class TestCatalogCommand:
         code, out, _ = run_cli(capsys, "catalog", "--path", str(path))
         assert code == 0
         assert [e["name"] for e in json.loads(out)["entries"]] == ["3_1"]
+
+
+ROOT = Path(__file__).resolve().parents[1]
+PIPELINE = {"mmjones.cjones", "mmjones.mmexpand", "mmjones.verify"}
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["torus", "--p", "2", "--q", "3", "--lines", "2"], set()),
+    (["catalog"], set()),
+    (["expand", "--knot", "3_1", "--order", "2"], {"mmjones.cjones", "mmjones.mmexpand"}),
+    (["verify", "--suite", "torus"], PIPELINE),
+], ids=["torus", "catalog", "expand", "verify"])
+def test_subcommands_import_what_they_run(argv, loaded):
+    # a fresh interpreter, so that no other test's imports count
+    script = (
+        "import contextlib, io, sys\n"
+        "from mmjones import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(sys.argv[1:])\n"
+        "print(code, *sorted(m for m in sys.modules if m.startswith('mmjones.')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    code, *modules = done.stdout.split()
+    assert code == "0"
+    assert PIPELINE & set(modules) == loaded
+
+
+def test_gate_errors_share_one_base():
+    from mmjones.cjones import ConventionViolationError
+    from mmjones.exactalg import ExactAlgError, GateError
+    from mmjones.mmexpand import ModelViolationError
+    from mmjones.toruslines import LineConsistencyError
+
+    for error in (ConventionViolationError, ExactAlgError, ModelViolationError,
+                  LineConsistencyError):
+        assert issubclass(error, GateError)
+    assert issubclass(OutOfRangeError, ValueError) and not issubclass(OutOfRangeError, GateError)

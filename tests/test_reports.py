@@ -4,11 +4,14 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmjones.cli import main
 from mmjones.knots import BraidWord, catalog_lookup, default_catalog
-from mmjones.mmexpand import build_dtable, to_z_lines
+from mmjones.mmexpand import LineTable, build_dtable, to_z_lines
 from mmjones.reports import (
+    dump_json,
     dtable_doc,
     frac_str,
     linetable_doc,
@@ -125,3 +128,23 @@ def test_tsv_places_values_by_column(sample):
 def test_tsv_column_errors(text, match):
     with pytest.raises(ValueError, match=match):
         parse_linetable_tsv(text, 1, "h")
+
+
+@st.composite
+def line_tables(draw):
+    """A line table of random exact values: line n has N - (n+1)//2 + 1 of them."""
+    N = draw(st.integers(0, 5))
+    values = st.fractions(max_denominator=10**12).filter(lambda x: abs(x) < 10**30)
+    rows = tuple(tuple(draw(st.lists(values, min_size=N - (n + 1) // 2 + 1,
+                                     max_size=N - (n + 1) // 2 + 1)))
+                 for n in range(2 * N + 1))
+    return LineTable(N, draw(st.sampled_from(("h", "ht"))), rows)
+
+
+@given(lines=line_tables())
+@settings(max_examples=60, deadline=None)
+def test_random_line_tables_round_trip(lines):
+    doc = linetable_doc(lines)
+    assert parse_linetable(doc) == lines
+    assert parse_linetable(json.loads(dump_json(doc))) == lines
+    assert parse_linetable_tsv(linetable_tsv(lines), lines.N, lines.tag) == lines
