@@ -52,6 +52,16 @@ EXIT_GATE_FAILED = 3
 TORUS_INDEX_CEILING = 16
 Z_TERMS_CEILING = 256
 MAX_LINES_CEILING = 32
+# Joint ceiling on a torus request: lines^2 (|p| - 1)(|q| - 1), the line
+# count squared times the degree of the Conway polynomial.  Each flag under
+# its own ceiling still allows (15, 16) at 32 lines (215,040), which runs
+# for over 4 minutes.  Measured on a 2-vCPU VM: (5, 6) at 16 lines (5,120)
+# 0.7 s, (3, 5) at 32 lines (8,192) 1.5 s, (13, 14) at 8 lines (9,984)
+# 5.8 s, (15, 16) at 7 lines (10,290) 10 s, (11, 12) at 10 lines (11,000)
+# 6.3 s; over the ceiling, (13, 14) at 9 lines (12,636) 10 s and (15, 16)
+# at 8 lines (13,440) 17 s.  Tests, golden tables and the benchmark ask
+# for at most 128 ((3, 5) at 4 lines).
+TORUS_WORK_CEILING = 12_000
 # Fixed ceiling on expand --max-order, twice the largest golden budget
 # (N = 12): on a 2-vCPU VM 3_1, the cheapest knot, takes 3.2 s at N = 16
 # and 55 s (114 MB) at N = 24, and 6_1 takes 15 s at N = 12.
@@ -314,6 +324,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "torus":
+        work = args.lines ** 2 * (abs(args.p) - 1) * (abs(args.q) - 1)
+        if work > TORUS_WORK_CEILING:
+            parser.error(
+                f"--p {args.p}, --q {args.q} and --lines {args.lines} ask for "
+                f"lines^2 (|p|-1)(|q|-1) = {work}, over the joint ceiling {TORUS_WORK_CEILING}"
+            )
     try:
         return args.func(args)
     except (KnotError, ValueError, OSError) as exc:

@@ -617,15 +617,26 @@ def series_two_arcsinh_half(cap: int, var: str = "z") -> TruncSeries:
 
 
 def series_compose(outer: TruncSeries, inner: TruncSeries) -> TruncSeries:
-    """Formal composition outer(inner) by Horner's rule; inner must have zero constant term."""
+    """Formal composition outer(inner); inner must have zero constant term.
+
+    Sums c_k inner^k over the powers of inner, each power one truncated
+    product from the last.  inner^k has valuation k, so that product costs
+    about (cap - k)^2 / 2 coefficient products, a third of Horner's rule in
+    total.
+    """
     if inner.constant_term() != 0:
         raise CompositionError("inner series must have zero constant term")
     cap = min(outer.cap, inner.cap)
-    acc = TruncSeries.zero(inner.var, cap)
     inner_t = inner.truncate(cap)
-    for c in reversed(outer.coeffs[: cap + 1]):
-        acc = acc * inner_t + c
-    return acc
+    out = [outer.coeffs[0]] + [_ZERO] * cap
+    power = TruncSeries.constant(inner.var, cap, 1)
+    for k in range(1, cap + 1):
+        power = power * inner_t
+        c = outer.coeffs[k]
+        if c:
+            for n in range(k, cap + 1):
+                out[n] += c * power.coeffs[n]
+    return TruncSeries(inner.var, cap, out)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,20 @@ A further reparametrization replaces h by the mirror-friendly variable
 t = (1+h)^(1/2) - (1+h)^(-1/2) (written ``ht`` in tags); the substitution
 series comes from the closed form h = u*t with u = t/2 + sqrt(1 + (t/2)^2),
 u the square root of q-hat.
+
+Cost of the line routes after the solve, with cap = 2N.  Each D-table
+builds two tables once, as cached properties, and every route reads them:
+``DTable.z_powers`` (s(z)^(2m), m = 0..N, from one s = 2 arcsinh(z/2)),
+read by the bi-series and by the second route of the bottom-line check,
+and ``DTable.biseries``, read by the h lines, the ht lines and the first
+route of the bottom-line check.  The bi-series is collected one m-row at a
+time: the h-series D_m(h) lfac(h)^(2m) is one truncated integer product,
+and its outer product with s(z)^(2m) is added into an integer grid over one
+common denominator, so the collection costs O(N cap^2) products and each
+entry becomes a Fraction once.  The ht lines read one integer table of the
+powers of the substitution series and take one dot product per entry,
+O(N cap^2) after the O(cap^3) table.  An approximant multiplies its line
+by one Conway power computed by squaring.
 """
 
 from __future__ import annotations
@@ -25,10 +39,11 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial
+from math import factorial, gcd, lcm
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .cjones import jones_h_series
+from .cjones import _closure_cut, jones_h_series
 from .exactalg import (
     BiSeries,
     GateError,
@@ -81,6 +96,20 @@ class DTable:
         return [self.entries[m][2 * m] for m in range(self.N + 1)]
 
     @cached_property
+    def z_powers(self) -> Tuple[TruncSeries, ...]:
+        """s(z)^(2m) for m = 0..N through z^(2N), s = 2 arcsinh(z/2).
+
+        Built once and read by the bi-series and the bottom-line check.
+        """
+        cap = 2 * self.N
+        s = series_two_arcsinh_half(cap)
+        s2 = s * s
+        powers = [TruncSeries.constant("z", cap, 1)]
+        for _ in range(self.N):
+            powers.append(powers[-1] * s2)
+        return tuple(powers)
+
+    @cached_property
     def biseries(self) -> BiSeries:
         """The collected (z, h) bi-series, built once and read by every line route."""
         return _z_h_biseries(self)
@@ -99,6 +128,12 @@ def _jones_rows(b: BraidWord, alphas: Sequence[int], cap: int, jobs: int = 1):
         args = [(b.strands, b.letters, a, cap) for a in alphas]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_h_series_job, args))
+    if max(alphas) > 3:
+        # Colors from 4 on run at the cut _closure_cut picks, and its gate
+        # builds the alpha = 2 operator pair.  Picked before the colors run,
+        # color 2 reuses that pair from the one-entry cache; picked at
+        # color 4, it would rebuild the pair colors 2 and 3 had evicted.
+        _closure_cut(b)
     return [jones_h_series(b, a, cap) for a in alphas]
 
 
@@ -196,6 +231,26 @@ def _h_over_log1p(cap: int) -> TruncSeries:
         "h", cap, [Fraction((-1) ** n, n + 1) for n in range(cap + 1)]
     )
     return base.invert()
+
+
+def _over_common_den(coeffs: Sequence[Fraction]) -> Tuple[int, List[int]]:
+    """(den, ints) with coeffs[i] = ints[i] / den, den the lcm of the denominators."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return den, [c.numerator * (den // c.denominator) for c in coeffs]
+
+
+def _int_product(x: Tuple[int, List[int]], y: Tuple[int, List[int]],
+                 cap: int) -> Tuple[int, List[int]]:
+    """x * y through the power ``cap``, each factor a (den, ints) pair; reduced."""
+    (x_den, xs), (y_den, ys) = x, y
+    out = [0] * (cap + 1)
+    for i, a in enumerate(xs[: cap + 1]):
+        if a:
+            for j, b in enumerate(ys[: cap + 1 - i], i):
+                out[j] += a * b
+    den = x_den * y_den
+    g = gcd(den, *out)
+    return den // g, [c // g for c in out]
 
 
 def to_z_lines(d: DTable) -> LineTable:
@@ -296,53 +351,63 @@ def to_htilde_lines(d: DTable) -> LineTable:
     Each z-row of the (z, h) bi-series is only valid through h-order
     2(N - m); the substitution series has valuation 1, so validity is
     preserved row by row and the emitted ranges match the h-table's.
+    Every row reads one table of the powers sub^k of the substitution,
+    integers over one common denominator: the t^n coefficient of row m is
+    sum_k row[k] sub^k[n], k <= n, one integer dot product per entry.
     """
     N = d.N
     cap = 2 * N
     zl = d.biseries
-    sub = reparam_series(cap)
-    rows_by_m: List[TruncSeries] = []
+    sub = _over_common_den(reparam_series(cap).coeffs)
+    powers = [(1, [1] + [0] * cap)]
+    for _ in range(cap):
+        powers.append(_int_product(powers[-1], sub, cap))
+    den = lcm(*(p_den for p_den, _ in powers))
+    # columns[n][k]: the t^n coefficient of sub^k, times den
+    columns = [[ps[n] * (den // p_den) for p_den, ps in powers[: n + 1]] for n in range(cap + 1)]
+    rows_by_m: List[List[Fraction]] = []
     for m in range(N + 1):
-        valid = 2 * (N - m)
-        row = TruncSeries("h", valid, zl.rows[2 * m][: valid + 1])
-        rows_by_m.append(series_compose(row, sub.truncate(valid)))
+        row_den, row = _over_common_den(zl.rows[2 * m][: 2 * (N - m) + 1])
+        rows_by_m.append([Fraction(sum(map(mul, row, column)), row_den * den)
+                          for column in columns[: len(row)]])
     rows = []
     for n in range(cap + 1):
         top_m = N - (n + 1) // 2
-        rows.append(tuple(rows_by_m[m].coeff(n) for m in range(top_m + 1)))
+        rows.append(tuple(rows_by_m[m][n] for m in range(top_m + 1)))
     return LineTable(N, "ht", tuple(rows))
 
 
 def _z_h_biseries(d: DTable) -> BiSeries:
-    """The collected (z, h) bi-series; read it through ``DTable.biseries``."""
+    """The collected (z, h) bi-series; read it through ``DTable.biseries``.
+
+    Row m of the D-table contributes s(z)^(2m) H_m(h), with
+    H_m = D_m(h) lfac(h)^(2m) and D_m(h) = sum_n D[m][n+2m] h^n: one
+    truncated h-product per m, then the outer product with the shared
+    z-power ``DTable.z_powers[m]``.  Both factors are integers over their
+    own lcm denominator, and the grid sums the outer products as integers
+    over one common denominator, so each entry becomes a Fraction once.
+    """
     N = d.N
     cap = 2 * N
-    s = series_two_arcsinh_half(cap)
-    lfac = _h_over_log1p(cap)
-    grid = [[ZERO] * (cap + 1) for _ in range(cap + 1)]
-    s_pow = TruncSeries.constant("z", cap, 1)
-    l_pow = TruncSeries.constant("h", cap, 1)
-    s2 = s * s
-    l2 = lfac * lfac
-    for m in range(N + 1):
+    lfac = _over_common_den(_h_over_log1p(cap).coeffs)
+    l2 = _int_product(lfac, lfac, cap)
+    l_pow = (1, [1] + [0] * cap)
+    factors = []
+    for m, s_pow in enumerate(d.z_powers):
         if m > 0:
-            s_pow = s_pow * s2
-            l_pow = l_pow * l2
-        for n in range(0, cap + 1 - 2 * m):
-            coeff = d.entries[m][n + 2 * m]
-            if coeff == 0:
-                continue
-            for zd in range(cap + 1):
-                a = s_pow.coeffs[zd]
-                if a == 0:
-                    continue
-                ca = coeff * a
-                row = grid[zd]
-                for hd in range(cap + 1 - n):
-                    bcf = l_pow.coeffs[hd]
-                    if bcf:
-                        row[hd + n] += ca * bcf
-    bi = BiSeries(cap, cap, grid)
+            l_pow = _int_product(l_pow, l2, cap)
+        h_m = _int_product(_over_common_den(d.entries[m][2 * m:]), l_pow, cap)
+        factors.append((_over_common_den(s_pow.coeffs), h_m))
+    den = lcm(*(z_den * h_den for (z_den, _), (h_den, _) in factors))
+    grid = [[0] * (cap + 1) for _ in range(cap + 1)]
+    for (z_den, zs), (h_den, hs) in factors:
+        scale = den // (z_den * h_den)
+        for row, a in zip(grid, zs):
+            if a:
+                a *= scale
+                for hd, b in enumerate(hs):
+                    row[hd] += a * b
+    bi = BiSeries(cap, cap, [[Fraction(v, den) for v in row] for row in grid])
     if not bi.odd_z_rows_zero():
         raise ModelViolationError("odd z-powers appeared in the line collection")
     return bi
@@ -382,13 +447,8 @@ def bottom_line_check(d: DTable, conway: QPoly) -> BottomLineReport:
     fail1 = tuple(
         k for k in range(cap + 1) if prod1.coeff(k) != (1 if k == 0 else 0)
     )
-    s = series_two_arcsinh_half(cap)
-    s2 = s * s
     acc = TruncSeries.zero("z", cap)
-    s_pow = TruncSeries.constant("z", cap, 1)
-    for m, coeff in enumerate(d.boundary_coeffs()):
-        if m > 0:
-            s_pow = s_pow * s2
+    for coeff, s_pow in zip(d.boundary_coeffs(), d.z_powers):
         acc = acc + s_pow * coeff
     prod2 = acc * conway_series
     fail2 = tuple(
@@ -483,9 +543,7 @@ def approx_poly(lines: LineTable, conway: QPoly, n: int, exponent: int) -> Appro
     row = lines.row(n)
     guaranteed = 2 * (len(row) - 1)
     conway_series = TruncSeries("z", guaranteed, conway.coeffs)
-    prod = lines.line_series(n).pad_exact(guaranteed)
-    for _ in range(exponent):
-        prod = prod * conway_series
+    prod = lines.line_series(n).pad_exact(guaranteed) * conway_series ** exponent
     head_bound = (exponent - 1) * conway.degree
     head = [prod.coeff(2 * j) for j in range(0, min(head_bound, guaranteed) // 2 + 1)]
     window = [

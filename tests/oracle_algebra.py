@@ -6,15 +6,25 @@ sum.  The routes here are independent of both: gcd-reduced rational
 functions in z with quotient-rule derivatives (Euclidean division over Q),
 the substitution q = 1 + h term by term, exact tensor states acted on
 one crossing at a time, and g-series crossing tables converted term by
-term from the expanded entries.  The braid and polynomial helpers at the
-end (mirror, conjugate, u -> 1/u, odd parity) are what the tests use to
-state invariances; the pipeline never calls them.
+term from the expanded entries.  Next come the line routes as they first
+ran: series composition by Horner's rule, the (z, h) bi-series collected
+one product at a time, the ht rows by one series composition each, and
+approximants by repeated multiplication.  The braid and polynomial
+helpers at the end (mirror, conjugate, u -> 1/u, odd parity) are what the
+tests use to state invariances; the pipeline never calls them.
 """
 
 from fractions import Fraction
 
-from mmjones import cjones
-from mmjones.exactalg import LaurentPoly, QPoly, TruncSeries, series_pow1p
+from mmjones import cjones, mmexpand
+from mmjones.exactalg import (
+    BiSeries,
+    LaurentPoly,
+    QPoly,
+    TruncSeries,
+    series_pow1p,
+    series_two_arcsinh_half,
+)
 from mmjones.knots import BraidWord
 
 
@@ -133,6 +143,63 @@ def gseries_entry_tables(expanded: dict, length: int):
                 for entries in tables[sign].values()]
         majorants[sign] = tuple(map(max, zip(*sums)))
     return tables, majorants
+
+
+def compose_by_horner(outer: TruncSeries, inner: TruncSeries) -> TruncSeries:
+    """outer(inner) by Horner's rule, one full truncated product per coefficient."""
+    cap = min(outer.cap, inner.cap)
+    acc = TruncSeries.zero(inner.var, cap)
+    for c in reversed(outer.coeffs[: cap + 1]):
+        acc = acc * inner.truncate(cap) + c
+    return acc
+
+
+def z_h_biseries_by_terms(d) -> BiSeries:
+    """The (z, h) bi-series of a D-table, one Fraction product per term.
+
+    Every D[m][n+2m] times every coefficient of s(z)^(2m) times every
+    coefficient of lfac(h)^(2m), added into the grid: O(N cap^3) products.
+    """
+    cap = 2 * d.N
+    s = series_two_arcsinh_half(cap)
+    lfac = mmexpand._h_over_log1p(cap)
+    grid = [[Fraction(0)] * (cap + 1) for _ in range(cap + 1)]
+    s_pow = TruncSeries.constant("z", cap, 1)
+    l_pow = TruncSeries.constant("h", cap, 1)
+    for m in range(d.N + 1):
+        if m > 0:
+            s_pow = s_pow * s * s
+            l_pow = l_pow * lfac * lfac
+        for n in range(cap + 1 - 2 * m):
+            coeff = d.entries[m][n + 2 * m]
+            for zd, a in enumerate(s_pow.coeffs):
+                if coeff and a:
+                    for hd in range(cap + 1 - n):
+                        grid[zd][hd + n] += coeff * a * l_pow.coeffs[hd]
+    return BiSeries(cap, cap, grid)
+
+
+def htilde_rows_by_composition(d) -> tuple:
+    """The ht line rows, each z-row of the bi-series composed with the substitution."""
+    N = d.N
+    sub = mmexpand.reparam_series(2 * N)
+    by_m = []
+    for m in range(N + 1):
+        valid = 2 * (N - m)
+        row = TruncSeries("h", valid, d.biseries.rows[2 * m][: valid + 1])
+        by_m.append(compose_by_horner(row, sub.truncate(valid)))
+    return tuple(tuple(by_m[m].coeff(n) for m in range(N - (n + 1) // 2 + 1))
+                 for n in range(2 * N + 1))
+
+
+def approx_product_by_repeats(lines, conway: QPoly, n: int, exponent: int) -> TruncSeries:
+    """Line n times the Conway series, ``exponent`` products in turn."""
+    guaranteed = 2 * (len(lines.row(n)) - 1)
+    conway_series = TruncSeries("z", guaranteed, conway.coeffs)
+    prod = lines.line_series(n).pad_exact(guaranteed)
+    for _ in range(exponent):
+        prod = prod * conway_series
+    return prod
 
 
 def mirror(b: BraidWord) -> BraidWord:

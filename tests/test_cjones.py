@@ -576,6 +576,20 @@ class TestColorCaches:
         assert sorted(built) == [(alpha, sign) for alpha in range(2, 6) for sign in (-1, 1)]
         assert cjones._operator_pair.cache_info().currsize <= 1
 
+    @pytest.mark.parametrize("N", [2, 3, 5])
+    def test_closure_cut_gate_reuses_the_color_2_pair(self, N):
+        # 5_2 moves its cut, so the gate runs and needs the alpha = 2 pair
+        word = BraidWord(3, [-1, -1, -1, -2, 1, -2])
+        cjones._operator_pair.cache_clear()
+        cjones._closure_cut.cache_clear()
+        build_dtable(word, N)
+        assert cjones._operator_pair.cache_info().misses == N  # colors 2..N+1
+        assert cjones._operator_pair.cache_info().currsize == 1
+        # colors below 4 run at the given cut and search none
+        assert cjones._closure_cut.cache_info().misses == (0 if N < 3 else 1)
+        if N >= 3:
+            assert cjones._closure_cut(word) != (0, 0)
+
 
 # 3- and 4-strand words of at most 8 letters whose closure is a knot
 CUT_WORDS = st.one_of(

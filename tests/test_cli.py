@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, formats, determinism, round trips."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -8,12 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from mmjones import cjones, mmexpand, toruslines
+from mmjones import cjones, cli, golden, mmexpand, toruslines
 from mmjones.cli import (
     EXIT_GATE_FAILED,
     MAX_LINES_CEILING,
     MAX_ORDER_CEILING,
     TORUS_INDEX_CEILING,
+    TORUS_WORK_CEILING,
     Z_TERMS_CEILING,
     build_parser,
     main,
@@ -76,6 +78,37 @@ class TestTorusCommand:
             assert exc.value.code == 2
             err = capsys.readouterr().err
             assert flag in err and str(value) in err
+
+    def test_joint_ceiling(self, capsys, monkeypatch):
+        # checked before the job runs, and no job runs here
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_inputs", Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py")
+        inputs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(inputs)
+        ran = []
+        monkeypatch.setattr(cli, "cmd_torus",
+                            lambda args: ran.append((args.p, args.q, args.lines)))
+
+        def argv(p, q, lines):
+            return ["torus", "--p", str(p), "--q", str(q), "--lines", str(lines),
+                    "--max-lines", str(MAX_LINES_CEILING)]
+
+        assert 10 ** 2 * (11 - 1) * (13 - 1) == TORUS_WORK_CEILING
+        accepted = [(11, 13, 10), (-13, 11, 10),
+                    (3, 5, MAX_LINES_CEILING), (2, 3, MAX_LINES_CEILING)]
+        accepted += [(p, q, max(rows)) for (p, q), rows in golden.TORUS_NUMERATORS.items()]
+        accepted += [(p, q, lines) for (p, q), lines in inputs.TORUS]
+        accepted += [(q, p, lines) for (p, q), lines in inputs.TORUS]
+        for request in accepted:
+            main(argv(*request))
+        assert ran == accepted
+        for request in [(11, 13, 11), (-11, -13, 11), (9, 10, 32), (15, 16, 32), (16, 15, 8)]:
+            with pytest.raises(SystemExit) as exc:
+                main(argv(*request))
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "--p" in err and "--q" in err and "--lines" in err and "joint ceiling" in err
+        assert len(ran) == len(accepted)
 
     def test_gate_failure_exit_status(self, capsys, monkeypatch):
         # one ladder step gains an even power, which fails the parity gate

@@ -19,7 +19,7 @@ from mmjones.exactalg import (
     series_two_arcsinh_half,
     solve_linear_system,
 )
-from oracle_algebra import RationalFn, invert_variable, poly_divmod, poly_gcd
+from oracle_algebra import RationalFn, compose_by_horner, invert_variable, poly_divmod, poly_gcd
 
 F = Fraction
 
@@ -129,6 +129,19 @@ class TestSeriesKernels:
         for cap in (4, 8):
             got = series_compose(series_log1p(cap), exp_minus_one(cap))
             assert got == TruncSeries.identity("h", cap)
+
+    @given(
+        outer=st.lists(st.fractions(max_denominator=9), min_size=1, max_size=10),
+        inner=st.lists(st.fractions(max_denominator=9), max_size=9),
+        caps=st.tuples(st.integers(0, 9), st.integers(0, 9)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_compose_equals_horner(self, outer, inner, caps):
+        outer_s = TruncSeries("x", caps[0], outer)
+        inner_s = TruncSeries("h", caps[1], [0] + inner)
+        got = series_compose(outer_s, inner_s)
+        assert got == compose_by_horner(outer_s, inner_s)
+        assert got.var == "h" and got.cap == min(caps)
 
     def test_compose_rejects_constant_term(self):
         with pytest.raises(CompositionError):

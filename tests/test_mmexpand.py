@@ -4,6 +4,8 @@ import concurrent.futures
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmjones import mmexpand
 from mmjones.exactalg import QPoly, TruncSeries, series_compose, series_pow1p
@@ -21,7 +23,12 @@ from mmjones.mmexpand import (
     to_z_lines,
     z_lines_by_basis_change,
 )
-from oracle_algebra import mirror
+from oracle_algebra import (
+    approx_product_by_repeats,
+    htilde_rows_by_composition,
+    mirror,
+    z_h_biseries_by_terms,
+)
 
 CATALOG = default_catalog()
 UNKNOT = BraidWord(1, [])
@@ -61,6 +68,57 @@ class TestBiSeriesSharing:
         to_htilde_lines(d)
         assert bottom_line_check(d, knot("4_1").conway).passed
         assert calls == [2]
+
+    def test_z_powers_built_once_per_dtable(self, monkeypatch):
+        # the bi-series and the bottom-line check share one s(z) and its powers
+        calls = []
+        original = mmexpand.series_two_arcsinh_half
+
+        def counted(cap):
+            calls.append(cap)
+            return original(cap)
+
+        monkeypatch.setattr(mmexpand, "series_two_arcsinh_half", counted)
+        d = build_dtable(knot("5_2"), 3)
+        to_z_lines(d)
+        to_htilde_lines(d)
+        assert bottom_line_check(d, knot("5_2").conway).passed
+        assert calls == [6]
+
+
+# (knot, N): every catalog knot at N = 1..5 and the two narrow golden budgets
+ORACLE_TABLES = [(rec.name, N) for rec in CATALOG for N in range(1, 6)]
+ORACLE_TABLES += [("3_1", 12), ("4_1", 10)]
+
+
+@pytest.fixture(scope="module")
+def oracle_dtables():
+    return {key: build_dtable(knot(key[0]), key[1]) for key in ORACLE_TABLES}
+
+
+class TestLineRouteOracles:
+    """Each line route against the collection it replaced, entry by entry."""
+
+    @pytest.mark.parametrize("key", ORACLE_TABLES, ids=[f"{k}-N{N}" for k, N in ORACLE_TABLES])
+    def test_biseries_equals_termwise_collection(self, oracle_dtables, key):
+        d = oracle_dtables[key]
+        assert d.biseries.rows == z_h_biseries_by_terms(d).rows
+
+    @pytest.mark.parametrize("key", ORACLE_TABLES, ids=[f"{k}-N{N}" for k, N in ORACLE_TABLES])
+    def test_htilde_rows_equal_rowwise_composition(self, oracle_dtables, key):
+        d = oracle_dtables[key]
+        assert to_htilde_lines(d).rows == htilde_rows_by_composition(d)
+
+    @pytest.mark.parametrize("key", ORACLE_TABLES, ids=[f"{k}-N{N}" for k, N in ORACLE_TABLES])
+    def test_approximants_equal_repeated_products(self, oracle_dtables, key):
+        d = oracle_dtables[key]
+        conway = knot(key[0]).conway
+        for lines in (to_z_lines(d), to_htilde_lines(d)):
+            for n in range(2 * d.N + 1):
+                for exponent in mmexpand._allowed_exponents(n):
+                    ap = approx_poly(lines, conway, n, exponent)
+                    prod = approx_product_by_repeats(lines, conway, n, exponent)
+                    assert list(ap.head + ap.residual_window) == list(prod.coeffs[::2])
 
 
 class TestBuildDTable:
@@ -189,6 +247,16 @@ class TestHtildeLines:
         tl = to_htilde_lines(build_dtable(rec, 2))
         tl_mirror = to_htilde_lines(build_dtable(mirror(rec.braid), 2))
         # the mirror maps d^(n)_m to (-1)^n d^(n)_m
+        assert tl_mirror.rows == tuple(
+            tuple((-1) ** n * c for c in row) for n, row in enumerate(tl.rows))
+
+    @given(b=st.lists(st.sampled_from((1, -1, 2, -2)), max_size=8)
+           .map(lambda letters: BraidWord(3, letters))
+           .filter(lambda b: b.is_knot()))
+    @settings(max_examples=15, deadline=None)
+    def test_mirror_sign_map_on_random_words(self, b):
+        tl = to_htilde_lines(build_dtable(b, 2))
+        tl_mirror = to_htilde_lines(build_dtable(mirror(b), 2))
         assert tl_mirror.rows == tuple(
             tuple((-1) ** n * c for c in row) for n, row in enumerate(tl.rows))
 
