@@ -121,19 +121,9 @@ def _emit(text: str, out_path: Optional[str]) -> None:
             sys.stdout.write("\n")
 
 
-def _approx_exponents(n: int, parameter: str, mode: str) -> List[int]:
-    if mode == "2n+1":
-        return [2 * n + 1]
-    if mode == "3n+1":
-        return [3 * (n // 2) + 1] if n % 2 == 0 else []
-    # auto: follow the parameter
-    if parameter == "ht":
-        return [3 * (n // 2) + 1] if n % 2 == 0 else []
-    return [2 * n + 1]
-
-
 def cmd_expand(args) -> int:
     from .mmexpand import (
+        _allowed_exponents,
         approx_poly,
         bottom_line_check,
         build_dtable,
@@ -154,10 +144,14 @@ def cmd_expand(args) -> int:
     if args.format == "tsv":
         _emit(reports.linetable_tsv(lines), args.out)
         return 0
+    mode = args.exponent_mode
+    if mode == "auto":
+        mode = "2n+1" if args.parameter == "h" else "3n+1"
+    picked = slice(None, 1) if mode == "2n+1" else slice(1, None)
     approx = []
     top = 2 * d.N if args.lines is None else min(args.lines, 2 * d.N)
     for n in range(top + 1):
-        for exponent in _approx_exponents(n, args.parameter, args.exponent_mode):
+        for exponent in _allowed_exponents(n)[picked]:
             approx.append(reports.approx_doc(approx_poly(lines, rec.conway, n, exponent)))
     doc = {
         "schema": "mmjones.expand/1",

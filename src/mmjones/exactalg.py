@@ -10,7 +10,6 @@ Conventions used throughout the package:
 * ``QPoly`` is a dense polynomial in z with rational coefficients.
 * ``TruncSeries`` is a power series truncated at a fixed cap; arithmetic
   never reports coefficients beyond the minimum cap of its operands.
-* ``BiSeries`` is a plain container for a doubly truncated series in (z, h).
 """
 
 from __future__ import annotations
@@ -638,42 +637,3 @@ def series_compose(outer: TruncSeries, inner: TruncSeries) -> TruncSeries:
                 out[n] += c * power.coeffs[n]
     return TruncSeries(inner.var, cap, out)
 
-
-# ---------------------------------------------------------------------------
-# Doubly truncated series in (z, h)
-# ---------------------------------------------------------------------------
-
-
-class BiSeries:
-    """Rational-coefficient series truncated at (zcap, hcap).
-
-    ``rows[zdeg][hdeg]`` carries the coefficient of z**zdeg * h**hdeg.  A
-    plain container: the line routes build it once per D-table and read
-    its rows.
-    """
-
-    __slots__ = ("zcap", "hcap", "rows")
-
-    def __init__(self, zcap: int, hcap: int, rows=None):
-        if zcap < 0 or hcap < 0:
-            raise ValueError("caps must be >= 0")
-        self.zcap = zcap
-        self.hcap = hcap
-        grid = []
-        rows = rows or []
-        for zd in range(zcap + 1):
-            src = rows[zd] if zd < len(rows) else ()
-            row = [_frac(c) for c in src[: hcap + 1]]
-            row += [_ZERO] * (hcap + 1 - len(row))
-            grid.append(tuple(row))
-        self.rows = tuple(grid)
-
-    def get(self, zdeg: int, hdeg: int) -> Fraction:
-        if zdeg > self.zcap or hdeg > self.hcap:
-            raise IndexError("coefficient beyond caps")
-        return self.rows[zdeg][hdeg]
-
-    def odd_z_rows_zero(self) -> bool:
-        return all(
-            all(c == 0 for c in self.rows[zd]) for zd in range(1, self.zcap + 1, 2)
-        )

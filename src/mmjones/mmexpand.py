@@ -41,11 +41,10 @@ from fractions import Fraction
 from functools import cached_property
 from math import factorial, gcd, lcm
 from operator import mul
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .cjones import _closure_cut, jones_h_series
 from .exactalg import (
-    BiSeries,
     GateError,
     QPoly,
     TruncSeries,
@@ -110,8 +109,12 @@ class DTable:
         return tuple(powers)
 
     @cached_property
-    def biseries(self) -> BiSeries:
-        """The collected (z, h) bi-series, built once and read by every line route."""
+    def biseries(self) -> Tuple[Tuple[Fraction, ...], ...]:
+        """The collected (z, h) bi-series, built once and read by every line route.
+
+        ``biseries[zdeg][hdeg]`` is the coefficient of z^zdeg h^hdeg, both
+        degrees through 2N.
+        """
         return _z_h_biseries(self)
 
 
@@ -191,15 +194,24 @@ class LineTable:
     """Exact line coefficients d^(n)_m, emitted only inside the valid range.
 
     ``tag`` is 'h' for the plain expansion variable and 'ht' for the
-    mirror-friendly reparametrization.
+    mirror-friendly reparametrization.  ``width`` states the valid range
+    and ``build`` lays a table out over it, for every route and parser.
     """
 
     N: int
     tag: str
-    rows: tuple  # rows[n] = tuple of coefficients for m = 0..available_m(n)
+    rows: tuple  # rows[n] = tuple of coefficients for m = 0..width(N, n) - 1
 
-    def available_m(self, n: int) -> int:
-        return self.N - (n + 1) // 2
+    @staticmethod
+    def width(N: int, n: int) -> int:
+        """The number of entries of line n at budget N: m = 0..N - ceil(n/2)."""
+        return N - (n + 1) // 2 + 1
+
+    @classmethod
+    def build(cls, N: int, tag: str, value: Callable[[int, int], Fraction]) -> LineTable:
+        """The table whose entry (n, m) is ``value(n, m)``, over the valid range."""
+        return cls(N, tag, tuple(tuple(value(n, m) for m in range(cls.width(N, n)))
+                                 for n in range(2 * N + 1)))
 
     def row(self, n: int) -> Tuple[Fraction, ...]:
         if not (0 <= n <= 2 * self.N):
@@ -260,14 +272,8 @@ def to_z_lines(d: DTable) -> LineTable:
     2*arcsinh(z/2); the resulting bi-series is collected and read off line
     by line.  Only even z-powers may appear.
     """
-    N = d.N
-    cap = 2 * N
     bi = d.biseries
-    rows = []
-    for n in range(cap + 1):
-        top_m = N - (n + 1) // 2
-        rows.append(tuple(bi.get(2 * m, n) for m in range(top_m + 1)))
-    return LineTable(N, "h", tuple(rows))
+    return LineTable.build(d.N, "h", lambda n, m: bi[2 * m][n])
 
 
 def z_lines_by_basis_change(d: DTable) -> LineTable:
@@ -326,11 +332,7 @@ def z_lines_by_basis_change(d: DTable) -> LineTable:
                         continue
                     acc -= val * pm.coeffs[k - n]
             solved[(n_diag, j)] = acc
-    rows = []
-    for n in range(cap + 1):
-        top_m = N - (n + 1) // 2
-        rows.append(tuple(solved[(n, m)] for m in range(top_m + 1)))
-    return LineTable(N, "h", tuple(rows))
+    return LineTable.build(N, "h", lambda n, m: solved[(n, m)])
 
 
 def reparam_series(cap: int) -> TruncSeries:
@@ -367,17 +369,13 @@ def to_htilde_lines(d: DTable) -> LineTable:
     columns = [[ps[n] * (den // p_den) for p_den, ps in powers[: n + 1]] for n in range(cap + 1)]
     rows_by_m: List[List[Fraction]] = []
     for m in range(N + 1):
-        row_den, row = _over_common_den(zl.rows[2 * m][: 2 * (N - m) + 1])
+        row_den, row = _over_common_den(zl[2 * m][: 2 * (N - m) + 1])
         rows_by_m.append([Fraction(sum(map(mul, row, column)), row_den * den)
                           for column in columns[: len(row)]])
-    rows = []
-    for n in range(cap + 1):
-        top_m = N - (n + 1) // 2
-        rows.append(tuple(rows_by_m[m][n] for m in range(top_m + 1)))
-    return LineTable(N, "ht", tuple(rows))
+    return LineTable.build(N, "ht", lambda n, m: rows_by_m[m][n])
 
 
-def _z_h_biseries(d: DTable) -> BiSeries:
+def _z_h_biseries(d: DTable) -> Tuple[Tuple[Fraction, ...], ...]:
     """The collected (z, h) bi-series; read it through ``DTable.biseries``.
 
     Row m of the D-table contributes s(z)^(2m) H_m(h), with
@@ -407,10 +405,9 @@ def _z_h_biseries(d: DTable) -> BiSeries:
                 a *= scale
                 for hd, b in enumerate(hs):
                     row[hd] += a * b
-    bi = BiSeries(cap, cap, [[Fraction(v, den) for v in row] for row in grid])
-    if not bi.odd_z_rows_zero():
+    if any(any(row) for row in grid[1::2]):
         raise ModelViolationError("odd z-powers appeared in the line collection")
-    return bi
+    return tuple(tuple(Fraction(v, den) for v in row) for row in grid)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +439,7 @@ def bottom_line_check(d: DTable, conway: QPoly) -> BottomLineReport:
     N = d.N
     cap = 2 * N
     conway_series = TruncSeries("z", cap, conway.coeffs)
-    line = TruncSeries("z", cap, [row[0] for row in d.biseries.rows])
+    line = TruncSeries("z", cap, [row[0] for row in d.biseries])
     prod1 = line * conway_series
     fail1 = tuple(
         k for k in range(cap + 1) if prod1.coeff(k) != (1 if k == 0 else 0)
@@ -519,6 +516,7 @@ class ApproxPoly:
 
 
 def _allowed_exponents(n: int) -> list:
+    """The approximant exponents of line n: 2n+1, then 3(n/2)+1 when n is even."""
     allowed = [2 * n + 1]
     if n % 2 == 0:
         allowed.append(3 * (n // 2) + 1)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import IO, TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from .exactalg import QPoly
 
@@ -59,11 +59,30 @@ def dtable_doc(d: DTable) -> dict:
     }
 
 
+def _budget(N) -> int:
+    """The order budget N of a parsed table: a non-negative int, not a bool."""
+    if not isinstance(N, int) or isinstance(N, bool) or N < 0:
+        raise ValueError(f"budget N must be a non-negative int, got {N!r}")
+    return N
+
+
+def _parameter(tag) -> str:
+    if tag not in ("h", "ht"):
+        raise ValueError(f"parameter must be 'h' or 'ht', got {tag!r}")
+    return tag
+
+
 def parse_dtable(doc: dict) -> DTable:
+    """D-table from its JSON document: N + 1 rows m of 2N + 1 values n each."""
     from .mmexpand import DTable
 
-    rows = tuple(tuple(parse_frac(c) for c in row) for row in doc["rows"])
-    return DTable(doc["N"], rows)
+    N, rows = _budget(doc["N"]), doc["rows"]
+    if len(rows) != N + 1:
+        raise ValueError(f"D-table has {len(rows)} rows, expected N + 1 = {N + 1}")
+    for m, row in enumerate(rows):
+        if len(row) != 2 * N + 1:
+            raise ValueError(f"D-table row m={m} has {len(row)} values, expected 2N + 1 = {2 * N + 1}")
+    return DTable(N, tuple(tuple(parse_frac(c) for c in row) for row in rows))
 
 
 def linetable_doc(lines: LineTable) -> dict:
@@ -87,24 +106,25 @@ def _line_index(n: int, N: int) -> int:
 def parse_linetable(doc: dict) -> LineTable:
     """Line table from its JSON document.
 
-    Every line n = 0..2N must appear exactly once, with the N - (n+1)//2 + 1
-    values m = 0..N - (n+1)//2.
+    ``parameter`` is 'h' or 'ht' and N a non-negative int; every line
+    n = 0..2N must appear exactly once, with ``LineTable.width(N, n)``
+    values m = 0..N - ceil(n/2).
     """
     from .mmexpand import LineTable
 
-    N = doc["N"]
+    N, tag = _budget(doc["N"]), _parameter(doc["parameter"])
     rows: List[Optional[tuple]] = [None] * (2 * N + 1)
     for row in doc["lines"]:
         n = _line_index(row["n"], N)
         if rows[n] is not None:
             raise ValueError(f"duplicate line n={n}")
-        values, size = row["values"], N - (n + 1) // 2 + 1
+        values, size = row["values"], LineTable.width(N, n)
         if len(values) != size:
             raise ValueError(f"line n={n} has {len(values)} values, expected {size}")
         rows[n] = tuple(parse_frac(c) for c in values)
     if None in rows:
         raise ValueError(f"line n={rows.index(None)} is missing")
-    return LineTable(N, doc["parameter"], tuple(rows))
+    return LineTable(N, tag, tuple(rows))
 
 
 def bottom_line_doc(report: BottomLineReport) -> dict:
@@ -149,11 +169,12 @@ def linetable_tsv(lines: LineTable) -> str:
 def parse_linetable_tsv(text: str, N: int, tag: str) -> LineTable:
     """Line table from ``n<TAB>m<TAB>value`` rows, each value placed by its (n, m).
 
-    Line n must give every column m = 0..N - (n+1)//2 exactly once, in any
-    order.
+    ``tag`` is 'h' or 'ht' and N a non-negative int; line n must give every
+    column m = 0..N - ceil(n/2) exactly once, in any order.
     """
     from .mmexpand import LineTable
 
+    N, tag = _budget(N), _parameter(tag)
     rows: List[dict] = [{} for _ in range(2 * N + 1)]
     body = text.strip().splitlines()
     if body and body[0].startswith("n\t"):
@@ -161,21 +182,20 @@ def parse_linetable_tsv(text: str, N: int, tag: str) -> LineTable:
     for line in body:
         n_text, m_text, value = line.split("\t")
         n, m = _line_index(int(n_text), N), int(m_text)
-        row, top = rows[n], N - (n + 1) // 2
-        if not 0 <= m <= top:
-            raise ValueError(f"column m={m} outside line n={n} (0..{top})")
+        row, size = rows[n], LineTable.width(N, n)
+        if not 0 <= m < size:
+            raise ValueError(f"column m={m} outside line n={n} (0..{size - 1})")
         if m in row:
             raise ValueError(f"duplicate column m={m} in line n={n}")
         row[m] = parse_frac(value)
-    for n, row in enumerate(rows):
-        missing = set(range(N - (n + 1) // 2 + 1)) - row.keys()
-        if missing:
-            raise ValueError(f"line n={n} misses column m={min(missing)}")
-    return LineTable(N, tag, tuple(tuple(row[m] for m in range(len(row))) for row in rows))
+
+    def placed(n: int, m: int) -> Fraction:
+        if m not in rows[n]:
+            raise ValueError(f"line n={n} misses column m={m}")
+        return rows[n][m]
+
+    return LineTable.build(N, tag, placed)
 
 
-def dump_json(document: dict, stream: Optional[IO[str]] = None) -> str:
-    text = json.dumps(document, indent=2, sort_keys=False)
-    if stream is not None:
-        stream.write(text + "\n")
-    return text
+def dump_json(document: dict) -> str:
+    return json.dumps(document, indent=2, sort_keys=False)

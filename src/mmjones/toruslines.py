@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
-from typing import List, Optional
+from typing import List
 
 from .exactalg import GateError, LaurentPoly, QPoly, TruncSeries, series_log1p, series_pow1p
 from .knots import TorusParams, conway_torus
@@ -96,26 +96,21 @@ def _ladder(nabla: LaurentPoly, n_max: int) -> List[LaurentPoly]:
     return ladder
 
 
-def torus_lines(t: TorusParams, n_max: int, h_cap: Optional[int] = None) -> List[LineFunction]:
+def torus_lines(t: TorusParams, n_max: int) -> List[LineFunction]:
     """Lines V^(0)..V^(n_max) of the (p, q) torus knot, certified.
 
-    ``h_cap`` defaults to n_max; it must be at least n_max since the h^n
-    coefficient needs the prefactor series through order n.
+    The weight series run through h^n_max, the last coefficient a line reads.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    if h_cap is None:
-        h_cap = n_max
-    if h_cap < n_max:
-        raise ValueError("h_cap must be >= n_max")
     p, q = t.p, t.q
     pq = p * q
     c = (Fraction(pq) - Fraction(p, q) - Fraction(q, p)) / 4
-    prefactor = series_pow1p(c, h_cap)
-    logf = series_log1p(h_cap) * Fraction(1, 4 * pq)
+    prefactor = series_pow1p(c, n_max)
+    logf = series_log1p(n_max) * Fraction(1, 4 * pq)
     # weights[m] = (1+h)^c * (log(1+h)/(4pq))^m / m!
     weights: List[TruncSeries] = []
-    log_pow = TruncSeries.constant("h", h_cap, 1)
+    log_pow = TruncSeries.constant("h", n_max, 1)
     for m in range(n_max + 1):
         if m > 0:
             log_pow = log_pow * logf

@@ -18,7 +18,6 @@ from fractions import Fraction
 
 from mmjones import cjones, mmexpand
 from mmjones.exactalg import (
-    BiSeries,
     LaurentPoly,
     QPoly,
     TruncSeries,
@@ -154,8 +153,8 @@ def compose_by_horner(outer: TruncSeries, inner: TruncSeries) -> TruncSeries:
     return acc
 
 
-def z_h_biseries_by_terms(d) -> BiSeries:
-    """The (z, h) bi-series of a D-table, one Fraction product per term.
+def z_h_biseries_by_terms(d) -> tuple:
+    """The (z, h) bi-series grid of a D-table, one Fraction product per term.
 
     Every D[m][n+2m] times every coefficient of s(z)^(2m) times every
     coefficient of lfac(h)^(2m), added into the grid: O(N cap^3) products.
@@ -176,7 +175,7 @@ def z_h_biseries_by_terms(d) -> BiSeries:
                 if coeff and a:
                     for hd in range(cap + 1 - n):
                         grid[zd][hd + n] += coeff * a * l_pow.coeffs[hd]
-    return BiSeries(cap, cap, grid)
+    return tuple(map(tuple, grid))
 
 
 def htilde_rows_by_composition(d) -> tuple:
@@ -186,7 +185,7 @@ def htilde_rows_by_composition(d) -> tuple:
     by_m = []
     for m in range(N + 1):
         valid = 2 * (N - m)
-        row = TruncSeries("h", valid, d.biseries.rows[2 * m][: valid + 1])
+        row = TruncSeries("h", valid, d.biseries[2 * m][: valid + 1])
         by_m.append(compose_by_horner(row, sub.truncate(valid)))
     return tuple(tuple(by_m[m].coeff(n) for m in range(N - (n + 1) // 2 + 1))
                  for n in range(2 * N + 1))

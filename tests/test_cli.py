@@ -261,6 +261,23 @@ class TestExpandCommand:
         doc = json.loads(capsys.readouterr().out)
         assert [a["n"] for a in doc["approx"]] == [0]
 
+    TWO_N_PLUS_ONE = [(0, 1), (1, 3), (2, 5), (3, 7), (4, 9)]
+    THREE_HALF_N_PLUS_ONE = [(0, 1), (2, 4), (4, 7)]
+
+    @pytest.mark.parametrize("parameter, mode, pairs", [
+        ("h", "auto", TWO_N_PLUS_ONE),
+        ("ht", "auto", THREE_HALF_N_PLUS_ONE),
+        ("h", "2n+1", TWO_N_PLUS_ONE),
+        ("ht", "2n+1", TWO_N_PLUS_ONE),
+        ("h", "3n+1", THREE_HALF_N_PLUS_ONE),
+        ("ht", "3n+1", THREE_HALF_N_PLUS_ONE),
+    ])
+    def test_exponent_mode(self, capsys, parameter, mode, pairs):
+        assert main(["expand", "--knot", "4_1", "--order", "2", "--parameter", parameter,
+                     "--exponent-mode", mode]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [(a["n"], a["exponent"]) for a in doc["approx"]] == pairs
+
     def test_gate_failure_exit_status(self, capsys, monkeypatch):
         # one corrupted factored entry of the minus table, its weight raised
         # by 2 or its sign flipped, fails the inverse gate

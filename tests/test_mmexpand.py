@@ -102,7 +102,7 @@ class TestLineRouteOracles:
     @pytest.mark.parametrize("key", ORACLE_TABLES, ids=[f"{k}-N{N}" for k, N in ORACLE_TABLES])
     def test_biseries_equals_termwise_collection(self, oracle_dtables, key):
         d = oracle_dtables[key]
-        assert d.biseries.rows == z_h_biseries_by_terms(d).rows
+        assert d.biseries == z_h_biseries_by_terms(d)
 
     @pytest.mark.parametrize("key", ORACLE_TABLES, ids=[f"{k}-N{N}" for k, N in ORACLE_TABLES])
     def test_htilde_rows_equal_rowwise_composition(self, oracle_dtables, key):

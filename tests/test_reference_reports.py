@@ -1,10 +1,11 @@
-"""Every expand report the benchmark checks keeps its bytes.
+"""Every report the benchmark checks keeps its bytes.
 
 ``perfbench/reference.json`` records the sha256 digest of each benchmark
 report.  Its ``expand/...`` keys name the request (knot, order, parameter,
-format); each runs here in-process through ``cli.main`` on the default
-catalog, so a change to a line route that alters a report byte fails the
-test suite, not only the benchmark.
+format), its ``torus/P,Q/L=4`` keys a torus request and ``catalog`` the
+default catalog listing; each runs here in-process through ``cli.main``, so
+a change that alters a report byte fails the test suite, not only the
+benchmark.
 """
 
 import hashlib
@@ -16,23 +17,44 @@ import pytest
 from mmjones.cli import MAX_ORDER_CEILING, main
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
-EXPAND_DIGESTS = {
+DIGESTS = {
     key: ref["sha256"]
     for key, ref in json.loads(REFERENCE.read_text(encoding="utf-8"))["reports"].items()
-    if key.startswith("expand/")
 }
+EXPAND_DIGESTS = {key: d for key, d in DIGESTS.items() if key.startswith("expand/")}
+TORUS_DIGESTS = {key: d for key, d in DIGESTS.items() if key.startswith("torus/")}
 
 
 def test_every_expand_key_is_covered():
     assert len(EXPAND_DIGESTS) == 27
 
 
+def test_every_torus_and_catalog_key_is_covered():
+    assert len(TORUS_DIGESTS) == 6
+    assert set(DIGESTS) == set(EXPAND_DIGESTS) | set(TORUS_DIGESTS) | {"catalog"}
+
+
+def _digest(argv, capsysbinary) -> str:
+    assert main(argv) == 0
+    return hashlib.sha256(capsysbinary.readouterr().out).hexdigest()
+
+
 @pytest.mark.parametrize("key", sorted(EXPAND_DIGESTS))
 def test_expand_report_digest(key, capsysbinary):
     _, knot, order, parameter, fmt = key.split("/")
-    code = main(["expand", "--knot", knot, "--order", order.removeprefix("N="),
-                 "--parameter", parameter, "--format", fmt,
-                 "--max-order", str(MAX_ORDER_CEILING)])
-    assert code == 0
-    out = capsysbinary.readouterr().out
-    assert hashlib.sha256(out).hexdigest() == EXPAND_DIGESTS[key]
+    argv = ["expand", "--knot", knot, "--order", order.removeprefix("N="),
+            "--parameter", parameter, "--format", fmt,
+            "--max-order", str(MAX_ORDER_CEILING)]
+    assert _digest(argv, capsysbinary) == EXPAND_DIGESTS[key]
+
+
+@pytest.mark.parametrize("key", sorted(TORUS_DIGESTS))
+def test_torus_report_digest(key, capsysbinary):
+    _, pair, lines = key.split("/")
+    p, q = pair.split(",")
+    argv = ["torus", "--p", p, "--q", q, "--lines", lines.removeprefix("L=")]
+    assert _digest(argv, capsysbinary) == TORUS_DIGESTS[key]
+
+
+def test_catalog_report_digest(capsysbinary):
+    assert _digest(["catalog"], capsysbinary) == DIGESTS["catalog"]

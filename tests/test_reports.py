@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from mmjones.cli import main
 from mmjones.knots import BraidWord, catalog_lookup, default_catalog
-from mmjones.mmexpand import LineTable, build_dtable, to_z_lines
+from mmjones.mmexpand import DTable, LineTable, build_dtable, to_z_lines
 from mmjones.reports import (
     dump_json,
     dtable_doc,
@@ -128,6 +128,37 @@ def test_tsv_places_values_by_column(sample):
 def test_tsv_column_errors(text, match):
     with pytest.raises(ValueError, match=match):
         parse_linetable_tsv(text, 1, "h")
+
+
+@pytest.mark.parametrize("doc, match", [
+    ({"N": 5, "rows": [["1"]]}, "D-table has 1 rows, expected N \\+ 1 = 6"),
+    ({"N": 1, "rows": [["1", "0", "0"], ["0", "0"]]}, "row m=1 has 2 values, expected 2N \\+ 1 = 3"),
+    ({"N": -1, "rows": []}, "non-negative int, got -1"),
+    ({"N": True, "rows": [["1"], ["0", "0", "0"]]}, "non-negative int, got True"),
+], ids=["too-few-rows", "short-row", "negative-N", "bool-N"])
+def test_dtable_shape_errors(doc, match):
+    with pytest.raises(ValueError, match=match):
+        parse_dtable(doc)
+
+
+def test_dtable_of_budget_zero_round_trips():
+    d = DTable(0, ((Fraction(1),),))
+    assert parse_dtable(dtable_doc(d)) == d
+
+
+@pytest.mark.parametrize("N, parameter, match", [
+    (-1, "h", "non-negative int, got -1"),
+    (True, "h", "non-negative int, got True"),
+    ("1", "h", "non-negative int, got '1'"),
+    (1, "zz", "parameter must be 'h' or 'ht', got 'zz'"),
+], ids=["negative-N", "bool-N", "str-N", "unknown-parameter"])
+def test_line_table_header_errors(N, parameter, match):
+    doc = {"parameter": parameter, "N": N, "lines": [
+        {"n": 0, "values": ["7", "2"]}, {"n": 1, "values": ["3"]}, {"n": 2, "values": ["5"]}]}
+    with pytest.raises(ValueError, match=match):
+        parse_linetable(doc)
+    with pytest.raises(ValueError, match=match):
+        parse_linetable_tsv("0\t0\t7\n0\t1\t2\n1\t0\t3\n2\t0\t5\n", N, parameter)
 
 
 @st.composite
