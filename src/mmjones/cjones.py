@@ -8,18 +8,22 @@ operator entries and framing corrections is an honest Laurent monomial.
 
 The ribbon/mirror convention is not transcribed on faith; it is pinned by
 runtime gates: the sign-flipped operator is verified to be the exact inverse
-at construction, the Markov partial trace is verified to be a monomial
-multiple of the identity (which fixes the charge weights), and the torus
-cross-path suite in the tests fixes the global mirror.
+at construction, the Markov partial trace with charge u^(2(N-2j)) is
+verified to be the closed-form framing monomial u^(alpha^2 - 1), the ribbon
+twist of V_alpha, times the identity, and the torus cross-path suite in the
+tests fixes the global mirror.
 
 The operator entries come from the q-binomial closed form
 u^w (q - 1/q)^n [n]! [i choose n] [N-j choose n] of the R-matrix and are
 kept factored, as sgn u^w S B with S = prod_{k=1..n} (q^k - q^-k)
 [i choose n] and B = [N-j choose n], symmetric q-binomials from Pascal's
 rule: no polynomial is divided, and the factors, which do not depend on the
-color, number only O(alpha^2).  Both table consumers on the h-series path
-multiply Kronecker-packed factors instead of Laurent polynomials, one
-big-integer product per factor pair and per entry:
+color, number only O(alpha^2).  Each color has one factor-pair layer
+(:class:`_FactorPairs`) that gives, for a pair (s, b), |S|_1 |B|_1, the
+lowest and highest exponents of S B and the gcd of their offsets, from
+which every packing width below is computed.  Every packer multiplies Kronecker-packed factors
+instead of Laurent polynomials, pack(S) pack(B) once per factor pair
+(:func:`_pair_products`) and one big-integer product per entry:
 
 * The inverse gate packs u -> 2^width and checks plus after minus against
   the identity with one big-integer product per path.  Its width is a sign
@@ -35,9 +39,9 @@ big-integer product per factor pair and per entry:
   |binom(e, k)| grows with |e| on each side of 0 (see
   :func:`_gseries_entry_tables`).
 
-The Markov data packs its diagonal rows the same way (see
-:func:`_markov_data`); only the exact ring expands entries, whole tables,
-for the test oracle.
+The Markov gate packs its diagonal rows the same way and compares each with
+the packed framing monomial (see :func:`_markov_data`); only the exact ring
+expands entries, whole tables, for the test oracle.
 
 One state-sum kernel, :func:`_state_sum`, evaluates the invariant over
 either of two coefficient rings; only the table coefficients, the weight
@@ -75,7 +79,7 @@ from functools import lru_cache
 from itertools import product
 from math import gcd, inf, lcm
 from operator import itemgetter, mul
-from typing import Dict, Iterable, List, Tuple
+from typing import Callable, Dict, Iterable, List, Tuple
 
 from .exactalg import GateError, LaurentPoly, TruncSeries, series_pow1p
 from .knots import BraidWord, NotAKnotError
@@ -170,18 +174,62 @@ def _entries(*tables: dict) -> List[tuple]:
     return [e for table in tables for entries in table.values() for e in entries]
 
 
-def _factor_polys(entries: List[tuple]) -> Tuple[Dict[tuple, LaurentPoly], ...]:
-    """The distinct factors of factored entries: ({s: S(s)}, {b: B(b)})."""
-    return ({e[3]: _scaled_qbinom(*e[3]) for e in entries},
-            {e[4]: _qbinom(*e[4]) for e in entries})
+class _FactorPairs:
+    """The factor-pair layer of one color, built once with its operator pair.
+
+    For the factor pair (s, b) of an entry e, :meth:`norm` is
+    |S|_1 |B|_1 >= |S B|_1 (|.|_1, the sum of absolute coefficients, is
+    submultiplicative), and :meth:`lo` and :meth:`hi` are the lowest and
+    highest exponents of S B (the extreme terms of a product multiply).
+    ``step`` divides every exponent's offset from its factor's lowest
+    exponent, in every factor.  Only the bounds of the distinct factors are
+    kept, O(alpha^2) of them; the pairs number O(alpha^3).
+    """
+
+    def __init__(self, entries: List[tuple]):
+        def bounds(p: LaurentPoly) -> Tuple[int, int, int, int]:
+            low = min(p.terms)
+            return (sum(map(abs, p.terms.values())), low, max(p.terms),
+                    gcd(*(x - low for x in p.terms)))
+
+        self.s = {s: bounds(_scaled_qbinom(*s)) for s in {e[3] for e in entries}}
+        self.b = {b: bounds(_qbinom(*b)) for b in {e[4] for e in entries}}
+        self.step = gcd(*(f[3] for f in (*self.s.values(), *self.b.values())))
+
+    def norm(self, e: tuple) -> int:
+        return self.s[e[3]][0] * self.b[e[4]][0]
+
+    def lo(self, e: tuple) -> int:
+        return self.s[e[3]][1] + self.b[e[4]][1]
+
+    def hi(self, e: tuple) -> int:
+        return self.s[e[3]][2] + self.b[e[4]][2]
 
 
-def _norm1(p: LaurentPoly) -> int:
-    """|p|_1, the sum of the absolute coefficients."""
-    return sum(map(abs, p.terms.values()))
+def _pair_products(entries: Iterable[tuple], pack: Callable[[LaurentPoly], int],
+                   mask: int = -1) -> Dict[Tuple[tuple, tuple], int]:
+    """pack(S) pack(B) & mask per distinct factor pair (s, b) of the entries.
+
+    Each distinct factor is packed once; ``mask`` reduces each product as it
+    is made.
+    """
+    keys = {e[3:5] for e in entries}
+    packed_s = {s: pack(_scaled_qbinom(*s)) for s in {s for s, _ in keys}}
+    packed_b = {b: pack(_qbinom(*b)) for b in {b for _, b in keys}}
+    return {(s, b): (packed_s[s] * packed_b[b]) & mask for s, b in keys}
 
 
-def _gate_packing(plus: dict, minus: dict) -> Tuple[int, int, int]:
+def _pack_factor(p: LaurentPoly, width: int, step: int = 1) -> int:
+    """p packed u^step -> 2^width from its lowest exponent low.
+
+    That is (u^-low p)(2^(width/step)) for exponents low + step k, a ring
+    map on such polynomials.
+    """
+    low = min(p.terms)
+    return sum(c << (width * ((e - low) // step)) for e, c in p.terms.items())
+
+
+def _gate_packing(plus: dict, minus: dict, pairs: _FactorPairs) -> Tuple[int, int, int]:
     """Kronecker layout (width, step, lo) of the inverse gate.
 
     An entry c = sum c_e u^e of either table is packed as the integer
@@ -190,10 +238,10 @@ def _gate_packing(plus: dict, minus: dict) -> Tuple[int, int, int]:
     and 2 lo.  Packing is a ring map, so the packed product of two entries
     is the packed exact product at offset 2 lo, where the identity packs to
     2^(width * -2 lo / step).  A factored entry sgn u^w S B has lowest
-    exponent w + lo(S) + lo(B) (the lowest terms of a product multiply), so
-    it packs as sgn pack(S) pack(B) shifted by w + lo(S) + lo(B) - lo, with
-    each factor packed from its own lowest exponent: one big-integer product
-    per factor pair, and step divides the offsets of each piece.
+    exponent w + lo(S B), so it packs as sgn pack(S) pack(B) shifted by
+    w + lo(S B) - lo, with each factor packed from its own lowest exponent:
+    one big-integer product per factor pair (:func:`_pair_products`), and
+    step divides the offsets of each piece.
 
     Width: a coefficient of the exact composition at a source key is a sum,
     over the paths through an intermediate key, of products c c' of a minus
@@ -209,56 +257,28 @@ def _gate_packing(plus: dict, minus: dict) -> Tuple[int, int, int]:
     nonzero one would have to be a multiple of 2^width), so within the
     bound equal packed integers mean equal polynomials.
     """
-    entries = _entries(plus, minus)
-    factors = _factor_polys(entries)
-    s_norm, b_norm = ({key: _norm1(p) for key, p in polys.items()} for polys in factors)
-    s_low, b_low = ({key: min(p.terms) for key, p in polys.items()} for polys in factors)
-
-    def norm(e: tuple) -> int:
-        return s_norm[e[3]] * b_norm[e[4]]
-
-    row = {key: sum(map(norm, es)) for key, es in plus.items()}
-    bound = max(sum(norm(e) * row[e[:2]] for e in es) for es in minus.values())
-    lows = [e[2] + s_low[e[3]] + b_low[e[4]] for e in entries]
+    row = {key: sum(map(pairs.norm, es)) for key, es in plus.items()}
+    bound = max(sum(pairs.norm(e) * row[e[:2]] for e in es) for es in minus.values())
+    lows = [e[2] + pairs.lo(e) for e in _entries(plus, minus)]
     lo = min(0, *lows)
-    spans = [x - min(p.terms) for polys in factors for p in polys.values() for x in p.terms]
-    return bound.bit_length() + 1, gcd(2 * lo, *(x - lo for x in lows), *spans) or 1, lo
+    return bound.bit_length() + 1, gcd(2 * lo, *(x - lo for x in lows), pairs.step) or 1, lo
 
 
-def _pack_factor(p: LaurentPoly, width: int, step: int = 1) -> Tuple[int, int]:
-    """p packed u^step -> 2^width from its lowest exponent, and that exponent.
-
-    That is (u^-low p)(2^(width/step)) for exponents low + step k, a ring
-    map on such polynomials.
-    """
-    low = min(p.terms)
-    return sum(c << (width * ((e - low) // step)) for e, c in p.terms.items()), low
-
-
-def _check_inverse(plus: dict, minus: dict, alpha: int) -> None:
+def _check_inverse(plus: dict, minus: dict, pairs: _FactorPairs, alpha: int) -> None:
     """Raise unless plus after minus is the identity, one big-int product per path.
 
-    Entries are packed from their packed factors, one product per factor
-    pair; no Laurent polynomial is multiplied.  See :func:`_gate_packing`
-    for the layout and for why comparing packed integers is exact.
+    Entries are packed from their factor pairs' packed products; no Laurent
+    polynomial is multiplied.  See :func:`_gate_packing` for the layout and
+    for why comparing packed integers is exact.
     """
-    width, step, lo = _gate_packing(plus, minus)
-    packed_s, packed_b = ({key: _pack_factor(p, width, step) for key, p in polys.items()}
-                          for polys in _factor_polys(_entries(plus, minus)))
-    pairs: Dict[Tuple[tuple, tuple], Tuple[int, int]] = {}
+    width, step, lo = _gate_packing(plus, minus, pairs)
+    products = _pair_products(_entries(plus, minus), lambda p: _pack_factor(p, width, step))
+
+    def packed(e: tuple) -> int:
+        return (e[5] * products[e[3:5]]) << (width * ((e[2] + pairs.lo(e) - lo) // step))
 
     def pack(table: dict) -> dict:
-        out = {}
-        for key, entries in table.items():
-            row = []
-            for (k, l, w, s, b, sgn) in entries:
-                pair = pairs.get((s, b))
-                if pair is None:
-                    (xs, ls), (xb, lb) = packed_s[s], packed_b[b]
-                    pair = pairs[(s, b)] = (xs * xb, ls + lb)
-                row.append((k, l, (sgn * pair[0]) << (width * ((w + pair[1] - lo) // step))))
-            out[key] = row
-        return out
+        return {key: [(e[0], e[1], packed(e)) for e in entries] for key, entries in table.items()}
 
     packed_plus = pack(plus)
     one = 1 << (width * (-2 * lo // step))
@@ -278,12 +298,14 @@ class CrossingOperator:
     """Braiding operator on two adjacent tensor slots, entries factored exactly.
 
     ``table`` maps (i, j) to the entries (k, l, w, s, b, sgn) of
-    :func:`_braiding_table`.
+    :func:`_braiding_table`; ``pairs``, the color's :class:`_FactorPairs`,
+    is shared by both signs.
     """
 
     alpha: int
     sign: int
     table: dict
+    pairs: _FactorPairs
 
 
 @lru_cache(maxsize=1)
@@ -291,15 +313,16 @@ def _operator_pair(alpha: int) -> Tuple[CrossingOperator, CrossingOperator]:
     """Both braiding operators, verified to be exact mutual inverses.
 
     Only the color in flight is kept: colors run one after another, and each
-    is built once (its tables, both signs and :func:`_markov_data` all read
-    the one entry).
+    is built once (its tables, both signs, its factor pairs and
+    :func:`_markov_data` all read the one entry).
     """
     plus = _braiding_table(alpha, 1)
     minus = _braiding_table(alpha, -1)
-    _check_inverse(plus, minus, alpha)
+    pairs = _FactorPairs(_entries(plus, minus))
+    _check_inverse(plus, minus, pairs, alpha)
     return (
-        CrossingOperator(alpha, 1, plus),
-        CrossingOperator(alpha, -1, minus),
+        CrossingOperator(alpha, 1, plus, pairs),
+        CrossingOperator(alpha, -1, minus, pairs),
     )
 
 
@@ -326,85 +349,55 @@ def _diagonals(operators) -> List[List[tuple]]:
             for op in operators]
 
 
-def _diagonal_width(diagonals: List[List[tuple]]) -> int:
+def _diagonal_width(diagonals: List[List[tuple]], pairs: _FactorPairs) -> int:
     """One sign bit over the largest row sum of |S|_1 |B|_1 (see :func:`_markov_data`)."""
-    s_norm, b_norm = ({key: _norm1(p) for key, p in polys.items()} for polys in
-                      _factor_polys([e for diagonal in diagonals for (_, _, e) in diagonal]))
     row_norms: Dict[Tuple[int, int], int] = {}
     for side, diagonal in enumerate(diagonals):
         for (i, _, e) in diagonal:
-            row_norms[(side, i)] = row_norms.get((side, i), 0) + s_norm[e[3]] * b_norm[e[4]]
+            row_norms[(side, i)] = row_norms.get((side, i), 0) + pairs.norm(e)
     return max(row_norms.values()).bit_length() + 1
 
 
 @lru_cache(maxsize=None)
-def _markov_data(alpha: int) -> Tuple[int, int, int]:
-    """Charge-weight sign and the stabilization monomial.
+def _markov_data(alpha: int) -> int:
+    """The framing exponent alpha^2 - 1, checked against the crossing tables.
 
-    Returns (a, f_sign, f_exp) such that with mu_j = u^(2a(N-2j)) the
-    partial trace over the second slot of (1 x mu) Rhat equals
-    f_sign * u^f_exp times the identity, and the sign-flipped operator
-    gives the inverse monomial.
+    The ribbon twist of V_alpha is q-hat^((alpha^2 - 1)/4) = u^(alpha^2 - 1)
+    (Kirby-Melvin).  Gate: with the charge mu_j = u^(2(N-2j)) on index j,
+    the partial trace over the second slot of (1 x mu) Rhat must be
+    u^(alpha^2 - 1) times the identity, and that of the sign-flipped
+    operator u^-(alpha^2 - 1) times it; ConventionViolationError otherwise.
 
-    Row i of the partial trace is sum_j c_ij u^(2a(N-2j)) over the diagonal
+    Row i of the partial trace is sum_j c_ij u^(2(N-2j)) over the diagonal
     entries c_ij = sgn u^w S B, those that send (i, j) to itself
-    (n = i - j for the plus table, j - i for the minus table).  Each row is
-    packed, without expanding an entry, as its value at u = 2^width times
-    2^(-width lo) (lo the lowest exponent of every row of both tables and
-    both signs a): a sum of one product pack(S) pack(B) per entry, each
-    factor packed from its own lowest exponent (:func:`_pack_factor`) and
-    the product shifted to its entry's lowest exponent.  Evaluation at
-    2^width is a ring map, so this is the packed row.
+    (n = i - j for the plus table, j - i for the minus table).  A row and
+    the monomial are packed by the ring map u -> 2^width from one lowest
+    exponent; a row is one product pack(S) pack(B) per entry
+    (:func:`_pair_products`), shifted, so no entry is expanded.
 
-    Width (:func:`_diagonal_width`): a coefficient of row i is at most
-    M_i = sum_j |S_ij|_1 |B_ij|_1 in absolute value (|.|_1, the sum of
-    absolute coefficients, is submultiplicative).  With M the largest M_i
-    and width = bits(M) + 1, a coefficient of the difference of two rows is
-    at most 2M < 2^width, so two packed rows are equal only if the rows are
-    (the lowest nonzero coefficient of the difference would have to be a
-    multiple of 2^width); and every coefficient of a row is below
-    2^(width - 1), so the signed width-bit digits of a packed row are its
-    coefficients, and a row is a monomial c u^e exactly when one digit, c,
-    is nonzero.
+    Width (:func:`_diagonal_width`): a row minus the monomial has every
+    coefficient at most M + 1 <= 2^(width - 1) in absolute value, M the
+    largest row sum of |S|_1 |B|_1 (the 1-norm is submultiplicative), so it
+    packs to zero only if it is zero.
     """
-    N = alpha - 1
-    diagonals = _diagonals(_operator_pair(alpha))
-    width = _diagonal_width(diagonals)
-    entries = [e for diagonal in diagonals for (_, _, e) in diagonal]
-    factors = _factor_polys(entries)
-    s_span, b_span = ({key: (min(p.terms), max(p.terms)) for key, p in polys.items()}
-                      for polys in factors)
-    reach = 2 * N  # |2a(N - 2j)| <= 2N
-    lo = min(e[2] + s_span[e[3]][0] + b_span[e[4]][0] for e in entries) - reach
-    hi = max(e[2] + s_span[e[3]][1] + b_span[e[4]][1] for e in entries) + reach
-    packed_s, packed_b = ({key: _pack_factor(p, width) for key, p in polys.items()}
-                          for polys in factors)
-    pairs = {}
-    for (_, _, _, s, b, _) in entries:
-        if (s, b) not in pairs:
-            (xs, ls), (xb, lb) = packed_s[s], packed_b[b]
-            pairs[(s, b)] = (xs * xb, ls + lb)
-    for a in (1, -1):
-        scalars = []
-        for diagonal in diagonals:
-            rows = [0] * alpha
-            for (i, j, (_, _, w, s, b, sgn)) in diagonal:
-                x, low = pairs[(s, b)]
-                rows[i] += (sgn * x) << (width * (w + low + 2 * a * (N - 2 * j) - lo))
-            if any(row != rows[0] for row in rows):
-                break
-            nonzero = [(t, d) for t, d in enumerate(_unpack(rows[0], width, hi - lo + 1)) if d]
-            if len(nonzero) != 1:
-                break
-            ((t, c),) = nonzero
-            scalars.append((c, lo + t))
-        else:
-            (cp, ep), (cm, em) = scalars
-            if cp * cm == 1 and ep + em == 0:
-                return (a, cp, ep)
-    raise ConventionViolationError(
-        f"no charge weight makes the partial trace scalar at alpha={alpha}"
-    )
+    N, f_exp = alpha - 1, alpha * alpha - 1
+    operators = _operator_pair(alpha)
+    pairs, diagonals = operators[0].pairs, _diagonals(operators)
+    width = _diagonal_width(diagonals, pairs)
+    products = _pair_products([e for diagonal in diagonals for (_, _, e) in diagonal],
+                              lambda p: _pack_factor(p, width))
+    for monomial, diagonal in zip((f_exp, -f_exp), diagonals):
+        terms = [(i, e[5] * products[e[3:5]], e[2] + pairs.lo(e) + 2 * (N - 2 * j))
+                 for (i, j, e) in diagonal]
+        lo = min(monomial, *(exp for (_, _, exp) in terms))
+        rows = [0] * alpha
+        for (i, x, exp) in terms:
+            rows[i] += x << (width * (exp - lo))
+        if any(row != 1 << (width * (monomial - lo)) for row in rows):
+            raise ConventionViolationError(
+                f"the partial trace is not u^{monomial} times the identity at alpha={alpha}"
+            )
+    return f_exp
 
 
 # ---------------------------------------------------------------------------
@@ -493,13 +486,13 @@ def _state_sum(b: BraidWord, alpha: int, ring, cut: Tuple[int, int] = (0, 0)):
     rotated by r (``b.letters[r:] + b.letters[:r]``) and slot f is pinned.
     The closure is the sum, over start vectors with slot f fixed to index 0,
     of each start vector's diagonal amplitude (:func:`_diagonal_amplitude`)
-    times its charge weight u^(2a charge), where charge is
+    times its charge weight u^(2 charge), where charge is
     sum_(i>f) (N - 2s_i) - sum_(i<f) (N - 2s_i) over the indices s_i of the
-    other slots (:func:`_start_vectors`); the framing monomial and, for an
-    odd word, the stabilization sign then remove the writhe dependence.
+    other slots (:func:`_start_vectors`); the framing monomial
+    u^(-(alpha^2 - 1) writhe) then removes the writhe dependence.
 
     Every cut gives the same value.  A rotation is a conjugation, and the
-    trace is cyclic.  For the slot: mu = u^(2a(N - 2s)) on index s is the
+    trace is cyclic.  For the slot: mu = u^(2(N - 2s)) on index s is the
     charge of :func:`_markov_data`, the pivotal weight that makes the right
     partial trace of the crossing a scalar.  Closing a slot to the right
     of slot f is that right quantum trace (weight mu), and closing a slot to
@@ -520,18 +513,14 @@ def _state_sum(b: BraidWord, alpha: int, ring, cut: Tuple[int, int] = (0, 0)):
     that keeps the tables filtered for finished slots across the sums the
     ring runs.
     """
-    a, f_sign, f_exp = _markov_data(alpha)
     r, f = cut
     steps = _closure_steps(b.letters[r:] + b.letters[:r])
     total = ring.zero
     for start, charge in _start_vectors(alpha, b.strands, f):
         amp = _diagonal_amplitude(steps, start, ring)
         if amp is not None:
-            total = total + amp * ring.monomial(2 * a * charge)
-    framed = total * ring.monomial(-f_exp * b.writhe())
-    if f_sign == -1 and len(b.letters) % 2 == 1:
-        framed = -framed
-    return framed
+            total = total + amp * ring.monomial(2 * charge)
+    return total * ring.monomial(-_markov_data(alpha) * b.writhe())
 
 
 class _ExactRing:
@@ -669,14 +658,14 @@ def _laurent_to_gseries(p: LaurentPoly, length: int, rows: dict) -> List[int]:
 
 
 @lru_cache(maxsize=1)
-def _factor_gseries(length: int) -> Tuple[dict, dict]:
-    """The g-series of the factors at ``length``: ({s: S(s)}, {b: B(b)}), filled on demand.
+def _factor_gseries(length: int) -> Dict[LaurentPoly, Tuple[int, ...]]:
+    """The g-series of the factors S and B at ``length``, by factor, filled on demand.
 
     The factors do not depend on the color, and the colors of one D-table
     share one length, so each factor is converted once per D-table; only
     the current length is kept.
     """
-    return {}, {}
+    return {}
 
 
 def _pack(coeffs: Iterable[int], bits: int) -> int:
@@ -701,17 +690,15 @@ def _unpack(x: int, bits: int, length: int) -> List[int]:
     return out
 
 
-def _gseries_width(entries: List[tuple], length: int) -> int:
+def _gseries_width(entries: List[tuple], pairs: _FactorPairs, length: int) -> int:
     """The digit width W of :func:`_gseries_entry_tables` (see there for the proof).
 
     One sign bit over max |S|_1 |B|_1 * max(|row(lo)|_inf, |row(hi)|_inf),
     lo and hi the lowest and highest exponents of the entries.
     """
-    s_polys, b_polys = factors = _factor_polys(entries)
-    s_norm, b_norm = ({key: _norm1(p) for key, p in polys.items()} for polys in factors)
-    norm = max(s_norm[e[3]] * b_norm[e[4]] for e in entries)
-    lo = min(e[2] + min(s_polys[e[3]].terms) + min(b_polys[e[4]].terms) for e in entries)
-    hi = max(e[2] + max(s_polys[e[3]].terms) + max(b_polys[e[4]].terms) for e in entries)
+    norm = max(map(pairs.norm, entries))
+    lo = min(e[2] + pairs.lo(e) for e in entries)
+    hi = max(e[2] + pairs.hi(e) for e in entries)
     peak = max(map(abs, _binom_row(lo, length) + _binom_row(hi, length)))
     return (norm * peak).bit_length() + 1
 
@@ -725,8 +712,9 @@ def _gseries_entry_tables(alpha: int, length: int):
     g**length, where row(w) = (1+g)**w (:func:`_binom_row`) and gS, gB are
     the factor g-series (:func:`_factor_gseries`).  Packed with g -> 2**W,
     that is one big-integer product per entry, (sgn row(w) (gS gB)) mod
-    2**(W length), with gS gB one product per factor pair, shared by both
-    signs; the signed W-bit digits are the coefficients.
+    2**(W length), with gS gB one product per factor pair
+    (:func:`_pair_products`), shared by both signs; the signed W-bit digits
+    are the coefficients.
 
     Width: c_k, the g**k coefficient of c = sum_e c_e u^e, is
     sum_e c_e C(e, k) with C(e, k) that of (1+g)**e, so
@@ -747,20 +735,21 @@ def _gseries_entry_tables(alpha: int, length: int):
     of |c| over the key's entries (see :class:`_PackedRing`).
     """
     factored = {sgn: crossing_operator(alpha, sgn).table for sgn in (1, -1)}
+    pairs = crossing_operator(alpha, 1).pairs
     entries = _entries(*factored.values())
-    width = _gseries_width(entries, length)
+    width = _gseries_width(entries, pairs, length)
     mask = (1 << (width * length)) - 1
 
     rows: Dict[int, Tuple[int, ...]] = {}
-    packed_s, packed_b = {}, {}
-    for cache, polys, packed in zip(_factor_gseries(length), _factor_polys(entries),
-                                    (packed_s, packed_b)):
-        for key, p in polys.items():
-            series = cache.get(key)
-            if series is None:
-                series = cache[key] = tuple(_laurent_to_gseries(p, length, rows))
-            packed[key] = _pack(series, width)
-    pairs: Dict[Tuple[tuple, tuple], int] = {}
+    cache = _factor_gseries(length)
+
+    def pack(p: LaurentPoly) -> int:
+        series = cache.get(p)
+        if series is None:
+            series = cache[p] = tuple(_laurent_to_gseries(p, length, rows))
+        return _pack(series, width)
+
+    products = _pair_products(entries, pack, mask)
     packed_rows: Dict[int, int] = {}
     tables, majorants = {}, {}
     for sgn, table in factored.items():
@@ -768,13 +757,11 @@ def _gseries_entry_tables(alpha: int, length: int):
         for key, es in table.items():
             out = []
             for (k, l, w, s, b, esgn) in es:
-                pair = pairs.get((s, b))
-                if pair is None:
-                    pair = pairs[(s, b)] = (packed_s[s] * packed_b[b]) & mask
                 row = packed_rows.get(w)
                 if row is None:
                     row = packed_rows[w] = _pack(_binom_row(w, length), width)
-                out.append((k, l, tuple(_unpack((esgn * row * pair) & mask, width, length))))
+                out.append((k, l, tuple(_unpack((esgn * row * products[s, b]) & mask,
+                                                width, length))))
             tbl[key] = tuple(out)
         key_sums = [tuple(map(sum, zip(*(map(abs, c) for (_, _, c) in es))))
                     for es in tbl.values()]
@@ -790,20 +777,20 @@ def _truncated_mul(x, y) -> List[int]:
 def _majorant_series(b: BraidWord, alpha: int, length: int, majorants: dict) -> List[int]:
     """The truncated majorant series of :class:`_PackedRing` for ``b`` at this color.
 
-    prod_letters R_sign * sum_start |u^charge| * |u^(-f_exp writhe)| mod
-    g**length, which bounds every coefficient of the framed g-series.
+    prod_letters R_sign * sum_start |u^(2 charge)| * |u^(-f_exp writhe)| mod
+    g**length (f_exp from :func:`_markov_data`), which bounds every
+    coefficient of the framed g-series.
     """
     N = alpha - 1
-    a, _, f_exp = _markov_data(alpha)
     # counts[s]: start vectors whose free slots have index sum s
     counts = [1]
     for _ in range(b.strands - 1):
         counts = [sum(counts[max(0, s - N) : s + 1]) for s in range(len(counts) + N)]
     bound = [0] * length
     for s, count in enumerate(counts):
-        row = _binom_row(2 * a * ((b.strands - 1) * N - 2 * s), length)
+        row = _binom_row(2 * ((b.strands - 1) * N - 2 * s), length)
         bound = [x + count * abs(r) for x, r in zip(bound, row)]
-    bound = _truncated_mul(bound, [abs(r) for r in _binom_row(-f_exp * b.writhe(), length)])
+    bound = _truncated_mul(bound, [abs(r) for r in _binom_row(-_markov_data(alpha) * b.writhe(), length)])
     for k in b.letters:
         bound = _truncated_mul(bound, majorants[1 if k > 0 else -1])
     return bound
@@ -820,8 +807,8 @@ class _PackedRing:
     (2**bits)**length = 0 there; u -> 1 + g is one from Z[u, 1/u] to
     Z[g]/(g**length), since 1 + g is a unit.  Table entries and monomials
     are packed as images under the composite, and the per-letter masking,
-    the sums, the products and the final negation of :func:`_state_sum` are
-    ring operations on those images.  So the packed state sum is the image
+    the sums and the products of :func:`_state_sum` are ring operations on
+    those images.  So the packed state sum is the image
     of the true truncated g-series F of the framed invariant, whatever
     wrapped around in between, and :meth:`unpack` recovers F exactly when
     every |F_k| < 2**(bits - 1).
@@ -836,7 +823,7 @@ class _PackedRing:
     ones, so R_s bounds them too.  A start vector begins at 1 and its
     diagonal amplitude is one term of the final state, so
 
-        |F| <= prod_letters R_sign * sum_start |u^charge| * |u^(-f_exp writhe)|
+        |F| <= prod_letters R_sign * sum_start |u^(2 charge)| * |u^(-f_exp writhe)|
 
     truncated at g**length.  :func:`_majorant_series` evaluates this
     series, and the width is one sign bit over the bit length of its
@@ -916,11 +903,13 @@ def colored_jones(b: BraidWord, alpha: int) -> LaurentPoly:
     framed = _state_sum(b, alpha, _ExactRing(alpha))
     if not framed.exponents_divisible_by(4):
         raise ConventionViolationError(
-            "normalized invariant has fractional powers of q-hat"
+            f"normalized invariant has fractional powers of q-hat at alpha={alpha}"
         )
     result = framed.compress_exponents(4, "q")
     if result.evaluate_at_one() != 1:
-        raise ConventionViolationError("invariant does not evaluate to 1 at q-hat=1")
+        raise ConventionViolationError(
+            f"invariant does not evaluate to 1 at q-hat=1 at alpha={alpha}"
+        )
     return result
 
 
@@ -944,7 +933,7 @@ def jones_h_series(b: BraidWord, alpha: int, cap: int) -> List[Fraction]:
     # the cut search costs more than it saves below alpha = 4
     cut = _closure_cut(b) if alpha > 3 else (0, 0)
     ring = _PackedRing(b, alpha, cap + 1)
-    return _gseries_to_hseries(ring.unpack(_state_sum(b, alpha, ring, cut)), cap)
+    return _gseries_to_hseries(ring.unpack(_state_sum(b, alpha, ring, cut)), alpha, cap)
 
 
 @lru_cache(maxsize=None)
@@ -965,18 +954,20 @@ def _g_to_h_columns(cap: int) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
     return den, columns
 
 
-def _gseries_to_hseries(gcoeffs: List[int], cap: int) -> List[Fraction]:
-    """The h-series through h**cap of a g-series, certified integral and 1 at h = 0."""
+def _gseries_to_hseries(gcoeffs: List[int], alpha: int, cap: int) -> List[Fraction]:
+    """The h-series through h**cap of color alpha's g-series, certified integral and 1 at h = 0."""
     den, columns = _g_to_h_columns(cap)
     coeffs = []
-    for column in columns:
+    for j, column in enumerate(columns):
         value, rest = divmod(sum(map(mul, gcoeffs, column)), den)
         if rest:
             raise ConventionViolationError(
-                "h-expansion produced a non-integer coefficient"
+                f"h-expansion produced a non-integer coefficient at alpha={alpha}, h^{j}"
             )
         coeffs.append(Fraction(value))
     if coeffs[0] != 1:
-        raise ConventionViolationError("h-expansion does not start at 1")
+        raise ConventionViolationError(
+            f"h-expansion does not start at 1 at alpha={alpha}: its h^0 coefficient is {coeffs[0]}"
+        )
     return coeffs
 

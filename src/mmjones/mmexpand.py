@@ -38,7 +38,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from math import factorial, gcd, lcm
 from operator import mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -118,19 +118,13 @@ class DTable:
         return _z_h_biseries(self)
 
 
-def _h_series_job(args) -> list:
-    strands, letters, alpha, cap = args
-    return jones_h_series(BraidWord(strands, letters), alpha, cap)
-
-
 def _jones_rows(b: BraidWord, alphas: Sequence[int], cap: int, jobs: int = 1):
     workers = min(jobs, len(alphas), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        args = [(b.strands, b.letters, a, cap) for a in alphas]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_h_series_job, args))
+            return list(pool.map(partial(jones_h_series, b, cap=cap), alphas))
     if max(alphas) > 3:
         # Colors from 4 on run at the cut _closure_cut picks, and its gate
         # builds the alpha = 2 operator pair.  Picked before the colors run,
@@ -405,8 +399,11 @@ def _z_h_biseries(d: DTable) -> Tuple[Tuple[Fraction, ...], ...]:
                 a *= scale
                 for hd, b in enumerate(hs):
                     row[hd] += a * b
-    if any(any(row) for row in grid[1::2]):
-        raise ModelViolationError("odd z-powers appeared in the line collection")
+    for zdeg in range(1, cap + 1, 2):
+        if any(grid[zdeg]):
+            raise ModelViolationError(
+                f"odd z-powers appeared in the line collection: z^{zdeg} at N={N}"
+            )
     return tuple(tuple(Fraction(v, den) for v in row) for row in grid)
 
 

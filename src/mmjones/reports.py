@@ -35,6 +35,8 @@ def frac_str(x) -> str:
 
 
 def parse_frac(s: str) -> Fraction:
+    if not isinstance(s, str):
+        raise ValueError(f"rational must be a string 'p' or 'p/q', got {s!r}")
     s = s.strip()
     if "/" in s:
         num, den = (int(part) for part in s.split("/", 1))
@@ -98,6 +100,8 @@ def linetable_doc(lines: LineTable) -> dict:
 
 
 def _line_index(n: int, N: int) -> int:
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"line index n must be an int, got {n!r}")
     if not 0 <= n <= 2 * N:
         raise ValueError(f"line n={n} outside 0..2N = {2 * N}")
     return n

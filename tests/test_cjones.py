@@ -122,7 +122,7 @@ def a_priori_bits(b, alpha, length):
                   for (_, _, c) in entries for v in c)
     letters = max(1, len(b.letters))
     amp_bound = (m_entry * length * alpha) ** letters
-    wmax = 2 * (b.strands - 1) * (alpha - 1) + abs(cjones._markov_data(alpha)[2] * b.writhe()) + 4
+    wmax = 2 * (b.strands - 1) * (alpha - 1) + abs(cjones._markov_data(alpha) * b.writhe()) + 4
     total = amp_bound * comb(wmax + length, length) * length * alpha ** b.strands * 4
     return total.bit_length() + 4
 
@@ -135,11 +135,11 @@ def abs_mul(x, y):
 def brute_majorant(b, alpha, length):
     """The width majorant with the start vectors enumerated one by one."""
     N = alpha - 1
-    a, _, f_exp = cjones._markov_data(alpha)
+    f_exp = cjones._markov_data(alpha)
     _, majorants = cjones._gseries_entry_tables(alpha, length)
     bound = [0] * length
     for rest in product(range(alpha), repeat=b.strands - 1):
-        charge = cjones._binom_row(2 * a * sum(N - 2 * i for i in rest), length)
+        charge = cjones._binom_row(2 * sum(N - 2 * i for i in rest), length)
         bound = [x + abs(c) for x, c in zip(bound, charge)]
     bound = abs_mul(bound, cjones._binom_row(-f_exp * b.writhe(), length))
     for k in b.letters:
@@ -157,6 +157,10 @@ def exact_gseries(b, alpha, length):
     """The g-series of the exact ring's framed invariant."""
     return cjones._laurent_to_gseries(
         cjones._state_sum(b, alpha, cjones._ExactRing(alpha)), length, {})
+
+
+def factor_pairs(*tables):
+    return cjones._FactorPairs(cjones._entries(*tables))
 
 
 def basis_vectors(alpha, strands):
@@ -220,7 +224,7 @@ class TestOperatorTables:
         plus = cjones._braiding_table(alpha, 1)
         true_minus = cjones._braiding_table(alpha, -1)
         for minus in (true_minus, *(tamper_minus(true_minus, how) for how in TAMPERS)):
-            width, step, lo = cjones._gate_packing(plus, minus)
+            width, step, lo = cjones._gate_packing(plus, minus, factor_pairs(plus, minus))
             bound = path_bound(plus, minus)
             assert width >= bound.bit_length() + 1
             products, composed = compose_paths(cjones._expand_table(plus),
@@ -238,7 +242,7 @@ class TestOperatorTables:
             identity = all({tgt: p for tgt, p in acc.items() if p} == {key: LaurentPoly.one("u")}
                            for key, acc in composed.items())
             try:
-                cjones._check_inverse(plus, minus, alpha)
+                cjones._check_inverse(plus, minus, factor_pairs(plus, minus), alpha)
                 packed_identity = True
             except ConventionViolationError:
                 packed_identity = False
@@ -310,13 +314,15 @@ def tampered_pair(alpha, how):
     (k, l, w, s, b, sgn), *rest = plus.table[(0, 0)]
     entry = (k, l, w + 2, s, b, sgn) if how == "weight" else (k, l, w, s, b, -sgn)
     table = {**plus.table, (0, 0): [entry, *rest]}
-    return cjones.CrossingOperator(alpha, 1, table), minus
+    return cjones.CrossingOperator(alpha, 1, table, plus.pairs), minus
 
 
 class TestMarkovData:
     @pytest.mark.parametrize("alpha", range(2, 14))
     def test_packed_rows_match_expanded_oracle(self, alpha):
-        assert cjones._markov_data.__wrapped__(alpha) == oracle_markov_data(alpha)
+        # the closed form, the ribbon twist u^(alpha^2 - 1), is what the oracle reads off
+        assert oracle_markov_data(alpha) == (1, 1, alpha * alpha - 1)
+        assert cjones._markov_data.__wrapped__(alpha) == alpha * alpha - 1
 
     @pytest.mark.parametrize("alpha", range(2, 10))
     def test_width_covers_every_row(self, alpha):
@@ -330,7 +336,7 @@ class TestMarkovData:
                     for diagonal in diagonals for (_, _, e) in diagonal}
             bound = max(sum(norm[id(e)] for (i, _, e) in diagonal if i == row)
                         for diagonal in diagonals for row in range(alpha))
-            assert cjones._diagonal_width(diagonals) >= bound.bit_length() + 1
+            assert cjones._diagonal_width(diagonals, operators[0].pairs) >= bound.bit_length() + 1
             for a in (1, -1):
                 for diagonal in diagonals:
                     for row in range(alpha):
@@ -364,15 +370,16 @@ class TestGToH:
             u_poly = LaurentPoly("u", {4 * e: c for e, c in v.terms.items()})
             inputs.append(cjones._laurent_to_gseries(u_poly, cap + 1, {}))
         for gcoeffs in inputs:
-            assert cjones._gseries_to_hseries(gcoeffs, cap) == self.reference(gcoeffs, cap)
+            assert cjones._gseries_to_hseries(gcoeffs, 2, cap) == self.reference(gcoeffs, cap)
 
     def test_rejects_non_integer_and_bad_constant(self):
         quarter = cjones._laurent_to_gseries(LaurentPoly.monomial("u", 1), 5, {})
-        with pytest.raises(ConventionViolationError, match="non-integer"):
-            cjones._gseries_to_hseries(quarter, 4)
+        with pytest.raises(ConventionViolationError, match="non-integer coefficient at alpha=5, h\\^1"):
+            cjones._gseries_to_hseries(quarter, 5, 4)
         doubled = cjones._laurent_to_gseries(LaurentPoly.monomial("u", 4, 2), 5, {})
-        with pytest.raises(ConventionViolationError, match="start at 1"):
-            cjones._gseries_to_hseries(doubled, 4)
+        with pytest.raises(ConventionViolationError,
+                           match="start at 1 at alpha=7: its h\\^0 coefficient is 2"):
+            cjones._gseries_to_hseries(doubled, 7, 4)
 
 
 # Largest N per catalog knot: colors 2..N+1 at cap 2N.
@@ -450,17 +457,16 @@ class TestGSeriesTables:
             bound = norm * max(map(abs, rows))
             assert max(abs(x) for table in tables.values() for es in table.values()
                        for (_, _, c) in es for x in c) <= bound
-            assert cjones._gseries_width(entries, length) >= bound.bit_length() + 1
+            assert (cjones._gseries_width(entries, factor_pairs(*factored.values()), length)
+                    >= bound.bit_length() + 1)
 
     def test_factor_cache_keeps_one_length(self):
         for length in (11, 17, 11):
             cjones._gseries_entry_tables(4, length)
             assert cjones._factor_gseries.cache_info().currsize == 1
-            cache_s, cache_b = cjones._factor_gseries(length)
-            assert cache_s[(3, 2)] == tuple(
-                cjones._laurent_to_gseries(cjones._scaled_qbinom(3, 2), length, {}))
-            assert cache_b[(3, 2)] == tuple(
-                cjones._laurent_to_gseries(cjones._qbinom(3, 2), length, {}))
+            cache = cjones._factor_gseries(length)
+            for factor in (cjones._scaled_qbinom(3, 2), cjones._qbinom(3, 2)):
+                assert cache[factor] == tuple(cjones._laurent_to_gseries(factor, length, {}))
 
 
 class TestColoredJones:
@@ -512,17 +518,18 @@ class TestColoredJones:
             colored_jones(BraidWord(2, [1, 1]), 2)
 
     def test_rejects_sign_flipped_invariant(self, monkeypatch):
-        # a flipped stabilization sign negates the invariant of an odd word;
-        # V(1) = -1 must then fail the gate whatever the constant term is
-        original = cjones._markov_data
-
-        def flipped(alpha):
-            a, f_sign, f_exp = original(alpha)
-            return a, -f_sign, f_exp
-
-        monkeypatch.setattr(cjones, "_markov_data", flipped)
-        with pytest.raises(ConventionViolationError):
+        # a negated framed invariant has V(1) = -1, which must fail the gate
+        # whatever the constant term is
+        original = cjones._state_sum
+        monkeypatch.setattr(cjones, "_state_sum", lambda *args: -original(*args))
+        with pytest.raises(ConventionViolationError, match="does not evaluate to 1 .* at alpha=2"):
             colored_jones(FIG8.stabilized(1), 2)
+
+    def test_rejects_fractional_powers(self, monkeypatch):
+        original = cjones._state_sum
+        monkeypatch.setattr(cjones, "_state_sum", lambda *args: original(*args).shift(1))
+        with pytest.raises(ConventionViolationError, match="fractional powers of q-hat at alpha=3"):
+            colored_jones(FIG8, 3)
 
 
 class TestHExpansion:

@@ -207,6 +207,14 @@ class TestZLines:
         for d in (d52, d61, d41):
             assert to_z_lines(d).rows == z_lines_by_basis_change(d).rows
 
+    def test_odd_z_gate_names_degree_and_budget(self, d52, monkeypatch):
+        # s(z) + 1 is not odd, so s(z)^2 gains odd z-powers from z^1 on
+        original = mmexpand.series_two_arcsinh_half
+        monkeypatch.setattr(mmexpand, "series_two_arcsinh_half", lambda cap: original(cap) + 1)
+        tampered = mmexpand.DTable(d52.N, d52.entries)
+        with pytest.raises(ModelViolationError, match="odd z-powers .*: z\\^1 at N=3"):
+            to_z_lines(tampered)
+
     def test_emission_ranges(self, d52):
         zl = to_z_lines(d52)
         for n in range(2 * d52.N + 1):

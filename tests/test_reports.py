@@ -99,6 +99,9 @@ def _doc(N, lines):
     ([(0, ["7", "1"]), (1, ["1", "2"]), (2, ["1"])], "has 2 values, expected 1"),
     ([(0, ["7", "1"]), (2, ["1"])], "line n=1 is missing"),
     ([], "line n=0 is missing"),
+    ([(0, ["7", "1"]), (True, ["3"]), (2, ["5"])], "line index n must be an int, got True"),
+    ([(0, ["7", "1"]), (1.0, ["3"]), (2, ["5"])], "line index n must be an int, got 1.0"),
+    ([(0, [7, "1"]), (1, ["3"]), (2, ["5"])], "must be a string 'p' or 'p/q', got 7"),
 ])
 def test_json_line_errors(lines, match):
     with pytest.raises(ValueError, match=match):
@@ -135,7 +138,8 @@ def test_tsv_column_errors(text, match):
     ({"N": 1, "rows": [["1", "0", "0"], ["0", "0"]]}, "row m=1 has 2 values, expected 2N \\+ 1 = 3"),
     ({"N": -1, "rows": []}, "non-negative int, got -1"),
     ({"N": True, "rows": [["1"], ["0", "0", "0"]]}, "non-negative int, got True"),
-], ids=["too-few-rows", "short-row", "negative-N", "bool-N"])
+    ({"N": 0, "rows": [[1]]}, "must be a string 'p' or 'p/q', got 1"),
+], ids=["too-few-rows", "short-row", "negative-N", "bool-N", "int-value"])
 def test_dtable_shape_errors(doc, match):
     with pytest.raises(ValueError, match=match):
         parse_dtable(doc)
