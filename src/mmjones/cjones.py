@@ -18,30 +18,14 @@ u^w (q - 1/q)^n [n]! [i choose n] [N-j choose n] of the R-matrix and are
 kept factored, as sgn u^w S B with S = prod_{k=1..n} (q^k - q^-k)
 [i choose n] and B = [N-j choose n], symmetric q-binomials from Pascal's
 rule: no polynomial is divided, and the factors, which do not depend on the
-color, number only O(alpha^2).  Each color has one factor-pair layer
-(:class:`_FactorPairs`) that gives, for a pair (s, b), |S|_1 |B|_1, the
-lowest and highest exponents of S B and the gcd of their offsets, from
-which every packing width below is computed.  Every packer multiplies Kronecker-packed factors
-instead of Laurent polynomials, pack(S) pack(B) once per factor pair
-(:func:`_pair_products`) and one big-integer product per entry:
-
-* The inverse gate packs u -> 2^width and checks plus after minus against
-  the identity with one big-integer product per path.  Its width is a sign
-  bit over the largest path sum of |S|_1 |B|_1 |S'|_1 |B'|_1, which bounds
-  every coefficient of the composition since the 1-norm is
-  submultiplicative, so equal packed integers mean equal polynomials (see
-  :func:`_gate_packing`).
-* The g-series tables compute each entry as row(w) gS gB mod g**length,
-  (1+g)**w times the factor g-series, packed g -> 2**W mod 2**(W length).
-  W is a sign bit over max |S|_1 |B|_1 times the largest coefficient of
-  (1+g)**lo and (1+g)**hi, lo and hi the extreme exponents: the g**k
-  coefficient of sum_e c_e u^e is at most |c|_1 max_e |binom(e, k)|, and
-  |binom(e, k)| grows with |e| on each side of 0 (see
-  :func:`_gseries_entry_tables`).
-
-The Markov gate packs its diagonal rows the same way and compares each with
-the packed framing monomial (see :func:`_markov_data`); only the exact ring
-expands entries, whole tables, for the test oracle.
+color, number only O(alpha^2).  The inverse gate (:func:`_gate_packing`),
+the Markov gate (:func:`_markov_data`) and the g-series tables
+(:func:`_gseries_entry_tables`) multiply Kronecker-packed factors, not
+Laurent polynomials: pack(S) pack(B) once per factor pair
+(:func:`_pair_products`), then one big-integer product per entry, at a
+width each of them proves exact from the color's factor-pair layer
+(:class:`_FactorPairs`).  Only the exact ring expands entries, whole
+tables, for the test oracle.
 
 One state-sum kernel, :func:`_state_sum`, evaluates the invariant over
 either of two coefficient rings; only the table coefficients, the weight
@@ -58,17 +42,22 @@ The kernel cuts the closure open at a cut (r, f): the word rotated by r,
 slot f pinned, charge mu on the slots right of f and mu^-1 on those left
 of it.  Every cut gives the invariant (the proof is in :func:`_state_sum`)
 but the products it runs depend on the cut: from 4,416 to 47,545 over the
-cuts of 6_1 at alpha = 6.  From alpha = 4 on, :func:`jones_h_series` uses
-the cut that :func:`_closure_cut` picks once per word by running the
-kernel's per-start loop over a third, key-only ring that counts products
+cuts of 6_1 at alpha = 6.  :func:`jones_h_series` runs at the cut it is
+given; :func:`_closure_cut` picks one per word by running the kernel's
+per-start loop over a third, key-only ring that counts products
 (:class:`_CountingRing`), with a runtime gate at alpha = 2.
 
-Packing g -> 2**bits modulo 2**(bits * length) is a ring homomorphism, so
-the packed state sum is the image of the exact truncated g-series however
-much wraps around in between; only the final coefficients must fit.  Their
-width comes from a truncated majorant series: the product over the letters
-of each table's row majorant, times the charge and framing monomials in
-absolute value (see :class:`_PackedRing`).
+Packing g -> 2**bits modulo 2**(bits * length) is a ring map, so only the
+final coefficients must fit; their width comes from a truncated majorant
+series (see :class:`_PackedRing`).
+
+State is passed, not cached.  A ring owns its color's operator pair and
+framing: :class:`_ExactRing` and :class:`_PackedRing` each build the pair
+once, hand it to its consumers and keep the framing exponent as
+``ring.framing``.  The caller owns the cut (``mmexpand._jones_rows`` picks
+one per D-table).  The only process caches are the four color-independent
+memos :func:`_qbinom`, :func:`_scaled_qbinom`, :func:`_factor_gseries` and
+:func:`_g_to_h_columns`.
 """
 
 from __future__ import annotations
@@ -87,12 +76,6 @@ from .knots import BraidWord, NotAKnotError
 
 class ConventionViolationError(GateError):
     """An operator gate failed or normalization left fractional powers."""
-
-
-# Positive braid letters act by the braiding operator with this sign; the
-# choice makes the positive trefoil braid match the torus-knot line
-# generator (see the cross-path tests).
-POSITIVE_CROSSING_SIGN = 1
 
 
 @lru_cache(maxsize=None)
@@ -308,39 +291,33 @@ class CrossingOperator:
     pairs: _FactorPairs
 
 
-@lru_cache(maxsize=1)
 def _operator_pair(alpha: int) -> Tuple[CrossingOperator, CrossingOperator]:
     """Both braiding operators, verified to be exact mutual inverses.
 
-    Only the color in flight is kept: colors run one after another, and each
-    is built once (its tables, both signs, its factor pairs and
-    :func:`_markov_data` all read the one entry).
+    Built once per ring, which passes the pair to every consumer of the
+    color; nothing keeps it after the ring is built.
     """
     plus = _braiding_table(alpha, 1)
     minus = _braiding_table(alpha, -1)
     pairs = _FactorPairs(_entries(plus, minus))
     _check_inverse(plus, minus, pairs, alpha)
-    return (
-        CrossingOperator(alpha, 1, plus, pairs),
-        CrossingOperator(alpha, -1, minus, pairs),
-    )
+    return CrossingOperator(alpha, 1, plus, pairs), CrossingOperator(alpha, -1, minus, pairs)
 
 
 def crossing_operator(alpha: int, sign: int) -> CrossingOperator:
     """The braiding operator for the alpha-dimensional coloring.
 
-    ``sign=+1`` gives the operator used for positive braid letters under the
-    package convention; ``sign=-1`` its exact inverse (verified on basis
-    vectors at construction).
+    ``sign=+1`` gives the operator of positive braid letters, the choice
+    that makes the positive trefoil braid match the torus-knot line
+    generator (see the cross-path tests); ``sign=-1`` its exact inverse
+    (verified on basis vectors at construction).
     """
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     plus, minus = _operator_pair(alpha)
-    if sign * POSITIVE_CROSSING_SIGN > 0:
-        return plus
-    return minus
+    return plus if sign > 0 else minus
 
 
 def _diagonals(operators) -> List[List[tuple]]:
@@ -358,9 +335,8 @@ def _diagonal_width(diagonals: List[List[tuple]], pairs: _FactorPairs) -> int:
     return max(row_norms.values()).bit_length() + 1
 
 
-@lru_cache(maxsize=None)
-def _markov_data(alpha: int) -> int:
-    """The framing exponent alpha^2 - 1, checked against the crossing tables.
+def _markov_data(operators: Tuple[CrossingOperator, CrossingOperator]) -> int:
+    """The framing exponent alpha^2 - 1, checked against a color's operator pair.
 
     The ribbon twist of V_alpha is q-hat^((alpha^2 - 1)/4) = u^(alpha^2 - 1)
     (Kirby-Melvin).  Gate: with the charge mu_j = u^(2(N-2j)) on index j,
@@ -380,8 +356,8 @@ def _markov_data(alpha: int) -> int:
     largest row sum of |S|_1 |B|_1 (the 1-norm is submultiplicative), so it
     packs to zero only if it is zero.
     """
+    alpha = operators[0].alpha
     N, f_exp = alpha - 1, alpha * alpha - 1
-    operators = _operator_pair(alpha)
     pairs, diagonals = operators[0].pairs, _diagonals(operators)
     width = _diagonal_width(diagonals, pairs)
     products = _pair_products([e for diagonal in diagonals for (_, _, e) in diagonal],
@@ -508,7 +484,8 @@ def _state_sum(b: BraidWord, alpha: int, ring, cut: Tuple[int, int] = (0, 0)):
     this).
 
     ``ring`` supplies ``zero``, ``one``, ``tables`` (braid sign -> operator
-    table with ring coefficients), ``monomial(exp)`` for u**exp,
+    table with ring coefficients), ``framing`` (the exponent alpha^2 - 1 of
+    :func:`_markov_data`), ``monomial(exp)`` for u**exp,
     ``reduce(state)``, applied after each letter, and ``pinned``, a dict
     that keeps the tables filtered for finished slots across the sums the
     ring runs.
@@ -520,7 +497,7 @@ def _state_sum(b: BraidWord, alpha: int, ring, cut: Tuple[int, int] = (0, 0)):
         amp = _diagonal_amplitude(steps, start, ring)
         if amp is not None:
             total = total + amp * ring.monomial(2 * charge)
-    return total * ring.monomial(-_markov_data(alpha) * b.writhe())
+    return total * ring.monomial(-ring.framing * b.writhe())
 
 
 class _ExactRing:
@@ -531,7 +508,9 @@ class _ExactRing:
     reduce = staticmethod(_drop_zeros)
 
     def __init__(self, alpha: int):
-        self.tables = {sgn: _expand_table(crossing_operator(alpha, sgn).table) for sgn in (1, -1)}
+        operators = _operator_pair(alpha)
+        self.framing = _markov_data(operators)
+        self.tables = {op.sign: _expand_table(op.table) for op in operators}
         self.pinned: dict = {}
 
     @staticmethod
@@ -552,11 +531,9 @@ class _CountingRing:
 
     def __init__(self, alpha: int):
         self.alpha = alpha
-        self.tables = {
-            sgn: {key: tuple((k, l, 1) for (k, l, _) in terms) for key, terms in
-                  _braiding_shape(alpha, sgn * POSITIVE_CROSSING_SIGN).items()}
-            for sgn in (1, -1)
-        }
+        self.tables = {sgn: {key: tuple((k, l, 1) for (k, l, _) in terms)
+                             for key, terms in _braiding_shape(alpha, sgn).items()}
+                       for sgn in (1, -1)}
         self.pinned: dict = {}
         self.products = 0
         # (rotated word, start vector) -> products of its diagonal amplitude
@@ -589,7 +566,6 @@ class _CountingRing:
         return total
 
 
-@lru_cache(maxsize=1)
 def _closure_cut(b: BraidWord) -> Tuple[int, int]:
     """The cut (r, f) of :func:`_state_sum` with the fewest products at large colors.
 
@@ -703,8 +679,8 @@ def _gseries_width(entries: List[tuple], pairs: _FactorPairs, length: int) -> in
     return (norm * peak).bit_length() + 1
 
 
-def _gseries_entry_tables(alpha: int, length: int):
-    """Crossing tables as truncated g-series coefficient tuples, both signs.
+def _gseries_entry_tables(operators: Tuple[CrossingOperator, CrossingOperator], length: int):
+    """A color's crossing tables as truncated g-series coefficient tuples, both signs.
 
     Built once per color, by :class:`_PackedRing`, and not kept after it.
 
@@ -734,8 +710,8 @@ def _gseries_entry_tables(alpha: int, length: int):
     that sign's table, the coefficientwise max over source keys of the sum
     of |c| over the key's entries (see :class:`_PackedRing`).
     """
-    factored = {sgn: crossing_operator(alpha, sgn).table for sgn in (1, -1)}
-    pairs = crossing_operator(alpha, 1).pairs
+    factored = {op.sign: op.table for op in operators}
+    pairs = operators[0].pairs
     entries = _entries(*factored.values())
     width = _gseries_width(entries, pairs, length)
     mask = (1 << (width * length)) - 1
@@ -774,12 +750,12 @@ def _truncated_mul(x, y) -> List[int]:
     return [sum(x[i] * y[k - i] for i in range(k + 1)) for k in range(len(x))]
 
 
-def _majorant_series(b: BraidWord, alpha: int, length: int, majorants: dict) -> List[int]:
+def _majorant_series(b: BraidWord, alpha: int, length: int, majorants: dict,
+                     framing: int) -> List[int]:
     """The truncated majorant series of :class:`_PackedRing` for ``b`` at this color.
 
-    prod_letters R_sign * sum_start |u^(2 charge)| * |u^(-f_exp writhe)| mod
-    g**length (f_exp from :func:`_markov_data`), which bounds every
-    coefficient of the framed g-series.
+    prod_letters R_sign * sum_start |u^(2 charge)| * |u^(-framing writhe)|
+    mod g**length, which bounds every coefficient of the framed g-series.
     """
     N = alpha - 1
     # counts[s]: start vectors whose free slots have index sum s
@@ -790,7 +766,7 @@ def _majorant_series(b: BraidWord, alpha: int, length: int, majorants: dict) -> 
     for s, count in enumerate(counts):
         row = _binom_row(2 * ((b.strands - 1) * N - 2 * s), length)
         bound = [x + count * abs(r) for x, r in zip(bound, row)]
-    bound = _truncated_mul(bound, [abs(r) for r in _binom_row(-_markov_data(alpha) * b.writhe(), length)])
+    bound = _truncated_mul(bound, [abs(r) for r in _binom_row(-framing * b.writhe(), length)])
     for k in b.letters:
         bound = _truncated_mul(bound, majorants[1 if k > 0 else -1])
     return bound
@@ -823,7 +799,7 @@ class _PackedRing:
     ones, so R_s bounds them too.  A start vector begins at 1 and its
     diagonal amplitude is one term of the final state, so
 
-        |F| <= prod_letters R_sign * sum_start |u^(2 charge)| * |u^(-f_exp writhe)|
+        |F| <= prod_letters R_sign * sum_start |u^(2 charge)| * |u^(-framing writhe)|
 
     truncated at g**length.  :func:`_majorant_series` evaluates this
     series, and the width is one sign bit over the bit length of its
@@ -842,9 +818,11 @@ class _PackedRing:
     one = 1
 
     def __init__(self, b: BraidWord, alpha: int, length: int):
-        raw_tables, majorants = _gseries_entry_tables(alpha, length)
+        operators = _operator_pair(alpha)
+        self.framing = _markov_data(operators)
+        raw_tables, majorants = _gseries_entry_tables(operators, length)
         self.length = length
-        self.bits = max(_majorant_series(b, alpha, length, majorants)).bit_length() + 1
+        self.bits = max(_majorant_series(b, alpha, length, majorants, self.framing)).bit_length() + 1
         self.mask = (1 << (self.bits * length)) - 1
         self.tables = {
             sgn: {
@@ -918,20 +896,21 @@ def colored_jones(b: BraidWord, alpha: int) -> LaurentPoly:
 # ---------------------------------------------------------------------------
 
 
-def jones_h_series(b: BraidWord, alpha: int, cap: int) -> List[Fraction]:
+def jones_h_series(b: BraidWord, alpha: int, cap: int,
+                   cut: Tuple[int, int] = (0, 0)) -> List[Fraction]:
     """Coefficients of the h-expansion of V_alpha(closure of b) through h**cap.
 
     Same invariant as :func:`colored_jones`, evaluated in the packed
-    truncated ring so large colors stay tractable.  Coefficients are
-    certified integers (returned as Fractions for uniformity downstream).
+    truncated ring so large colors stay tractable, by the state sum cut
+    open at ``cut`` (see :func:`_state_sum`; :func:`_closure_cut` picks the
+    cheapest).  Coefficients are certified integers (returned as Fractions
+    for uniformity downstream).
     """
     alpha = _knot_color(b, alpha)
     if cap < 0:
         raise ValueError("cap must be >= 0")
     if alpha == 1:
         return [Fraction(1)] + [Fraction(0)] * cap
-    # the cut search costs more than it saves below alpha = 4
-    cut = _closure_cut(b) if alpha > 3 else (0, 0)
     ring = _PackedRing(b, alpha, cap + 1)
     return _gseries_to_hseries(ring.unpack(_state_sum(b, alpha, ring, cut)), alpha, cap)
 

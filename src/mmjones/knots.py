@@ -364,6 +364,11 @@ def _record_from_dict(obj: dict) -> KnotRecord:
         not isinstance(k, int) or isinstance(k, bool) for k in letters
     ):
         raise CatalogError(f"{name}: 'braid' must be a list of integers")
+    # a knot's closure permutation is one strands-cycle: strands - 1 letters at least
+    if strands > len(letters) + 1:
+        raise CatalogError(
+            f"{name}: {strands} strands need at least {strands - 1} letters to close to a knot"
+        )
     amphicheiral = obj.get("amphicheiral", False)
     if not isinstance(amphicheiral, bool):
         raise CatalogError(f"{name}: 'amphicheiral' must be a boolean")

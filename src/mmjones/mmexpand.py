@@ -18,6 +18,11 @@ t = (1+h)^(1/2) - (1+h)^(-1/2) (written ``ht`` in tags); the substitution
 series comes from the closed form h = u*t with u = t/2 + sqrt(1 + (t/2)^2),
 u the square root of q-hat.
 
+The colors of a D-table, serial or pooled, share the closure cut that
+``_jones_rows`` owns: it picks one with ``cjones._closure_cut`` when some
+color is above 3.  Each color's ring owns its operator pair and framing;
+the four color-independent memos of ``cjones`` are the only process caches.
+
 Cost of the line routes after the solve, with cap = 2N.  Each D-table
 builds two tables once, as cached properties, and every route reads them:
 ``DTable.z_powers`` (s(z)^(2m), m = 0..N, from one s = 2 arcsinh(z/2)),
@@ -119,19 +124,17 @@ class DTable:
 
 
 def _jones_rows(b: BraidWord, alphas: Sequence[int], cap: int, jobs: int = 1):
+    """The h-series of every color, all at the one closure cut of the D-table."""
+    # the cut search costs more than it saves when no color is above 3
+    cut = _closure_cut(b) if max(alphas) > 3 else (0, 0)
+    h_series = partial(jones_h_series, b, cap=cap, cut=cut)
     workers = min(jobs, len(alphas), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(partial(jones_h_series, b, cap=cap), alphas))
-    if max(alphas) > 3:
-        # Colors from 4 on run at the cut _closure_cut picks, and its gate
-        # builds the alpha = 2 operator pair.  Picked before the colors run,
-        # color 2 reuses that pair from the one-entry cache; picked at
-        # color 4, it would rebuild the pair colors 2 and 3 had evicted.
-        _closure_cut(b)
-    return [jones_h_series(b, a, cap) for a in alphas]
+            return list(pool.map(h_series, alphas))
+    return list(map(h_series, alphas))
 
 
 def build_dtable(

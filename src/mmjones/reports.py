@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Dict, List
 
 from .exactalg import QPoly
 
@@ -74,15 +74,22 @@ def _parameter(tag) -> str:
     return tag
 
 
+def _list(value, what: str) -> list:
+    """A JSON array, not a string or other sequence."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, got {value!r}")
+    return value
+
+
 def parse_dtable(doc: dict) -> DTable:
     """D-table from its JSON document: N + 1 rows m of 2N + 1 values n each."""
     from .mmexpand import DTable
 
-    N, rows = _budget(doc["N"]), doc["rows"]
+    N, rows = _budget(doc["N"]), _list(doc["rows"], "D-table rows")
     if len(rows) != N + 1:
         raise ValueError(f"D-table has {len(rows)} rows, expected N + 1 = {N + 1}")
     for m, row in enumerate(rows):
-        if len(row) != 2 * N + 1:
+        if len(_list(row, f"D-table row m={m}")) != 2 * N + 1:
             raise ValueError(f"D-table row m={m} has {len(row)} values, expected 2N + 1 = {2 * N + 1}")
     return DTable(N, tuple(tuple(parse_frac(c) for c in row) for row in rows))
 
@@ -112,23 +119,25 @@ def parse_linetable(doc: dict) -> LineTable:
 
     ``parameter`` is 'h' or 'ht' and N a non-negative int; every line
     n = 0..2N must appear exactly once, with ``LineTable.width(N, n)``
-    values m = 0..N - ceil(n/2).
+    values m = 0..N - ceil(n/2).  Lines are held by index as they are read,
+    so memory follows the document, not N.
     """
     from .mmexpand import LineTable
 
     N, tag = _budget(doc["N"]), _parameter(doc["parameter"])
-    rows: List[Optional[tuple]] = [None] * (2 * N + 1)
-    for row in doc["lines"]:
+    rows: Dict[int, tuple] = {}
+    for row in _list(doc["lines"], "lines"):
         n = _line_index(row["n"], N)
-        if rows[n] is not None:
+        if n in rows:
             raise ValueError(f"duplicate line n={n}")
-        values, size = row["values"], LineTable.width(N, n)
+        values, size = _list(row["values"], f"line n={n} values"), LineTable.width(N, n)
         if len(values) != size:
             raise ValueError(f"line n={n} has {len(values)} values, expected {size}")
         rows[n] = tuple(parse_frac(c) for c in values)
-    if None in rows:
-        raise ValueError(f"line n={rows.index(None)} is missing")
-    return LineTable(N, tag, tuple(rows))
+    missing = next((n for n in range(2 * N + 1) if n not in rows), None)
+    if missing is not None:
+        raise ValueError(f"line n={missing} is missing")
+    return LineTable(N, tag, tuple(rows[n] for n in range(2 * N + 1)))
 
 
 def bottom_line_doc(report: BottomLineReport) -> dict:

@@ -1,6 +1,7 @@
 """Gates for the braiding operators and the colored Jones evaluation."""
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import comb
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmjones import cjones, golden
+from mmjones import cjones, golden, mmexpand
 from mmjones.cjones import (
     ConventionViolationError,
     colored_jones,
@@ -115,14 +116,22 @@ def path_bound(plus, minus):
                for entries in minus.values())
 
 
+def framing(alpha):
+    return cjones._markov_data(cjones._operator_pair(alpha))
+
+
+def gseries_tables(alpha, length):
+    return cjones._gseries_entry_tables(cjones._operator_pair(alpha), length)
+
+
 def a_priori_bits(b, alpha, length):
     """The former packing width, from (m_entry * length * alpha) ** letters."""
-    tables, _ = cjones._gseries_entry_tables(alpha, length)
+    tables, _ = gseries_tables(alpha, length)
     m_entry = max(abs(v) for table in tables.values() for entries in table.values()
                   for (_, _, c) in entries for v in c)
     letters = max(1, len(b.letters))
     amp_bound = (m_entry * length * alpha) ** letters
-    wmax = 2 * (b.strands - 1) * (alpha - 1) + abs(cjones._markov_data(alpha) * b.writhe()) + 4
+    wmax = 2 * (b.strands - 1) * (alpha - 1) + abs(framing(alpha) * b.writhe()) + 4
     total = amp_bound * comb(wmax + length, length) * length * alpha ** b.strands * 4
     return total.bit_length() + 4
 
@@ -135,8 +144,8 @@ def abs_mul(x, y):
 def brute_majorant(b, alpha, length):
     """The width majorant with the start vectors enumerated one by one."""
     N = alpha - 1
-    f_exp = cjones._markov_data(alpha)
-    _, majorants = cjones._gseries_entry_tables(alpha, length)
+    f_exp = framing(alpha)
+    _, majorants = gseries_tables(alpha, length)
     bound = [0] * length
     for rest in product(range(alpha), repeat=b.strands - 1):
         charge = cjones._binom_row(2 * sum(N - 2 * i for i in rest), length)
@@ -215,7 +224,7 @@ class TestOperatorTables:
 
             monkeypatch.setattr(cjones, "_braiding_table", tampered)
             with pytest.raises(ConventionViolationError, match=f"alpha={alpha}"):
-                cjones._operator_pair.__wrapped__(alpha)
+                cjones._operator_pair(alpha)
 
     @pytest.mark.parametrize("alpha", range(1, 8))
     def test_gate_width_covers_exact_composition(self, alpha):
@@ -251,7 +260,7 @@ class TestOperatorTables:
     @pytest.mark.parametrize("alpha", [2, 5, 9])
     def test_gate_and_gseries_tables_multiply_no_laurent_poly(self, alpha, monkeypatch):
         # warm the process-wide factor caches, then count products
-        cjones._operator_pair.__wrapped__(alpha)
+        cjones._operator_pair(alpha)
         products = []
         original = LaurentPoly.__mul__
 
@@ -260,14 +269,14 @@ class TestOperatorTables:
             return original(self, other)
 
         monkeypatch.setattr(LaurentPoly, "__mul__", counted)
-        cjones._operator_pair.__wrapped__(alpha)
-        cjones._gseries_entry_tables(alpha, 11)
+        cjones._gseries_entry_tables(cjones._operator_pair(alpha), 11)
         assert products == []
 
     @pytest.mark.parametrize("alpha", [2, 5, 9])
     def test_markov_data_expands_no_entry(self, alpha, monkeypatch):
         # warm the process-wide factor caches, then count expansions and products
-        cjones._markov_data.__wrapped__(alpha)
+        operators = cjones._operator_pair(alpha)
+        cjones._markov_data(operators)
         expanded, products = [], []
         original_entry, original_mul = cjones._entry_poly, LaurentPoly.__mul__
 
@@ -281,7 +290,7 @@ class TestOperatorTables:
 
         monkeypatch.setattr(cjones, "_entry_poly", counted_entry)
         monkeypatch.setattr(LaurentPoly, "__mul__", counted_mul)
-        cjones._markov_data.__wrapped__(alpha)
+        cjones._markov_data(operators)
         assert expanded == [] and products == []
 
 
@@ -322,7 +331,7 @@ class TestMarkovData:
     def test_packed_rows_match_expanded_oracle(self, alpha):
         # the closed form, the ribbon twist u^(alpha^2 - 1), is what the oracle reads off
         assert oracle_markov_data(alpha) == (1, 1, alpha * alpha - 1)
-        assert cjones._markov_data.__wrapped__(alpha) == alpha * alpha - 1
+        assert framing(alpha) == alpha * alpha - 1
 
     @pytest.mark.parametrize("alpha", range(2, 10))
     def test_width_covers_every_row(self, alpha):
@@ -351,7 +360,7 @@ class TestMarkovData:
             monkeypatch.setattr(cjones, "_operator_pair", lambda a, pair=pair: pair)
             assert oracle_markov_data(alpha) is None
             with pytest.raises(ConventionViolationError, match=f"alpha={alpha}"):
-                cjones._markov_data.__wrapped__(alpha)
+                cjones._markov_data(pair)
             monkeypatch.undo()
 
 
@@ -388,10 +397,11 @@ WIDTH_ORDERS = {"unknot": 8, "3_1": 8, "4_1": 8, "5_2": 6, "6_1": 5, "8_3": 4}
 
 class TestPackingWidth:
     @pytest.mark.parametrize("record", default_catalog(), ids=lambda r: r.name)
-    def test_width_holds_every_coefficient(self, record):
+    def test_width_holds_every_coefficient(self, record, monkeypatch):
         # Rotations are conjugates, so they share the exact invariant of the
         # unrotated word (the exact path's conjugation invariance is tested
-        # in TestColoredJones).
+        # in TestColoredJones).  The rings of one color share its operator pair.
+        monkeypatch.setattr(cjones, "_operator_pair", lru_cache(maxsize=1)(cjones._operator_pair))
         N = WIDTH_ORDERS[record.name]
         for word in (record.braid, mirror(record.braid)):
             letters = word.letters
@@ -409,7 +419,7 @@ class TestPackingWidth:
         # each basis vector's image under one letter, summed in absolute value
         # over output keys, has the row majorant as coefficientwise max
         length = 9
-        _, majorants = cjones._gseries_entry_tables(alpha, length)
+        _, majorants = gseries_tables(alpha, length)
         for sign in (1, -1):
             op = crossing_operator(alpha, sign)
             images = []
@@ -423,8 +433,8 @@ class TestPackingWidth:
     def test_majorant_matches_start_vector_enumeration(self, record):
         for word in (record.braid, mirror(record.braid)):
             for alpha in (2, 3, 4):
-                _, majorants = cjones._gseries_entry_tables(alpha, 9)
-                assert (cjones._majorant_series(word, alpha, 9, majorants)
+                _, majorants = gseries_tables(alpha, 9)
+                assert (cjones._majorant_series(word, alpha, 9, majorants, framing(alpha))
                         == brute_majorant(word, alpha, 9))
 
     def test_one_bit_short_breaks_the_sum(self, monkeypatch):
@@ -443,7 +453,8 @@ class TestGSeriesTables:
         # and the digit width is a sign bit over max |S|_1 |B|_1 times the
         # largest binomial row at the extreme exponents, which bounds every
         # coefficient of the tables
-        factored = {sign: crossing_operator(alpha, sign).table for sign in (1, -1)}
+        operators = cjones._operator_pair(alpha)
+        factored = {op.sign: op.table for op in operators}
         expanded = {sign: cjones._expand_table(table) for sign, table in factored.items()}
         entries = [e for table in factored.values() for es in table.values() for e in es]
         norm = max(sum(map(abs, cjones._scaled_qbinom(*e[3]).terms.values()))
@@ -452,7 +463,7 @@ class TestGSeriesTables:
                 for (_, _, c) in es for x in c.terms]
         for length in (11, 17, 21, 25):
             tables, majorants = gseries_entry_tables(expanded, length)
-            assert cjones._gseries_entry_tables(alpha, length) == (tables, majorants)
+            assert cjones._gseries_entry_tables(operators, length) == (tables, majorants)
             rows = cjones._binom_row(min(exps), length) + cjones._binom_row(max(exps), length)
             bound = norm * max(map(abs, rows))
             assert max(abs(x) for table in tables.values() for es in table.values()
@@ -462,7 +473,7 @@ class TestGSeriesTables:
 
     def test_factor_cache_keeps_one_length(self):
         for length in (11, 17, 11):
-            cjones._gseries_entry_tables(4, length)
+            gseries_tables(4, length)
             assert cjones._factor_gseries.cache_info().currsize == 1
             cache = cjones._factor_gseries(length)
             for factor in (cjones._scaled_qbinom(3, 2), cjones._qbinom(3, 2)):
@@ -576,26 +587,9 @@ class TestColorCaches:
             built.append((alpha, sign))
             return original(alpha, sign)
 
-        cjones._operator_pair.cache_clear()
-        cjones._markov_data.cache_clear()
         monkeypatch.setattr(cjones, "_braiding_table", counted)
         build_dtable(FIG8, 4)
         assert sorted(built) == [(alpha, sign) for alpha in range(2, 6) for sign in (-1, 1)]
-        assert cjones._operator_pair.cache_info().currsize <= 1
-
-    @pytest.mark.parametrize("N", [2, 3, 5])
-    def test_closure_cut_gate_reuses_the_color_2_pair(self, N):
-        # 5_2 moves its cut, so the gate runs and needs the alpha = 2 pair
-        word = BraidWord(3, [-1, -1, -1, -2, 1, -2])
-        cjones._operator_pair.cache_clear()
-        cjones._closure_cut.cache_clear()
-        build_dtable(word, N)
-        assert cjones._operator_pair.cache_info().misses == N  # colors 2..N+1
-        assert cjones._operator_pair.cache_info().currsize == 1
-        # colors below 4 run at the given cut and search none
-        assert cjones._closure_cut.cache_info().misses == (0 if N < 3 else 1)
-        if N >= 3:
-            assert cjones._closure_cut(word) != (0, 0)
 
 
 # 3- and 4-strand words of at most 8 letters whose closure is a knot
@@ -661,7 +655,7 @@ class TestClosureCut:
         monkeypatch.setattr(cjones, "_start_vectors", mu_everywhere)
         for b in (K5_2, catalog_words()["6_1"], K8_3):
             with pytest.raises(ConventionViolationError, match="alpha=2"):
-                cjones._closure_cut.__wrapped__(b)
+                cjones._closure_cut(b)
 
     @pytest.mark.parametrize("alpha", [2, 3, 4])
     def test_counting_ring_counts_packed_products(self, alpha, monkeypatch):
@@ -711,14 +705,14 @@ class TestClosureCut:
                 assert cjones._PackedRing(rotated, alpha, 9).bits == bits
 
     def test_small_colors_keep_the_given_cut(self, monkeypatch):
+        # a D-table whose colors stop at 3 runs them at the given cut
         def no_search(b):
             raise AssertionError("cut search at a small color")
 
-        monkeypatch.setattr(cjones, "_closure_cut", no_search)
-        for alpha in (1, 2, 3):
-            jones_h_series(K8_3, alpha, 4)
+        monkeypatch.setattr(mmexpand, "_closure_cut", no_search)
+        build_dtable(K8_3, 2)
         with pytest.raises(AssertionError, match="small color"):
-            jones_h_series(K8_3, 4, 4)
+            build_dtable(K8_3, 3)
 
     def test_search_builds_tables_only_for_its_gate(self, monkeypatch):
         # the counts read the table shapes; only the alpha = 2 gate builds
@@ -730,8 +724,7 @@ class TestClosureCut:
             built.append((alpha, sign))
             return original(alpha, sign)
 
-        cjones._operator_pair.cache_clear()
         monkeypatch.setattr(cjones, "_braiding_table", counted)
-        assert cjones._closure_cut.__wrapped__(FIG8) == (0, 0) and built == []
-        assert cjones._closure_cut.__wrapped__(K5_2) != (0, 0)
+        assert cjones._closure_cut(FIG8) == (0, 0) and built == []
+        assert cjones._closure_cut(K5_2) != (0, 0)
         assert sorted(built) == [(2, -1), (2, 1)]

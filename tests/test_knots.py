@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 
 import pytest
 
@@ -223,6 +224,16 @@ class TestCatalog:
         path.write_text("not json [")
         with pytest.raises(CatalogError):
             load_catalog(str(path))
+
+    def test_rejects_strands_no_word_can_close(self):
+        # rejected before a braid word of that width is built
+        start = time.perf_counter()
+        with pytest.raises(CatalogError, match="at least 999999999 letters"):
+            load_catalog([{"name": "x", "strands": 10 ** 9, "braid": []}])
+        assert time.perf_counter() - start < 1.0
+        unknot = load_catalog([{"name": "unknot", "strands": 1, "braid": []}])
+        assert [r.name for r in unknot] == ["unknot"]
+        assert len(load_catalog(DEFAULT_CATALOG_ENTRIES)) == len(DEFAULT_CATALOG_ENTRIES)
 
     def test_path_with_brackets(self, tmp_path):
         folder = tmp_path / "a[1]"

@@ -1,6 +1,7 @@
 """Serialization round trips and formatting rules."""
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -102,10 +103,22 @@ def _doc(N, lines):
     ([(0, ["7", "1"]), (True, ["3"]), (2, ["5"])], "line index n must be an int, got True"),
     ([(0, ["7", "1"]), (1.0, ["3"]), (2, ["5"])], "line index n must be an int, got 1.0"),
     ([(0, [7, "1"]), (1, ["3"]), (2, ["5"])], "must be a string 'p' or 'p/q', got 7"),
+    ([(0, ["7", "1"]), (1, "3"), (2, ["5"])], "line n=1 values must be a list, got '3'"),
 ])
 def test_json_line_errors(lines, match):
     with pytest.raises(ValueError, match=match):
         parse_linetable(_doc(1, lines))
+
+
+def test_json_lines_of_a_huge_budget_fail_in_little_memory():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="line n=0 is missing"):
+            parse_linetable({"N": 10 ** 12, "parameter": "h", "lines": []})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_json_lines_in_any_order():
@@ -139,7 +152,10 @@ def test_tsv_column_errors(text, match):
     ({"N": -1, "rows": []}, "non-negative int, got -1"),
     ({"N": True, "rows": [["1"], ["0", "0", "0"]]}, "non-negative int, got True"),
     ({"N": 0, "rows": [[1]]}, "must be a string 'p' or 'p/q', got 1"),
-], ids=["too-few-rows", "short-row", "negative-N", "bool-N", "int-value"])
+    ({"N": 1, "rows": ["123", "456"]}, "D-table row m=0 must be a list, got '123'"),
+    ({"N": 0, "rows": "1"}, "D-table rows must be a list, got '1'"),
+], ids=["too-few-rows", "short-row", "negative-N", "bool-N", "int-value", "string-row",
+        "string-rows"])
 def test_dtable_shape_errors(doc, match):
     with pytest.raises(ValueError, match=match):
         parse_dtable(doc)
