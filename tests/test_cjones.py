@@ -591,6 +591,32 @@ class TestColorCaches:
         build_dtable(FIG8, 4)
         assert sorted(built) == [(alpha, sign) for alpha in range(2, 6) for sign in (-1, 1)]
 
+    @pytest.mark.parametrize("N", [2, 3, 5])
+    def test_closure_cut_gate_reuses_the_color_2_pair(self, N, monkeypatch):
+        # 5_2 moves its cut, so the gate runs and needs the alpha = 2 pair:
+        # the one pair a D-table builds twice, and only when it searches
+        word = BraidWord(3, [-1, -1, -1, -2, 1, -2])
+        pairs, searched = [], []
+        original_pair, original_cut = cjones._operator_pair, mmexpand._closure_cut
+
+        def counted_pair(alpha):
+            pairs.append(alpha)
+            return original_pair(alpha)
+
+        def counted_cut(b):
+            searched.append(b)
+            return original_cut(b)
+
+        monkeypatch.setattr(cjones, "_operator_pair", counted_pair)
+        monkeypatch.setattr(mmexpand, "_closure_cut", counted_cut)
+        build_dtable(word, N)
+        # colors below 4 run at the given cut and search none
+        assert searched == ([] if N < 3 else [word])
+        gate = [2] if N >= 3 else []
+        assert sorted(pairs) == sorted(list(range(2, N + 2)) + gate)
+        if N >= 3:
+            assert original_cut(word) != (0, 0)
+
 
 # 3- and 4-strand words of at most 8 letters whose closure is a knot
 CUT_WORDS = st.one_of(
