@@ -66,11 +66,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd, inf, lcm
+from math import gcd, inf
 from operator import itemgetter, mul
 from typing import Callable, Dict, Iterable, List, Tuple
 
-from .exactalg import GateError, LaurentPoly, TruncSeries, series_pow1p
+from .exactalg import GateError, LaurentPoly, int_series_mul, series_pow1p, series_powers
 from .knots import BraidWord, NotAKnotError
 
 
@@ -745,11 +745,6 @@ def _gseries_entry_tables(operators: Tuple[CrossingOperator, CrossingOperator], 
     return tables, majorants
 
 
-def _truncated_mul(x, y) -> List[int]:
-    """Product of two coefficient sequences, truncated to len(x) terms."""
-    return [sum(x[i] * y[k - i] for i in range(k + 1)) for k in range(len(x))]
-
-
 def _majorant_series(b: BraidWord, alpha: int, length: int, majorants: dict,
                      framing: int) -> List[int]:
     """The truncated majorant series of :class:`_PackedRing` for ``b`` at this color.
@@ -766,9 +761,10 @@ def _majorant_series(b: BraidWord, alpha: int, length: int, majorants: dict,
     for s, count in enumerate(counts):
         row = _binom_row(2 * ((b.strands - 1) * N - 2 * s), length)
         bound = [x + count * abs(r) for x, r in zip(bound, row)]
-    bound = _truncated_mul(bound, [abs(r) for r in _binom_row(-framing * b.writhe(), length)])
+    bound = int_series_mul(bound, [abs(r) for r in _binom_row(-framing * b.writhe(), length)],
+                           length - 1)
     for k in b.letters:
-        bound = _truncated_mul(bound, majorants[1 if k > 0 else -1])
+        bound = int_series_mul(bound, majorants[1 if k > 0 else -1], length - 1)
     return bound
 
 
@@ -824,13 +820,11 @@ class _PackedRing:
         self.length = length
         self.bits = max(_majorant_series(b, alpha, length, majorants, self.framing)).bit_length() + 1
         self.mask = (1 << (self.bits * length)) - 1
-        self.tables = {
-            sgn: {
-                key: tuple((k, l, self.pack(c)) for (k, l, c) in entries)
-                for key, entries in tbl.items()
-            }
-            for sgn, tbl in raw_tables.items()
-        }
+        # each sign's unpacked table is released as soon as it is repacked
+        self.tables = {}
+        for sgn in list(raw_tables):
+            self.tables[sgn] = {key: tuple((k, l, self.pack(c)) for (k, l, c) in entries)
+                                for key, entries in raw_tables.pop(sgn).items()}
         self._monomials: Dict[int, int] = {}
         self.pinned: dict = {}
 
@@ -922,15 +916,8 @@ def _g_to_h_columns(cap: int) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
     Returns (den, columns): columns[j][k] / den is the h**j coefficient of
     ((1+h)^(1/4) - 1)**k, for k = 0..cap.
     """
-    g_of_h = series_pow1p(Fraction(1, 4), cap) - 1
-    powers = [TruncSeries.constant("h", cap, 1)]
-    for _ in range(cap):
-        powers.append(powers[-1] * g_of_h)
-    den = lcm(*(c.denominator for p in powers for c in p.coeffs))
-    columns = tuple(
-        tuple(int(p.coeffs[j] * den) for p in powers) for j in range(cap + 1)
-    )
-    return den, columns
+    den, powers = series_powers(series_pow1p(Fraction(1, 4), cap) - 1, cap)
+    return den, tuple(zip(*powers))
 
 
 def _gseries_to_hseries(gcoeffs: List[int], alpha: int, cap: int) -> List[Fraction]:

@@ -10,12 +10,17 @@ Conventions used throughout the package:
 * ``QPoly`` is a dense polynomial in z with rational coefficients.
 * ``TruncSeries`` is a power series truncated at a fixed cap; arithmetic
   never reports coefficients beyond the minimum cap of its operands.
+* An integer series is integers over one common denominator; every change
+  of variables reads one power table (:func:`series_powers`), built with
+  the one truncated integer product (:func:`int_series_mul`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from math import gcd, lcm
+from operator import mul
+from typing import Iterable, List, Sequence, Tuple
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -618,22 +623,46 @@ def series_two_arcsinh_half(cap: int, var: str = "z") -> TruncSeries:
 def series_compose(outer: TruncSeries, inner: TruncSeries) -> TruncSeries:
     """Formal composition outer(inner); inner must have zero constant term.
 
-    Sums c_k inner^k over the powers of inner, each power one truncated
-    product from the last.  inner^k has valuation k, so that product costs
-    about (cap - k)^2 / 2 coefficient products, a third of Horner's rule in
-    total.
+    The n-th coefficient is one integer dot product of the outer
+    coefficients with the n-th coefficients of the powers of inner
+    (:func:`series_powers`).
     """
     if inner.constant_term() != 0:
         raise CompositionError("inner series must have zero constant term")
     cap = min(outer.cap, inner.cap)
-    inner_t = inner.truncate(cap)
-    out = [outer.coeffs[0]] + [_ZERO] * cap
-    power = TruncSeries.constant(inner.var, cap, 1)
-    for k in range(1, cap + 1):
-        power = power * inner_t
-        c = outer.coeffs[k]
-        if c:
-            for n in range(k, cap + 1):
-                out[n] += c * power.coeffs[n]
-    return TruncSeries(inner.var, cap, out)
+    den, powers = series_powers(inner.truncate(cap), cap)
+    outer_den, outs = over_common_den(outer.coeffs[: cap + 1])
+    return TruncSeries(inner.var, cap, [Fraction(sum(map(mul, outs, column)), outer_den * den)
+                                        for column in zip(*powers)])
 
+
+def over_common_den(coeffs: Sequence[Fraction]) -> Tuple[int, List[int]]:
+    """(den, ints) with coeffs[i] = ints[i] / den, den the lcm of the denominators."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return den, [c.numerator * (den // c.denominator) for c in coeffs]
+
+
+def int_series_mul(x: Sequence[int], y: Sequence[int], cap: int) -> List[int]:
+    """The integer series x * y through the power ``cap``."""
+    out = [0] * (cap + 1)
+    for i, a in enumerate(x[: cap + 1]):
+        if a:
+            for j, b in enumerate(y[: cap + 1 - i], i):
+                out[j] += a * b
+    return out
+
+
+def series_powers(s: TruncSeries, count: int) -> Tuple[int, List[List[int]]]:
+    """(den, powers): powers[k] / den is s**k through s.cap, for k = 0..count.
+
+    Each power is one reduced integer product from the previous one.
+    """
+    s_den, s_ints = over_common_den(s.coeffs)
+    reduced = [(1, [1] + [0] * s.cap)]
+    for _ in range(count):
+        p_den, p = reduced[-1]
+        out = int_series_mul(p, s_ints, s.cap)
+        g = gcd(p_den * s_den, *out)
+        reduced.append((p_den * s_den // g, [c // g for c in out]))
+    den = lcm(*(p_den for p_den, _ in reduced))
+    return den, [[c * (den // p_den) for c in p] for p_den, p in reduced]

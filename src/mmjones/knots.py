@@ -95,12 +95,6 @@ class BraidWord:
     def is_knot(self) -> bool:
         return self.closure_component_count() == 1
 
-    def stabilized(self, sign: int = 1) -> "BraidWord":
-        """Markov stabilization: one more strand and a final +/-(strands) letter."""
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        return BraidWord(self.strands + 1, self.letters + (sign * self.strands,))
-
 
 # ---------------------------------------------------------------------------
 # Reduced Burau representation and the Conway polynomial

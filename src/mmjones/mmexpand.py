@@ -23,19 +23,21 @@ The colors of a D-table, serial or pooled, share the closure cut that
 color is above 3.  Each color's ring owns its operator pair and framing;
 the four color-independent memos of ``cjones`` are the only process caches.
 
-Cost of the line routes after the solve, with cap = 2N.  Each D-table
-builds two tables once, as cached properties, and every route reads them:
-``DTable.z_powers`` (s(z)^(2m), m = 0..N, from one s = 2 arcsinh(z/2)),
-read by the bi-series and by the second route of the bottom-line check,
-and ``DTable.biseries``, read by the h lines, the ht lines and the first
-route of the bottom-line check.  The bi-series is collected one m-row at a
-time: the h-series D_m(h) lfac(h)^(2m) is one truncated integer product,
-and its outer product with s(z)^(2m) is added into an integer grid over one
-common denominator, so the collection costs O(N cap^2) products and each
-entry becomes a Fraction once.  The ht lines read one integer table of the
-powers of the substitution series and take one dot product per entry,
-O(N cap^2) after the O(cap^3) table.  An approximant multiplies its line
-by one Conway power computed by squaring.
+Cost of the line routes after the solve, with cap = 2N.  Every change of
+variables reads one integer table of the powers of its substitution
+series, ``exactalg.series_powers``: O(cap^3) per table, each power one
+truncated integer product from the last.  Each D-table builds two tables
+once, as cached properties, and every route reads them: ``DTable.z_powers``
+(the table of s(z)^2, s = 2 arcsinh(z/2)), read by the bi-series and by the
+second route of the bottom-line check, one dot product per z-order, and
+``DTable.biseries``, read by the h lines, the ht lines and the first route
+of the bottom-line check.  The bi-series is collected one m-row at a time:
+D_m(h) times row m of the table of lfac(h)^2 is one truncated integer
+product, and its outer product with z-row m is added into an integer grid
+over one common denominator, so the collection costs O(N cap^2) products
+and each entry becomes a Fraction once.  The ht lines take one dot product
+per entry against the table of the substitution series, O(N cap^2) after
+the table.  An approximant multiplies its line by one Conway power.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from math import factorial, gcd, lcm
+from math import factorial, lcm
 from operator import mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -53,9 +55,12 @@ from .exactalg import (
     GateError,
     QPoly,
     TruncSeries,
+    int_series_mul,
+    over_common_den,
     series_compose,
     series_log1p,
     series_pow1p,
+    series_powers,
     series_two_arcsinh_half,
     solve_linear_system,
 )
@@ -100,18 +105,14 @@ class DTable:
         return [self.entries[m][2 * m] for m in range(self.N + 1)]
 
     @cached_property
-    def z_powers(self) -> Tuple[TruncSeries, ...]:
-        """s(z)^(2m) for m = 0..N through z^(2N), s = 2 arcsinh(z/2).
+    def z_powers(self) -> Tuple[int, List[List[int]]]:
+        """(den, powers): powers[m] / den is s(z)^(2m) through z^(2N), m = 0..N.
 
-        Built once and read by the bi-series and the bottom-line check.
+        s = 2 arcsinh(z/2); built once and read by the bi-series and the
+        bottom-line check.
         """
-        cap = 2 * self.N
-        s = series_two_arcsinh_half(cap)
-        s2 = s * s
-        powers = [TruncSeries.constant("z", cap, 1)]
-        for _ in range(self.N):
-            powers.append(powers[-1] * s2)
-        return tuple(powers)
+        s = series_two_arcsinh_half(2 * self.N)
+        return series_powers(s * s, self.N)
 
     @cached_property
     def biseries(self) -> Tuple[Tuple[Fraction, ...], ...]:
@@ -151,33 +152,39 @@ def build_dtable(
     asserted after the solve: entries with 2m > n vanish and D[0][0] = 1.
     With ``extra_alphas`` > 0, additional colors are computed and used as
     hard consistency checks (the polynomial model must fit them exactly).
+    A gate failure for a catalog record names the knot, with its type kept.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     b = _braid_of(knot)
-    cap = 2 * N
-    alphas = list(range(1, N + 2 + extra_alphas))
-    rows = _jones_rows(b, alphas, cap, jobs=jobs)
-    matrix = [[Fraction(a * a) ** m for m in range(N + 1)] for a in alphas[: N + 1]]
-    rhs = [[rows[i][n] for i in range(N + 1)] for n in range(cap + 1)]
-    sols = solve_linear_system(matrix, rhs)
-    entries = [[sols[n][m] for n in range(cap + 1)] for m in range(N + 1)]
-    for n in range(cap + 1):
-        for m in range(N + 1):
-            if 2 * m > n and entries[m][n] != 0:
-                raise ModelViolationError(
-                    f"vanishing violated: D[{m}][{n}] = {entries[m][n]} with 2m > n"
-                )
-    if entries[0][0] != 1:
-        raise ModelViolationError(f"D[0][0] = {entries[0][0]}, expected 1")
-    for i in range(N + 1, len(alphas)):
-        a2 = Fraction(alphas[i] ** 2)
+    try:
+        cap = 2 * N
+        alphas = list(range(1, N + 2 + extra_alphas))
+        rows = _jones_rows(b, alphas, cap, jobs=jobs)
+        matrix = [[Fraction(a * a) ** m for m in range(N + 1)] for a in alphas[: N + 1]]
+        rhs = [[rows[i][n] for i in range(N + 1)] for n in range(cap + 1)]
+        sols = solve_linear_system(matrix, rhs)
+        entries = [[sols[n][m] for n in range(cap + 1)] for m in range(N + 1)]
         for n in range(cap + 1):
-            fit = sum(entries[m][n] * a2 ** m for m in range(N + 1))
-            if fit != rows[i][n]:
-                raise ModelViolationError(
-                    f"overdetermination failed at alpha={alphas[i]}, h^{n}"
-                )
+            for m in range(N + 1):
+                if 2 * m > n and entries[m][n] != 0:
+                    raise ModelViolationError(
+                        f"vanishing violated: D[{m}][{n}] = {entries[m][n]} with 2m > n"
+                    )
+        if entries[0][0] != 1:
+            raise ModelViolationError(f"D[0][0] = {entries[0][0]}, expected 1")
+        for i in range(N + 1, len(alphas)):
+            a2 = Fraction(alphas[i] ** 2)
+            for n in range(cap + 1):
+                fit = sum(entries[m][n] * a2 ** m for m in range(N + 1))
+                if fit != rows[i][n]:
+                    raise ModelViolationError(
+                        f"overdetermination failed at alpha={alphas[i]}, h^{n}"
+                    )
+    except GateError as exc:
+        if isinstance(knot, KnotRecord):
+            raise type(exc)(f"{knot.name}: {exc}") from exc
+        raise
     return DTable(N, tuple(tuple(row) for row in entries))
 
 
@@ -240,26 +247,6 @@ def _h_over_log1p(cap: int) -> TruncSeries:
         "h", cap, [Fraction((-1) ** n, n + 1) for n in range(cap + 1)]
     )
     return base.invert()
-
-
-def _over_common_den(coeffs: Sequence[Fraction]) -> Tuple[int, List[int]]:
-    """(den, ints) with coeffs[i] = ints[i] / den, den the lcm of the denominators."""
-    den = lcm(*(c.denominator for c in coeffs))
-    return den, [c.numerator * (den // c.denominator) for c in coeffs]
-
-
-def _int_product(x: Tuple[int, List[int]], y: Tuple[int, List[int]],
-                 cap: int) -> Tuple[int, List[int]]:
-    """x * y through the power ``cap``, each factor a (den, ints) pair; reduced."""
-    (x_den, xs), (y_den, ys) = x, y
-    out = [0] * (cap + 1)
-    for i, a in enumerate(xs[: cap + 1]):
-        if a:
-            for j, b in enumerate(ys[: cap + 1 - i], i):
-                out[j] += a * b
-    den = x_den * y_den
-    g = gcd(den, *out)
-    return den // g, [c // g for c in out]
 
 
 def to_z_lines(d: DTable) -> LineTable:
@@ -357,16 +344,12 @@ def to_htilde_lines(d: DTable) -> LineTable:
     N = d.N
     cap = 2 * N
     zl = d.biseries
-    sub = _over_common_den(reparam_series(cap).coeffs)
-    powers = [(1, [1] + [0] * cap)]
-    for _ in range(cap):
-        powers.append(_int_product(powers[-1], sub, cap))
-    den = lcm(*(p_den for p_den, _ in powers))
+    den, powers = series_powers(reparam_series(cap), cap)
     # columns[n][k]: the t^n coefficient of sub^k, times den
-    columns = [[ps[n] * (den // p_den) for p_den, ps in powers[: n + 1]] for n in range(cap + 1)]
+    columns = list(zip(*powers))
     rows_by_m: List[List[Fraction]] = []
     for m in range(N + 1):
-        row_den, row = _over_common_den(zl[2 * m][: 2 * (N - m) + 1])
+        row_den, row = over_common_den(zl[2 * m][: 2 * (N - m) + 1])
         rows_by_m.append([Fraction(sum(map(mul, row, column)), row_den * den)
                           for column in columns[: len(row)]])
     return LineTable.build(N, "ht", lambda n, m: rows_by_m[m][n])
@@ -378,30 +361,29 @@ def _z_h_biseries(d: DTable) -> Tuple[Tuple[Fraction, ...], ...]:
     Row m of the D-table contributes s(z)^(2m) H_m(h), with
     H_m = D_m(h) lfac(h)^(2m) and D_m(h) = sum_n D[m][n+2m] h^n: one
     truncated h-product per m, then the outer product with the shared
-    z-power ``DTable.z_powers[m]``.  Both factors are integers over their
-    own lcm denominator, and the grid sums the outer products as integers
-    over one common denominator, so each entry becomes a Fraction once.
+    z-power row ``DTable.z_powers[1][m]``.  The powers of s^2 and of
+    lfac^2 are integer tables over one denominator each
+    (:func:`series_powers`), D_m over its own, and the grid sums the outer
+    products as integers over one common denominator, so each entry becomes
+    a Fraction once.
     """
     N = d.N
     cap = 2 * N
-    lfac = _over_common_den(_h_over_log1p(cap).coeffs)
-    l2 = _int_product(lfac, lfac, cap)
-    l_pow = (1, [1] + [0] * cap)
-    factors = []
-    for m, s_pow in enumerate(d.z_powers):
-        if m > 0:
-            l_pow = _int_product(l_pow, l2, cap)
-        h_m = _int_product(_over_common_den(d.entries[m][2 * m:]), l_pow, cap)
-        factors.append((_over_common_den(s_pow.coeffs), h_m))
-    den = lcm(*(z_den * h_den for (z_den, _), (h_den, _) in factors))
+    lfac = _h_over_log1p(cap)
+    z_den, z_rows = d.z_powers
+    l_den, l_rows = series_powers(lfac * lfac, N)
+    d_rows = [over_common_den(d.entries[m][2 * m:]) for m in range(N + 1)]
+    d_den = lcm(*(row_den for row_den, _ in d_rows))
     grid = [[0] * (cap + 1) for _ in range(cap + 1)]
-    for (z_den, zs), (h_den, hs) in factors:
-        scale = den // (z_den * h_den)
-        for row, a in zip(grid, zs):
+    for (row_den, row), zs, ls in zip(d_rows, z_rows, l_rows):
+        hs = int_series_mul(row, ls, cap)
+        scale = d_den // row_den
+        for grid_row, a in zip(grid, zs):
             if a:
                 a *= scale
                 for hd, b in enumerate(hs):
-                    row[hd] += a * b
+                    grid_row[hd] += a * b
+    den = z_den * l_den * d_den
     for zdeg in range(1, cap + 1, 2):
         if any(grid[zdeg]):
             raise ModelViolationError(
@@ -444,9 +426,10 @@ def bottom_line_check(d: DTable, conway: QPoly) -> BottomLineReport:
     fail1 = tuple(
         k for k in range(cap + 1) if prod1.coeff(k) != (1 if k == 0 else 0)
     )
-    acc = TruncSeries.zero("z", cap)
-    for coeff, s_pow in zip(d.boundary_coeffs(), d.z_powers):
-        acc = acc + s_pow * coeff
+    z_den, z_rows = d.z_powers
+    b_den, bs = over_common_den(d.boundary_coeffs())
+    acc = TruncSeries("z", cap, [Fraction(sum(map(mul, bs, column)), b_den * z_den)
+                                 for column in zip(*z_rows)])
     prod2 = acc * conway_series
     fail2 = tuple(
         k for k in range(cap + 1) if prod2.coeff(k) != (1 if k == 0 else 0)

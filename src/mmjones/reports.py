@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, List
+from typing import TYPE_CHECKING, Dict
 
 from .exactalg import QPoly
 
@@ -183,19 +183,20 @@ def parse_linetable_tsv(text: str, N: int, tag: str) -> LineTable:
     """Line table from ``n<TAB>m<TAB>value`` rows, each value placed by its (n, m).
 
     ``tag`` is 'h' or 'ht' and N a non-negative int; line n must give every
-    column m = 0..N - ceil(n/2) exactly once, in any order.
+    column m = 0..N - ceil(n/2) exactly once, in any order.  Lines are held
+    by index as they are read, so memory follows the text, not N.
     """
     from .mmexpand import LineTable
 
     N, tag = _budget(N), _parameter(tag)
-    rows: List[dict] = [{} for _ in range(2 * N + 1)]
+    rows: Dict[int, dict] = {}
     body = text.strip().splitlines()
     if body and body[0].startswith("n\t"):
         body = body[1:]
     for line in body:
         n_text, m_text, value = line.split("\t")
         n, m = _line_index(int(n_text), N), int(m_text)
-        row, size = rows[n], LineTable.width(N, n)
+        row, size = rows.setdefault(n, {}), LineTable.width(N, n)
         if not 0 <= m < size:
             raise ValueError(f"column m={m} outside line n={n} (0..{size - 1})")
         if m in row:
@@ -203,7 +204,7 @@ def parse_linetable_tsv(text: str, N: int, tag: str) -> LineTable:
         row[m] = parse_frac(value)
 
     def placed(n: int, m: int) -> Fraction:
-        if m not in rows[n]:
+        if m not in rows.get(n, ()):
             raise ValueError(f"line n={n} misses column m={m}")
         return rows[n][m]
 

@@ -10,8 +10,9 @@ term from the expanded entries.  Next come the line routes as they first
 ran: series composition by Horner's rule, the (z, h) bi-series collected
 one product at a time, the ht rows by one series composition each, and
 approximants by repeated multiplication.  The braid and polynomial
-helpers at the end (mirror, conjugate, u -> 1/u, odd parity) are what the
-tests use to state invariances; the pipeline never calls them.
+helpers at the end (mirror, conjugate, Markov stabilization, u -> 1/u,
+odd parity) are what the tests use to state invariances; the pipeline
+never calls them.
 """
 
 from fractions import Fraction
@@ -209,6 +210,11 @@ def mirror(b: BraidWord) -> BraidWord:
 def conjugated(b: BraidWord, letter: int) -> BraidWord:
     """letter * b * letter^-1, the same closure."""
     return BraidWord(b.strands, (letter,) + b.letters + (-letter,))
+
+
+def stabilized(b: BraidWord, sign: int) -> BraidWord:
+    """Markov stabilization: one more strand and a final sign * strands letter."""
+    return BraidWord(b.strands + 1, b.letters + (sign * b.strands,))
 
 
 def invert_variable(p: LaurentPoly) -> LaurentPoly:

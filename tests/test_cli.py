@@ -294,7 +294,7 @@ class TestExpandCommand:
             monkeypatch.setattr(cjones, "_braiding_table", corrupted)
             code, out, err = run_cli(capsys, "expand", "--knot", "3_1", "--order", "2")
             assert code == EXIT_GATE_FAILED == 3 and out == ""
-            assert err.startswith("error: gate ConventionViolationError failed:")
+            assert err.startswith("error: gate ConventionViolationError failed: 3_1: ")
             assert "not inverse" in err and "Traceback" not in err
             assert len(err.splitlines()) == 1
 

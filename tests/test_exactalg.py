@@ -13,9 +13,12 @@ from mmjones.exactalg import (
     LaurentPoly,
     QPoly,
     TruncSeries,
+    int_series_mul,
+    over_common_den,
     series_compose,
     series_log1p,
     series_pow1p,
+    series_powers,
     series_two_arcsinh_half,
     solve_linear_system,
 )
@@ -166,6 +169,34 @@ class TestSeriesKernels:
         cap = 6
         lhs = series_pow1p(a, cap) * series_pow1p(b, cap)
         assert lhs == series_pow1p(a + b, cap)
+
+
+class TestIntegerSeries:
+    """The one power table and the one truncated product every substitution reads."""
+
+    @given(
+        coeffs=st.lists(st.fractions(max_denominator=9), min_size=1, max_size=10),
+        cap=st.integers(0, 9),
+        count=st.integers(0, 7),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_powers_equal_repeated_products(self, coeffs, cap, count):
+        # the constant term is drawn too: lfac^2, whose powers the bi-series reads, has 1
+        s = TruncSeries("h", cap, coeffs)
+        den, powers = series_powers(s, count)
+        assert len(powers) == count + 1
+        for k, power in enumerate(powers):
+            assert TruncSeries("h", cap, [F(c, den) for c in power]) == s ** k
+
+    def test_powers_keep_a_constant_term(self):
+        den, powers = series_powers(TruncSeries("h", 3, [F(1, 2), 1]), 3)
+        assert den == 8
+        assert powers == [[8, 0, 0, 0], [4, 8, 0, 0], [2, 8, 8, 0], [1, 6, 12, 8]]
+
+    def test_common_den_and_truncated_product(self):
+        assert over_common_den([F(1, 2), F(-2, 3), F(0), F(5)]) == (6, [3, -4, 0, 30])
+        assert int_series_mul([1, 2, 3], [4, 5], 2) == [4, 13, 22]
+        assert int_series_mul([1, 1], [1, 1], 4) == [1, 2, 1, 0, 0]
 
 
 class TestRationalFn:

@@ -121,6 +121,17 @@ def test_json_lines_of_a_huge_budget_fail_in_little_memory():
     assert peak < 1 << 20
 
 
+def test_tsv_lines_of_a_huge_budget_fail_in_little_memory():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="line n=0 misses column m=0"):
+            parse_linetable_tsv("", 10 ** 5, "h")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_json_lines_in_any_order():
     doc = _doc(1, [(2, ["5"]), (0, ["7", "2"]), (1, ["3"])])
     assert parse_linetable(doc).rows == ((Fraction(7), Fraction(2)), (Fraction(3),), (Fraction(5),))
