@@ -652,10 +652,11 @@ def int_series_mul(x: Sequence[int], y: Sequence[int], cap: int) -> List[int]:
     return out
 
 
-def series_powers(s: TruncSeries, count: int) -> Tuple[int, List[List[int]]]:
+def series_powers(s: TruncSeries, count: int) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
     """(den, powers): powers[k] / den is s**k through s.cap, for k = 0..count.
 
-    Each power is one reduced integer product from the previous one.
+    Each power is one reduced integer product from the previous one.  The
+    table is immutable, so callers may cache and share it.
     """
     s_den, s_ints = over_common_den(s.coeffs)
     reduced = [(1, [1] + [0] * s.cap)]
@@ -665,4 +666,4 @@ def series_powers(s: TruncSeries, count: int) -> Tuple[int, List[List[int]]]:
         g = gcd(p_den * s_den, *out)
         reduced.append((p_den * s_den // g, [c // g for c in out]))
     den = lcm(*(p_den for p_den, _ in reduced))
-    return den, [[c * (den // p_den) for c in p] for p_den, p in reduced]
+    return den, tuple(tuple(c * (den // p_den) for c in p) for p_den, p in reduced)

@@ -105,7 +105,7 @@ class DTable:
         return [self.entries[m][2 * m] for m in range(self.N + 1)]
 
     @cached_property
-    def z_powers(self) -> Tuple[int, List[List[int]]]:
+    def z_powers(self) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
         """(den, powers): powers[m] / den is s(z)^(2m) through z^(2N), m = 0..N.
 
         s = 2 arcsinh(z/2); built once and read by the bi-series and the

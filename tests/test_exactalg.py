@@ -191,7 +191,7 @@ class TestIntegerSeries:
     def test_powers_keep_a_constant_term(self):
         den, powers = series_powers(TruncSeries("h", 3, [F(1, 2), 1]), 3)
         assert den == 8
-        assert powers == [[8, 0, 0, 0], [4, 8, 0, 0], [2, 8, 8, 0], [1, 6, 12, 8]]
+        assert powers == ((8, 0, 0, 0), (4, 8, 0, 0), (2, 8, 8, 0), (1, 6, 12, 8))
 
     def test_common_den_and_truncated_product(self):
         assert over_common_den([F(1, 2), F(-2, 3), F(0), F(5)]) == (6, [3, -4, 0, 30])
