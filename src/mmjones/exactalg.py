@@ -11,8 +11,8 @@ Conventions used throughout the package:
 * ``TruncSeries`` is a power series truncated at a fixed cap; arithmetic
   never reports coefficients beyond the minimum cap of its operands.
 * An integer series is integers over one common denominator; every change
-  of variables reads one power table (:func:`series_powers`), built with
-  the one truncated integer product (:func:`int_series_mul`).
+  of variables on the main line reads one power table (:func:`series_powers`,
+  built with the one truncated integer product :func:`int_series_mul`).
 """
 
 from __future__ import annotations

@@ -24,9 +24,10 @@ color is above 3.  Each color's ring owns its operator pair and framing;
 the four color-independent memos of ``cjones`` are the only process caches.
 
 Cost of the line routes after the solve, with cap = 2N.  Every change of
-variables reads one integer table of the powers of its substitution
-series, ``exactalg.series_powers``: O(cap^3) per table, each power one
-truncated integer product from the last.  Each D-table builds two tables
+variables of the substitution route reads one integer table of the powers
+of its substitution series, ``exactalg.series_powers``: O(cap^3) per table,
+each power one truncated integer product from the last (the basis-change
+route keeps its own power loops, so it stays an independent check).  Each D-table builds two tables
 once, as cached properties, and every route reads them: ``DTable.z_powers``
 (the table of s(z)^2, s = 2 arcsinh(z/2)), read by the bi-series and by the
 second route of the bottom-line check, one dot product per z-order, and
