@@ -24,8 +24,10 @@ the Markov gate (:func:`_markov_data`) and the g-series tables
 Laurent polynomials: pack(S) pack(B) once per factor pair
 (:func:`_pair_products`), then one big-integer product per entry, at a
 width each of them proves exact from the color's factor-pair layer
-(:class:`_FactorPairs`).  Only the exact ring expands entries, whole
-tables, for the test oracle.
+(:class:`_FactorPairs`).  The gate multiplies unshifted packed entries
+and shifts each path product once; the g-series tables are built only for
+the signs of the word's letters.  Only the exact ring expands entries,
+whole tables, for the test oracle.
 
 One state-sum kernel, :func:`_state_sum`, evaluates the invariant over
 either of two coefficient rings; only the table coefficients, the weight
@@ -37,6 +39,11 @@ monomials and the reduction after each letter depend on the ring:
 * the ring of integer series in g = u - 1 truncated at a fixed order and
   packed into single big integers (Kronecker substitution), which gives
   h-expansions (h = q-hat - 1) at large colors (:func:`jones_h_series`).
+
+The last letter to touch a slot reads a pinned table (:func:`_pinned`):
+each key keeps at most the one entry that returns the slot to its start
+index.  The entry is picked by its index, from the wanted slot values; no
+entry of the table is filtered.
 
 The kernel cuts the closure open at a cut (r, f): the word rotated by r,
 slot f pinned, charge mu on the slots right of f and mu^-1 on those left
@@ -66,9 +73,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd, inf
+from math import gcd, inf, isqrt
 from operator import itemgetter, mul
-from typing import Callable, Dict, Iterable, List, Tuple
+from typing import Callable, Collection, Dict, Iterable, List, Tuple
 
 from .exactalg import GateError, LaurentPoly, int_series_mul, series_pow1p, series_powers
 from .knots import BraidWord, NotAKnotError
@@ -224,7 +231,10 @@ def _gate_packing(plus: dict, minus: dict, pairs: _FactorPairs) -> Tuple[int, in
     exponent w + lo(S B), so it packs as sgn pack(S) pack(B) shifted by
     w + lo(S B) - lo, with each factor packed from its own lowest exponent:
     one big-integer product per factor pair (:func:`_pair_products`), and
-    step divides the offsets of each piece.
+    step divides the offsets of each piece.  A shift is a factor 2^s, so
+    the packed product of two entries is their unshifted product shifted by
+    the sum of their shifts, the same integer as the product of the
+    shifted entries.
 
     Width: a coefficient of the exact composition at a source key is a sum,
     over the paths through an intermediate key, of products c c' of a minus
@@ -251,25 +261,28 @@ def _check_inverse(plus: dict, minus: dict, pairs: _FactorPairs, alpha: int) -> 
     """Raise unless plus after minus is the identity, one big-int product per path.
 
     Entries are packed from their factor pairs' packed products; no Laurent
-    polynomial is multiplied.  See :func:`_gate_packing` for the layout and
-    for why comparing packed integers is exact.
+    polynomial is multiplied.  Each packed entry is kept as its unshifted
+    value sgn pack(S) pack(B) and its shift, so a path multiplies the two
+    unshifted values and shifts the product once, by the sum of the shifts:
+    the low zeros of the shifted entries are never multiplied.  See
+    :func:`_gate_packing` for the layout and for why comparing packed
+    integers is exact.
     """
     width, step, lo = _gate_packing(plus, minus, pairs)
     products = _pair_products(_entries(plus, minus), lambda p: _pack_factor(p, width, step))
 
-    def packed(e: tuple) -> int:
-        return (e[5] * products[e[3:5]]) << (width * ((e[2] + pairs.lo(e) - lo) // step))
-
     def pack(table: dict) -> dict:
-        return {key: [(e[0], e[1], packed(e)) for e in entries] for key, entries in table.items()}
+        return {key: [(e[0], e[1], e[5] * products[e[3:5]],
+                       width * ((e[2] + pairs.lo(e) - lo) // step)) for e in entries]
+                for key, entries in table.items()}
 
     packed_plus = pack(plus)
     one = 1 << (width * (-2 * lo // step))
     for key, entries in pack(minus).items():
         acc: Dict[Tuple[int, int], int] = {}
-        for (k, l, x) in entries:
-            for (k2, l2, y) in packed_plus[(k, l)]:
-                acc[(k2, l2)] = acc.get((k2, l2), 0) + x * y
+        for (k, l, x, sx) in entries:
+            for (k2, l2, y, sy) in packed_plus[(k, l)]:
+                acc[(k2, l2)] = acc.get((k2, l2), 0) + ((x * y) << (sx + sy))
         if {tgt: v for tgt, v in acc.items() if v} != {key: one}:
             raise ConventionViolationError(
                 f"crossing operators are not inverse at alpha={alpha}, basis {key}"
@@ -404,15 +417,28 @@ def _drop_zeros(state: dict) -> dict:
     return {key: amp for key, amp in state.items() if amp}
 
 
-def _pinned(table: dict, want_k, want_l) -> dict:
-    """The entries of ``table`` whose output slots take the wanted values."""
-    return {
-        key: tuple(
-            e for e in entries
-            if (want_k is None or e[0] == want_k) and (want_l is None or e[1] == want_l)
-        )
-        for key, entries in table.items()
-    }
+def _pinned(table: dict, sign: int, want_k, want_l) -> dict:
+    """The entries of ``table`` whose output slots take the wanted values.
+
+    Entry n of key (i, j) sends it to (k, l) = (j + sign n, i - sign n)
+    (:func:`_braiding_shape`), so a wanted k fixes j = k - sign n and a
+    wanted l fixes i = l + sign n.  Each n thus names the only keys whose
+    entry n can reach the wanted slots, and such a key keeps that entry
+    alone; every other key keeps none.  With nothing wanted, the table
+    itself.
+    """
+    if want_k is None and want_l is None:
+        return table
+    alpha = isqrt(len(table))  # one key per (i, j)
+    picked = dict.fromkeys(table, ())
+    for n in range(alpha):
+        rows = range(alpha) if want_l is None else (want_l + sign * n,)
+        cols = range(alpha) if want_k is None else (want_k - sign * n,)
+        for key in product(rows, cols):
+            entries = table.get(key, ())
+            if n < len(entries):
+                picked[key] = (entries[n],)
+    return picked
 
 
 def _closure_steps(letters: tuple) -> List[Tuple[int, int, bool, bool]]:
@@ -450,7 +476,7 @@ def _diagonal_amplitude(steps: list, start: tuple, ring):
         key = (sign, start[pos] if pin_k else None, start[pos + 1] if pin_l else None)
         table = pinned.get(key)
         if table is None:
-            table = pinned[key] = _pinned(ring.tables[sign], key[1], key[2])
+            table = pinned[key] = _pinned(ring.tables[sign], *key)
         state = _apply_letter(state, table, pos, reduce)
     return state.get(start)
 
@@ -679,18 +705,20 @@ def _gseries_width(entries: List[tuple], pairs: _FactorPairs, length: int) -> in
     return (norm * peak).bit_length() + 1
 
 
-def _gseries_entry_tables(operators: Tuple[CrossingOperator, CrossingOperator], length: int):
-    """A color's crossing tables as truncated g-series coefficient tuples, both signs.
+def _gseries_entry_tables(operators: Tuple[CrossingOperator, CrossingOperator], length: int,
+                          signs: Collection[int]):
+    """A color's crossing tables of the given signs as truncated g-series coefficient tuples.
 
-    Built once per color, by :class:`_PackedRing`, and not kept after it.
+    Built once per color, by :class:`_PackedRing` for the signs of its
+    word's letters, and not kept after it; no sign, no table.
 
     An entry c = sgn u^w S B has the g-series sgn row(w) gS gB mod
     g**length, where row(w) = (1+g)**w (:func:`_binom_row`) and gS, gB are
     the factor g-series (:func:`_factor_gseries`).  Packed with g -> 2**W,
     that is one big-integer product per entry, (sgn row(w) (gS gB)) mod
     2**(W length), with gS gB one product per factor pair
-    (:func:`_pair_products`), shared by both signs; the signed W-bit digits
-    are the coefficients.
+    (:func:`_pair_products`), shared by the signs built; the signed W-bit
+    digits are the coefficients.
 
     Width: c_k, the g**k coefficient of c = sum_e c_e u^e, is
     sum_e c_e C(e, k) with C(e, k) that of (1+g)**e, so
@@ -698,7 +726,7 @@ def _gseries_entry_tables(operators: Tuple[CrossingOperator, CrossingOperator], 
     sum of absolute coefficients, which is submultiplicative).
     |C(e, k)| is binom(e, k) for e >= 0 and binom(-e + k - 1, k) for e < 0,
     nondecreasing in |e| on each side of 0, so for every exponent e of
-    every entry, lo <= e <= hi (the lowest and highest over both tables),
+    every entry, lo <= e <= hi (the lowest and highest over the tables built),
     |C(e, k)| <= max(|C(lo, k)|, |C(hi, k)|).  Hence every coefficient is
     at most P = max |S|_1 |B|_1 * max(|row(lo)|_inf, |row(hi)|_inf) in
     absolute value, and W = bits(P) + 1 leaves a sign bit.  As in
@@ -710,7 +738,9 @@ def _gseries_entry_tables(operators: Tuple[CrossingOperator, CrossingOperator], 
     that sign's table, the coefficientwise max over source keys of the sum
     of |c| over the key's entries (see :class:`_PackedRing`).
     """
-    factored = {op.sign: op.table for op in operators}
+    factored = {op.sign: op.table for op in operators if op.sign in signs}
+    if not factored:
+        return {}, {}
     pairs = operators[0].pairs
     entries = _entries(*factored.values())
     width = _gseries_width(entries, pairs, length)
@@ -799,7 +829,9 @@ class _PackedRing:
 
     truncated at g**length.  :func:`_majorant_series` evaluates this
     series, and the width is one sign bit over the bit length of its
-    largest coefficient.
+    largest coefficient.  It reads R_s only for the signs of the word's
+    letters, so the ring builds the tables and row majorants of those signs
+    alone, and none for a word without letters.
 
     The bound, and so the width, is the same at every cut (r, f) of
     :func:`_state_sum`.  The series R_sign commute, so a rotation leaves
@@ -816,7 +848,8 @@ class _PackedRing:
     def __init__(self, b: BraidWord, alpha: int, length: int):
         operators = _operator_pair(alpha)
         self.framing = _markov_data(operators)
-        raw_tables, majorants = _gseries_entry_tables(operators, length)
+        signs = {1 if k > 0 else -1 for k in b.letters}
+        raw_tables, majorants = _gseries_entry_tables(operators, length, signs)
         self.length = length
         self.bits = max(_majorant_series(b, alpha, length, majorants, self.framing)).bit_length() + 1
         self.mask = (1 << (self.bits * length)) - 1

@@ -122,15 +122,7 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 
 
 def cmd_expand(args) -> int:
-    from .mmexpand import (
-        _allowed_exponents,
-        approx_poly,
-        bottom_line_check,
-        build_dtable,
-        integrality_report,
-        to_htilde_lines,
-        to_z_lines,
-    )
+    from .mmexpand import build_dtable
 
     records = _load_records(args.catalog)
     rec = catalog_lookup(records, args.knot)
@@ -140,10 +132,29 @@ def cmd_expand(args) -> int:
             "(raise it with --max-order)"
         )
     d = build_dtable(rec, args.order, jobs=args.jobs)
+    # build_dtable names the knot on its own gates; so do the routes after it
+    try:
+        _emit_expansion(args, rec, d)
+    except GateError as exc:
+        raise type(exc)(f"{rec.name}: {exc}") from exc
+    return 0
+
+
+def _emit_expansion(args, rec, d) -> None:
+    """The lines of the D-table ``d`` of ``rec``, as TSV or as the full JSON report."""
+    from .mmexpand import (
+        _allowed_exponents,
+        approx_poly,
+        bottom_line_check,
+        integrality_report,
+        to_htilde_lines,
+        to_z_lines,
+    )
+
     lines = to_z_lines(d) if args.parameter == "h" else to_htilde_lines(d)
     if args.format == "tsv":
         _emit(reports.linetable_tsv(lines), args.out)
-        return 0
+        return
     mode = args.exponent_mode
     if mode == "auto":
         mode = "2n+1" if args.parameter == "h" else "3n+1"
@@ -169,7 +180,6 @@ def cmd_expand(args) -> int:
         "approx": approx,
     }
     _emit(reports.dump_json(doc), args.out)
-    return 0
 
 
 def cmd_torus(args) -> int:

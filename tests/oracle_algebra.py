@@ -5,14 +5,14 @@ numerator over nabla^(2n+1), and an h-series comes from the packed state
 sum.  The routes here are independent of both: gcd-reduced rational
 functions in z with quotient-rule derivatives (Euclidean division over Q),
 the substitution q = 1 + h term by term, exact tensor states acted on
-one crossing at a time, and g-series crossing tables converted term by
-term from the expanded entries.  Next come the line routes as they first
-ran: series composition by Horner's rule, the (z, h) bi-series collected
-one product at a time, the ht rows by one series composition each, and
-approximants by repeated multiplication.  The braid and polynomial
-helpers at the end (mirror, conjugate, Markov stabilization, u -> 1/u,
-odd parity) are what the tests use to state invariances; the pipeline
-never calls them.
+one crossing at a time, g-series crossing tables converted term by term
+from the expanded entries, and pinned tables filtered entry by entry.
+Next come the line routes as they first ran: series composition by
+Horner's rule, the (z, h) bi-series collected one product at a time,
+the ht rows by one series composition each, and approximants by repeated
+multiplication.  The braid and polynomial helpers at the end (mirror,
+conjugate, Markov stabilization, u -> 1/u, odd parity) are what the tests
+use to state invariances; the pipeline never calls them.
 """
 
 from fractions import Fraction
@@ -143,6 +143,17 @@ def gseries_entry_tables(expanded: dict, length: int):
                 for entries in tables[sign].values()]
         majorants[sign] = tuple(map(max, zip(*sums)))
     return tables, majorants
+
+
+def pinned_by_filter(table: dict, want_k, want_l) -> dict:
+    """The entries of ``table`` whose output slots take the wanted values, by filter."""
+    return {
+        key: tuple(
+            e for e in entries
+            if (want_k is None or e[0] == want_k) and (want_l is None or e[1] == want_l)
+        )
+        for key, entries in table.items()
+    }
 
 
 def compose_by_horner(outer: TruncSeries, inner: TruncSeries) -> TruncSeries:

@@ -28,6 +28,7 @@ from oracle_algebra import (
     invert_variable,
     laurent_to_hseries,
     mirror,
+    pinned_by_filter,
     stabilized,
 )
 
@@ -123,7 +124,7 @@ def framing(alpha):
 
 
 def gseries_tables(alpha, length):
-    return cjones._gseries_entry_tables(cjones._operator_pair(alpha), length)
+    return cjones._gseries_entry_tables(cjones._operator_pair(alpha), length, (1, -1))
 
 
 def a_priori_bits(b, alpha, length):
@@ -271,7 +272,7 @@ class TestOperatorTables:
             return original(self, other)
 
         monkeypatch.setattr(LaurentPoly, "__mul__", counted)
-        cjones._gseries_entry_tables(cjones._operator_pair(alpha), 11)
+        cjones._gseries_entry_tables(cjones._operator_pair(alpha), 11, (1, -1))
         assert products == []
 
     @pytest.mark.parametrize("alpha", [2, 5, 9])
@@ -466,7 +467,7 @@ class TestGSeriesTables:
                 for (_, _, c) in es for x in c.terms]
         for length in (11, 17, 21, 25):
             tables, majorants = gseries_entry_tables(expanded, length)
-            assert cjones._gseries_entry_tables(operators, length) == (tables, majorants)
+            assert cjones._gseries_entry_tables(operators, length, (1, -1)) == (tables, majorants)
             rows = cjones._binom_row(min(exps), length) + cjones._binom_row(max(exps), length)
             bound = norm * max(map(abs, rows))
             assert max(abs(x) for table in tables.values() for es in table.values()
@@ -481,6 +482,57 @@ class TestGSeriesTables:
             cache = cjones._factor_gseries(length)
             for factor in (cjones._scaled_qbinom(3, 2), cjones._qbinom(3, 2)):
                 assert cache[factor] == tuple(cjones._laurent_to_gseries(factor, length, {}))
+
+
+class TestOneSignTables:
+    def test_ring_builds_only_its_word_signs(self):
+        positive = BraidWord(2, (1, 1, 1))
+        assert set(cjones._PackedRing(positive, 4, 9).tables) == {1}
+        assert set(cjones._PackedRing(mirror(positive), 4, 9).tables) == {-1}
+        assert set(cjones._PackedRing(FIG8, 4, 9).tables) == {1, -1}
+
+    @pytest.mark.parametrize("alpha", [2, 5, 9])
+    def test_one_sign_is_that_sign_of_both(self, alpha):
+        operators = cjones._operator_pair(alpha)
+        tables, majorants = cjones._gseries_entry_tables(operators, 11, (1, -1))
+        for sign in (1, -1):
+            assert (cjones._gseries_entry_tables(operators, 11, (sign,))
+                    == ({sign: tables[sign]}, {sign: majorants[sign]}))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_one_sign_word_converts_only_its_entries(self, sign, monkeypatch):
+        # each converted entry is unpacked once, and the ring unpacks nothing else
+        alpha, unpacked = 6, []
+        original = cjones._unpack
+        monkeypatch.setattr(cjones, "_unpack",
+                            lambda *args: unpacked.append(args) or original(*args))
+        cjones._PackedRing(BraidWord(2, (sign,) * 3), alpha, 13)
+        assert len(unpacked) == len(cjones._entries(cjones._braiding_table(alpha, sign)))
+
+    def test_trefoil_widths_at_order_12(self):
+        # the widths of both-sign tables: the width reads only the word's signs
+        assert [cjones._PackedRing(TREFOIL, alpha, 25).bits for alpha in range(2, 14)] == [
+            42, 69, 89, 106, 121, 134, 145, 154, 163, 171, 178, 185]
+
+    def test_unknot_builds_no_table(self):
+        ring = cjones._PackedRing(BraidWord(1, []), 4, 9)
+        assert ring.tables == {}
+        assert ring.unpack(cjones._state_sum(BraidWord(1, []), 4, ring)) == [1] + [0] * 8
+
+
+class TestPinnedTables:
+    @pytest.mark.parametrize("alpha", range(2, 9))
+    def test_index_picker_matches_filter(self, alpha):
+        rings = (cjones._ExactRing(alpha), cjones._PackedRing(FIG8, alpha, 5),
+                 cjones._CountingRing(alpha))
+        wanted = (None, *range(alpha))
+        for ring in rings:
+            for sign in (1, -1):
+                table = ring.tables[sign]
+                for want_k, want_l in product(wanted, wanted):
+                    picked = cjones._pinned(table, sign, want_k, want_l)
+                    assert ({key: tuple(es) for key, es in picked.items()}
+                            == pinned_by_filter(table, want_k, want_l))
 
 
 class TestColoredJones:

@@ -21,7 +21,7 @@ from mmjones.cli import (
     main,
 )
 from mmjones.mmexpand import OutOfRangeError
-from mmjones.exactalg import LaurentPoly
+from mmjones.exactalg import LaurentPoly, TruncSeries
 from mmjones.reports import parse_frac, parse_linetable
 
 
@@ -297,6 +297,23 @@ class TestExpandCommand:
             assert err.startswith("error: gate ConventionViolationError failed: 3_1: ")
             assert "not inverse" in err and "Traceback" not in err
             assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("fmt", ["json", "tsv"])
+    def test_post_solve_gate_names_the_knot(self, capsys, monkeypatch, fmt):
+        # a z^2 term in s = 2 arcsinh(z/2) puts odd z-powers into the
+        # bi-series, which fails the odd-z gate after the solve
+        original = mmexpand.series_two_arcsinh_half
+
+        def even_term(cap):
+            s = original(cap)
+            return TruncSeries(s.var, s.cap, (*s.coeffs[:2], s.coeffs[2] + 1, *s.coeffs[3:]))
+
+        monkeypatch.setattr(mmexpand, "series_two_arcsinh_half", even_term)
+        code, out, err = run_cli(capsys, "expand", "--knot", "3_1", "--order", "2",
+                                 "--format", fmt)
+        assert code == EXIT_GATE_FAILED and out == ""
+        assert err.startswith("error: gate ModelViolationError failed: 3_1: odd z-powers")
+        assert "Traceback" not in err and len(err.splitlines()) == 1
 
 
 class TestVerifyCommand:
