@@ -363,12 +363,6 @@ class QPoly:
                 base = base * base
         return out
 
-    def compose(self, inner: "QPoly") -> "QPoly":
-        out = QPoly.zero()
-        for c in reversed(self.coeffs):
-            out = out * inner + QPoly((c,))
-        return out
-
     def __repr__(self) -> str:
         if not self.coeffs:
             return "0"

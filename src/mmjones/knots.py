@@ -3,12 +3,14 @@
 The Conway polynomial of a braid closure is computed through the reduced
 Burau representation: det(Burau(b) - Id) over Z[t, t^-1], divided by
 1 + t + ... + t^(s-1), with the unit ambiguity resolved by forcing symmetry
-under t -> 1/t and value 1 at t = 1.  The result is rewritten as a
-polynomial in z via z^2 = t - 2 + 1/t.
+under t -> 1/t and value 1 at t = 1.  The Burau product takes one row
+update per letter, and no generator matrix is built.  The result is
+rewritten as a polynomial in z by peeling powers of z^2 = t - 2 + 1/t off
+the top.
 
 Torus knots additionally get a closed-form Conway polynomial from the
-quotient of quantum integers, computed by exact Laurent division in
-x = t^(1/2).
+quotient of quantum integers x^k - x^-k, computed by exact Laurent division
+in x = t^(1/2).
 """
 
 from __future__ import annotations
@@ -101,59 +103,32 @@ class BraidWord:
 # ---------------------------------------------------------------------------
 
 
-def _burau_generator(strands: int, letter: int) -> list:
-    """Matrix of the reduced Burau image of one braid generator.
-
-    Acts on column vectors of dimension strands - 1 over Z[t, t^-1]; columns
-    hold images of basis vectors.
-    """
-    n = strands - 1
-    t = LaurentPoly.monomial("t", 1)
-    tinv = LaurentPoly.monomial("t", -1)
-    one = LaurentPoly.one("t")
-    zero = LaurentPoly.zero("t")
-    mat = [[one if r == c else zero for c in range(n)] for r in range(n)]
-    i = abs(letter)  # 1-based generator index; acts on row i (1-based)
-    r = i - 1
-    if letter > 0:
-        mat[r][r] = -t
-        if r - 1 >= 0:
-            mat[r][r - 1] = t
-        if r + 1 < n:
-            mat[r][r + 1] = one
-    else:
-        mat[r][r] = -tinv
-        if r - 1 >= 0:
-            mat[r][r - 1] = one
-        if r + 1 < n:
-            mat[r][r + 1] = tinv
-    return mat
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    zero = LaurentPoly.zero("t")
-    out = [[zero for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for k in range(n):
-            aik = a[i][k]
-            if aik.is_zero():
-                continue
-            for j in range(n):
-                bkj = b[k][j]
-                if not bkj.is_zero():
-                    out[i][j] = out[i][j] + aik * bkj
-    return out
-
-
 def reduced_burau(b: BraidWord):
-    """Reduced Burau matrix of the whole word (identity for empty words)."""
+    """Reduced Burau matrix of the whole word (identity for empty words).
+
+    Acts on column vectors of dimension strands - 1 over Z[t, t^-1].  The
+    image of a letter on generator i differs from the identity only in row
+    i, so each letter, taken on the left, replaces that row of the running
+    product (a row outside the matrix counts as zero):
+
+        sigma_i:     row i <- -t row i + t row (i-1) + row (i+1)
+        sigma_i^-1:  row i <- -t^-1 row i + row (i-1) + t^-1 row (i+1)
+
+    Each coefficient is a monomial, so the update is three row shifts.
+    """
     n = b.strands - 1
     one = LaurentPoly.one("t")
     zero = LaurentPoly.zero("t")
     mat = [[one if r == c else zero for c in range(n)] for r in range(n)]
     for k in b.letters:
-        mat = _mat_mul(_burau_generator(b.strands, k), mat)
+        r = abs(k) - 1
+        own, prev, nxt = (1, 1, 0) if k > 0 else (-1, 0, -1)
+        row = [-x.shift(own) for x in mat[r]]
+        if r > 0:
+            row = [x + y.shift(prev) for x, y in zip(row, mat[r - 1])]
+        if r + 1 < n:
+            row = [x + y.shift(nxt) for x, y in zip(row, mat[r + 1])]
+        mat[r] = row
     return mat
 
 
@@ -189,27 +164,27 @@ def _determinant(mat) -> LaurentPoly:
 def symmetric_laurent_to_z2(p: LaurentPoly) -> QPoly:
     """Rewrite a t<->1/t symmetric Laurent polynomial as a polynomial in z^2.
 
-    Uses z^2 = t - 2 + 1/t; every symmetric polynomial is an integer
-    combination of t^j + t^-j, each of which is a polynomial in w = t + 1/t.
+    (z^2)^d = (t - 2 + 1/t)^d is symmetric with top term t^d, so peeling
+    c_d (z^2)^d off p for d = top..0, c_d the current t^d coefficient,
+    clears t^d and t^-d together and gives the z^2 coefficients c_d.  A
+    remainder left after t^0 means a peeled power was not symmetric; it
+    raises rather than return a polynomial.
     """
     if not p.is_symmetric():
         raise PresentationError("polynomial is not symmetric under t -> 1/t")
-    if p.is_zero():
-        return QPoly.zero()
-    top = p.max_exp()
-    # b_j(w) = t^j + t^-j as polynomials in w
-    b = [QPoly([2]), QPoly([0, 1])]
-    while len(b) <= top:
-        b.append(QPoly([0, 1]) * b[-1] - b[-2])
-    in_w = QPoly([p.coeff(0)])
-    for j in range(1, top + 1):
-        c = p.coeff(j)
+    z2 = LaurentPoly("t", {-1: 1, 0: -2, 1: 1})
+    powers = [LaurentPoly.one("t")]
+    for _ in range(max(p.terms, default=0)):
+        powers.append(powers[-1] * z2)
+    rest, coeffs = p, []
+    for d in reversed(range(len(powers))):
+        c = rest.coeff(d)
         if c:
-            in_w = in_w + c * b[j]
-    result = in_w.compose(QPoly([2, 0, 1]))  # w = z^2 + 2
-    if not result.only_even_powers():
-        raise PresentationError("z-conversion produced odd powers")
-    return result
+            rest = rest - powers[d] * c
+        coeffs.append(c)
+    if rest:
+        raise PresentationError(f"z^2 peeling left the remainder {rest!r}")
+    return QPoly.from_z2_coeffs(reversed(coeffs))
 
 
 def conway_poly(b: BraidWord) -> QPoly:
@@ -287,8 +262,7 @@ def conway_torus(t: TorusParams) -> QPoly:
     p, q = abs(t.p), abs(t.q)
 
     def qint(k: int) -> LaurentPoly:
-        x = LaurentPoly.monomial("x", 1)
-        return x ** k - x ** -k
+        return LaurentPoly("x", {k: 1, -k: -1})
 
     num = qint(p * q) * qint(1)
     den = qint(p) * qint(q)

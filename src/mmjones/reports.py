@@ -81,11 +81,21 @@ def _list(value, what: str) -> list:
     return value
 
 
+def _field(obj, key: str, what: str):
+    """``obj[key]`` of a JSON object, a ValueError if obj is no object or lacks key."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be an object, not {type(obj).__name__}")
+    if key not in obj:
+        raise ValueError(f"{what} misses the field {key!r}")
+    return obj[key]
+
+
 def parse_dtable(doc: dict) -> DTable:
     """D-table from its JSON document: N + 1 rows m of 2N + 1 values n each."""
     from .mmexpand import DTable
 
-    N, rows = _budget(doc["N"]), _list(doc["rows"], "D-table rows")
+    N = _budget(_field(doc, "N", "D-table"))
+    rows = _list(_field(doc, "rows", "D-table"), "D-table rows")
     if len(rows) != N + 1:
         raise ValueError(f"D-table has {len(rows)} rows, expected N + 1 = {N + 1}")
     for m, row in enumerate(rows):
@@ -124,13 +134,15 @@ def parse_linetable(doc: dict) -> LineTable:
     """
     from .mmexpand import LineTable
 
-    N, tag = _budget(doc["N"]), _parameter(doc["parameter"])
+    N = _budget(_field(doc, "N", "line table"))
+    tag = _parameter(_field(doc, "parameter", "line table"))
     rows: Dict[int, tuple] = {}
-    for row in _list(doc["lines"], "lines"):
-        n = _line_index(row["n"], N)
+    for row in _list(_field(doc, "lines", "line table"), "lines"):
+        n = _line_index(_field(row, "n", "line"), N)
         if n in rows:
             raise ValueError(f"duplicate line n={n}")
-        values, size = _list(row["values"], f"line n={n} values"), LineTable.width(N, n)
+        values = _list(_field(row, "values", f"line n={n}"), f"line n={n} values")
+        size = LineTable.width(N, n)
         if len(values) != size:
             raise ValueError(f"line n={n} has {len(values)} values, expected {size}")
         rows[n] = tuple(parse_frac(c) for c in values)

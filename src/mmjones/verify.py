@@ -81,8 +81,7 @@ def _check(name: str, passed: bool, detail: str = "") -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def suite_torus(pipeline: Optional[_Pipeline] = None) -> List[CheckResult]:
-    pipe = pipeline or _Pipeline()
+def suite_torus(pipe: _Pipeline) -> List[CheckResult]:
     out: List[CheckResult] = []
     for (p, q), coeffs in sorted(golden.TORUS_CONWAY.items()):
         got = conway_torus(TorusParams(p, q))
@@ -159,8 +158,7 @@ def _table_checks(
     return out
 
 
-def suite_tables(scope: str = "small", pipeline: Optional[_Pipeline] = None) -> List[CheckResult]:
-    pipe = pipeline or _Pipeline()
+def suite_tables(scope: str, pipe: _Pipeline) -> List[CheckResult]:
     out: List[CheckResult] = []
     if scope == "small":
         for name in ("5_2", "6_1"):
@@ -180,8 +178,7 @@ def suite_tables(scope: str = "small", pipeline: Optional[_Pipeline] = None) -> 
 # ---------------------------------------------------------------------------
 
 
-def suite_mm(scope: str = "small", pipeline: Optional[_Pipeline] = None) -> List[CheckResult]:
-    pipe = pipeline or _Pipeline()
+def suite_mm(scope: str, pipe: _Pipeline) -> List[CheckResult]:
     out: List[CheckResult] = []
     names = ["unknot", "3_1", "4_1", "5_2", "6_1", "8_3"]
     for name in names:
@@ -287,8 +284,7 @@ def suite_mm(scope: str = "small", pipeline: Optional[_Pipeline] = None) -> List
 # ---------------------------------------------------------------------------
 
 
-def suite_cross(pipeline: Optional[_Pipeline] = None) -> List[CheckResult]:
-    pipe = pipeline or _Pipeline()
+def suite_cross(pipe: _Pipeline) -> List[CheckResult]:
     out: List[CheckResult] = []
     for (p, q) in ((2, 3), (2, 5)):
         t = TorusParams(p, q)

@@ -10,9 +10,11 @@ from the expanded entries, and pinned tables filtered entry by entry.
 Next come the line routes as they first ran: series composition by
 Horner's rule, the (z, h) bi-series collected one product at a time,
 the ht rows by one series composition each, and approximants by repeated
-multiplication.  The braid and polynomial helpers at the end (mirror,
-conjugate, Markov stabilization, u -> 1/u, odd parity) are what the tests
-use to state invariances; the pipeline never calls them.
+multiplication.  The reduced Burau product comes as it first ran: one
+generator matrix per letter, multiplied in by a full matrix product.  The
+braid and polynomial helpers at the end (mirror, conjugate, Markov
+stabilization, u -> 1/u, odd parity) are what the tests use to state
+invariances; the pipeline never calls them.
 """
 
 from fractions import Fraction
@@ -211,6 +213,34 @@ def approx_product_by_repeats(lines, conway: QPoly, n: int, exponent: int) -> Tr
     for _ in range(exponent):
         prod = prod * conway_series
     return prod
+
+
+def burau_generator(strands: int, letter: int) -> list:
+    """Reduced Burau matrix of one letter: the identity but for row |letter|."""
+    n = strands - 1
+    one, zero = LaurentPoly.one("t"), LaurentPoly.zero("t")
+    t, tinv = LaurentPoly.monomial("t", 1), LaurentPoly.monomial("t", -1)
+    mat = [[one if r == c else zero for c in range(n)] for r in range(n)]
+    r = abs(letter) - 1
+    own, prev, nxt = (-t, t, one) if letter > 0 else (-tinv, one, tinv)
+    mat[r][r] = own
+    if r > 0:
+        mat[r][r - 1] = prev
+    if r + 1 < n:
+        mat[r][r + 1] = nxt
+    return mat
+
+
+def burau_by_matrix_products(b: BraidWord) -> list:
+    """Reduced Burau matrix of a word, each letter's matrix multiplied in on the left."""
+    n = b.strands - 1
+    zero = LaurentPoly.zero("t")
+    mat = [[LaurentPoly.one("t") if r == c else zero for c in range(n)] for r in range(n)]
+    for k in b.letters:
+        gen = burau_generator(b.strands, k)
+        mat = [[sum((gen[i][j] * mat[j][c] for j in range(n)), zero) for c in range(n)]
+               for i in range(n)]
+    return mat
 
 
 def mirror(b: BraidWord) -> BraidWord:

@@ -14,6 +14,7 @@ from mmjones.knots import (
     InvalidTorusParametersError,
     KnotRecord,
     NotAKnotError,
+    PresentationError,
     TorusParams,
     catalog_lookup,
     conway_poly,
@@ -21,9 +22,10 @@ from mmjones.knots import (
     default_catalog,
     load_catalog,
     reduced_burau,
+    symmetric_laurent_to_z2,
     _determinant,
 )
-from oracle_algebra import conjugated, mirror, stabilized
+from oracle_algebra import burau_by_matrix_products, conjugated, mirror, stabilized
 
 
 def mat_eq(a, b):
@@ -61,6 +63,46 @@ class TestBurau:
         m = reduced_burau(BraidWord(4, [2, -2]))
         ident = reduced_burau(BraidWord(4, []))
         assert mat_eq(m, ident)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_row_updates_match_matrix_products(self, seed):
+        rng = random.Random(seed)
+        strands = 1 + seed % 6
+        length = 0 if strands == 1 or seed % 7 == 0 else rng.randint(1, 12)
+        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(length)]
+        b = BraidWord(strands, word)
+        assert reduced_burau(b) == burau_by_matrix_products(b)
+
+
+def z2_to_laurent(coeffs) -> LaurentPoly:
+    """Sum of c_d (t - 2 + 1/t)^d, expanded in t."""
+    z2 = LaurentPoly("t", {-1: 1, 0: -2, 1: 1})
+    out = LaurentPoly.zero("t")
+    for d, c in enumerate(coeffs):
+        out = out + c * z2 ** d
+    return out
+
+
+class TestZ2Conversion:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_round_trip(self, seed):
+        rng = random.Random(seed)
+        top = seed % 8
+        terms = {0: rng.randint(-9, 9)}
+        for j in range(1, top + 1):
+            terms[j] = terms[-j] = rng.randint(-9, 9)
+        p = LaurentPoly("t", terms)
+        coeffs = symmetric_laurent_to_z2(p).even_part_coeffs()
+        assert all(c.denominator == 1 for c in coeffs)
+        assert z2_to_laurent([int(c) for c in coeffs]) == p
+
+    @pytest.mark.parametrize("c", [0, 1, -3])
+    def test_zero_and_constants(self, c):
+        assert symmetric_laurent_to_z2(LaurentPoly("t", {0: c})) == QPoly([c])
+
+    def test_rejects_non_symmetric(self):
+        with pytest.raises(PresentationError, match="not symmetric"):
+            symmetric_laurent_to_z2(LaurentPoly("t", {-1: 1, 0: 1, 2: 1}))
 
 
 def cofactor_determinant(mat):

@@ -172,6 +172,25 @@ def test_dtable_shape_errors(doc, match):
         parse_dtable(doc)
 
 
+@pytest.mark.parametrize("parse, doc, match", [
+    (parse_linetable, {"N": 1, "parameter": "h"}, "line table misses the field 'lines'"),
+    (parse_linetable, {"N": 1, "lines": []}, "line table misses the field 'parameter'"),
+    (parse_linetable, {"parameter": "h", "N": 0, "lines": ["x"]}, "line must be an object, not str"),
+    (parse_linetable, {"parameter": "h", "N": 0, "lines": [{"values": ["7"]}]},
+     "line misses the field 'n'"),
+    (parse_linetable, {"parameter": "h", "N": 0, "lines": [{"n": 0}]},
+     "line n=0 misses the field 'values'"),
+    (parse_linetable, ["x"], "line table must be an object, not list"),
+    (parse_dtable, {"rows": []}, "D-table misses the field 'N'"),
+    (parse_dtable, {"N": 0}, "D-table misses the field 'rows'"),
+    (parse_dtable, [1], "D-table must be an object, not list"),
+], ids=["no-lines", "no-parameter", "string-line", "no-n", "no-values", "list-table",
+        "no-N", "no-rows", "list-dtable"])
+def test_malformed_documents_raise_value_error(parse, doc, match):
+    with pytest.raises(ValueError, match=match):
+        parse(doc)
+
+
 def test_dtable_of_budget_zero_round_trips():
     d = DTable(0, ((Fraction(1),),))
     assert parse_dtable(dtable_doc(d)) == d
