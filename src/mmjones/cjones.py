@@ -18,16 +18,19 @@ u^w (q - 1/q)^n [n]! [i choose n] [N-j choose n] of the R-matrix and are
 kept factored, as sgn u^w S B with S = prod_{k=1..n} (q^k - q^-k)
 [i choose n] and B = [N-j choose n], symmetric q-binomials from Pascal's
 rule: no polynomial is divided, and the factors, which do not depend on the
-color, number only O(alpha^2).  The inverse gate (:func:`_gate_packing`),
-the Markov gate (:func:`_markov_data`) and the g-series tables
-(:func:`_gseries_entry_tables`) multiply Kronecker-packed factors, not
-Laurent polynomials: pack(S) pack(B) once per factor pair
-(:func:`_pair_products`), then one big-integer product per entry, at a
-width each of them proves exact from the color's factor-pair layer
-(:class:`_FactorPairs`).  The gate multiplies unshifted packed entries
-and shifts each path product once; the g-series tables are built only for
-the signs of the word's letters.  Only the exact ring expands entries,
-whole tables, for the test oracle.
+color, number only O(alpha^2).  Both gates are calls of one packed
+identity check, :func:`_check_chain`: a chain of factored tables must send
+each source key to an expected monomial.  The inverse gate
+(:func:`_check_inverse`) is the chain minus then plus, and the Markov gate
+(:func:`_markov_data`) the one table of charged diagonal entries.  The
+check and the g-series tables (:func:`_gseries_entry_tables`) multiply
+Kronecker-packed factors, not Laurent polynomials: pack(S) pack(B) once
+per factor pair (:func:`_pair_products`), then one big-integer product
+per entry, at a width each of them proves exact from the color's
+factor-pair layer (:class:`_FactorPairs`).  The check multiplies
+unshifted packed entries and shifts each path product once; the g-series
+tables are built only for the signs of the word's letters.  Only the exact
+ring expands entries, whole tables, for the test oracle.
 
 One state-sum kernel, :func:`_state_sum`, evaluates the invariant over
 either of two coefficient rings; only the table coefficients, the weight
@@ -219,74 +222,91 @@ def _pack_factor(p: LaurentPoly, width: int, step: int = 1) -> int:
     return sum(c << (width * ((e - low) // step)) for e, c in p.terms.items())
 
 
-def _gate_packing(plus: dict, minus: dict, pairs: _FactorPairs) -> Tuple[int, int, int]:
-    """Kronecker layout (width, step, lo) of the inverse gate.
+def _chain_layout(chain: List[dict], expected: dict,
+                  pairs: _FactorPairs) -> Tuple[int, int, List[int]]:
+    """Kronecker layout (width, step, los) of :func:`_check_chain`, proved there.
 
-    An entry c = sum c_e u^e of either table is packed as the integer
-    sum c_e 2^(width * (e - lo) / step), where lo is the lowest exponent of
-    both tables or 0 if that is lower, and step divides every offset e - lo
-    and 2 lo.  Packing is a ring map, so the packed product of two entries
-    is the packed exact product at offset 2 lo, where the identity packs to
-    2^(width * -2 lo / step).  A factored entry sgn u^w S B has lowest
-    exponent w + lo(S B), so it packs as sgn pack(S) pack(B) shifted by
-    w + lo(S B) - lo, with each factor packed from its own lowest exponent:
-    one big-integer product per factor pair (:func:`_pair_products`), and
-    step divides the offsets of each piece.  A shift is a factor 2^s, so
-    the packed product of two entries is their unshifted product shifted by
-    the sum of their shifts, the same integer as the product of the
-    shifted entries.
+    width is one sign bit over the largest path sum, over source keys, of
+    prod |S|_1 |B|_1, summed backwards over the chain, one pass per table.
+    los[t] is the lowest entry exponent of table t, the first one lowered
+    until every expected monomial's offset is >= 0; step divides every
+    entry's offset from its table's lo, every expected offset and the
+    offsets within every factor.
+    """
+    onwards: Dict[tuple, int] = {}  # each key's path sum to the end; 1 past the last table
+    for table in reversed(chain):
+        onwards = {key: sum(pairs.norm(e) * onwards.get(e[:2], 1) for e in es)
+                   for key, es in table.items()}
+    lows = [{e[2] + pairs.lo(e) for e in _entries(table)} for table in chain]
+    los = [min(low) for low in lows]
+    monomials = {m for _, m in expected.values()}
+    los[0] = min(los[0], *(m - sum(los[1:]) for m in monomials))
+    offsets = [x - lo for low, lo in zip(lows, los) for x in low]
+    offsets += [m - sum(los) for m in monomials]
+    return max(onwards.values()).bit_length() + 1, gcd(pairs.step, *offsets) or 1, los
 
-    Width: a coefficient of the exact composition at a source key is a sum,
-    over the paths through an intermediate key, of products c c' of a minus
-    and a plus entry, so its absolute value is at most
-    sum_paths |c|_1 |c'|_1 (|.|_1 the sum of absolute coefficients).  The
-    1-norm is submultiplicative, so |c|_1 <= |S|_1 |B|_1 for c = +-u^w S B.
-    Let M be the largest over source keys of
-    sum_paths |S|_1 |B|_1 |S'|_1 |B'|_1, which bounds every coefficient of
-    the composition.  With width = bits(M) + 1 (a sign bit on top of M), a
-    coefficient of the composition minus the identity is at most
-    M + 1 <= 2^(width-1) < 2^width in absolute value.  Such a difference
-    vector packs to zero only if every coefficient is zero (the lowest
+
+def _check_chain(chain: List[dict], expected: dict, pairs: _FactorPairs,
+                 error: Callable[[tuple], Exception]) -> None:
+    """Raise ``error(key)`` unless the chain sends each source key to its expected monomial.
+
+    ``chain`` is a list of factored tables (key -> entries
+    (k, l, w, s, b, sgn), each entry's (k, l) a key of the next table);
+    the chain sends a source key of the first table to the sum, over its
+    paths through the tables, of the products of the entries' coefficients
+    sgn u^w S B.  ``expected`` maps each source key to (target, m): the sum
+    must be u^m at the target and zero at every other key.  No Laurent
+    polynomial is multiplied.
+
+    Layout (:func:`_chain_layout`): an entry of table t is packed by the
+    ring map u^step -> 2^width from that table's lo, los[t].  Its lowest
+    exponent is w + lo(S B), so it packs as sgn pack(S) pack(B) shifted by
+    width (w + lo(S B) - los[t]) / step, each factor packed from its own
+    lowest exponent: one big-integer product per factor pair
+    (:func:`_pair_products`).  A path product is then the packed exact
+    product at offset sum(los), where u^m packs as
+    2^(width (m - sum(los)) / step); step divides every offset.  A shift is
+    a factor 2^s, so each path multiplies its entries' unshifted values and
+    shifts the product once, by the sum of their shifts: the low zeros are
+    never multiplied.
+
+    Width: a coefficient of the chain's sum at a source key is a sum over
+    paths of products of entry coefficients, so its absolute value is at
+    most the path sum of prod |c|_1 (|.|_1 the sum of absolute
+    coefficients), and |c|_1 <= |S|_1 |B|_1 for c = +-u^w S B (the 1-norm
+    is submultiplicative).  Let M be the largest such path sum of
+    prod |S|_1 |B|_1 over source keys.  With width = bits(M) + 1 (a sign
+    bit on top of M), a coefficient of the sum minus the expected monomial
+    is at most M + 1 <= 2^(width-1) < 2^width in absolute value.  Such a
+    difference packs to zero only if every coefficient is zero (the lowest
     nonzero one would have to be a multiple of 2^width), so within the
     bound equal packed integers mean equal polynomials.
     """
-    row = {key: sum(map(pairs.norm, es)) for key, es in plus.items()}
-    bound = max(sum(pairs.norm(e) * row[e[:2]] for e in es) for es in minus.values())
-    lows = [e[2] + pairs.lo(e) for e in _entries(plus, minus)]
-    lo = min(0, *lows)
-    return bound.bit_length() + 1, gcd(2 * lo, *(x - lo for x in lows), pairs.step) or 1, lo
+    width, step, los = _chain_layout(chain, expected, pairs)
+    products = _pair_products(_entries(*chain), lambda p: _pack_factor(p, width, step))
+    *head, last = [{key: [(e[:2], e[5] * products[e[3:5]],
+                           width * ((e[2] + pairs.lo(e) - lo) // step)) for e in es]
+                    for key, es in table.items()} for table, lo in zip(chain, los)]
+    base = sum(los)
+    for key in chain[0]:
+        # the key's paths up to the last table, as (key reached, unshifted value, shift)
+        paths = head[0][key] if head else [(key, 1, 0)]
+        for table in head[1:]:
+            paths = [(tgt, x * y, sx + sy) for (src, x, sx) in paths for (tgt, y, sy) in table[src]]
+        acc: Dict[tuple, int] = {}
+        for (src, x, sx) in paths:
+            for (tgt, y, sy) in last[src]:
+                acc[tgt] = acc.get(tgt, 0) + ((x * y) << (sx + sy))
+        target, m = expected[key]
+        if {tgt: v for tgt, v in acc.items() if v} != {target: 1 << (width * ((m - base) // step))}:
+            raise error(key)
 
 
 def _check_inverse(plus: dict, minus: dict, pairs: _FactorPairs, alpha: int) -> None:
-    """Raise unless plus after minus is the identity, one big-int product per path.
-
-    Entries are packed from their factor pairs' packed products; no Laurent
-    polynomial is multiplied.  Each packed entry is kept as its unshifted
-    value sgn pack(S) pack(B) and its shift, so a path multiplies the two
-    unshifted values and shifts the product once, by the sum of the shifts:
-    the low zeros of the shifted entries are never multiplied.  See
-    :func:`_gate_packing` for the layout and for why comparing packed
-    integers is exact.
-    """
-    width, step, lo = _gate_packing(plus, minus, pairs)
-    products = _pair_products(_entries(plus, minus), lambda p: _pack_factor(p, width, step))
-
-    def pack(table: dict) -> dict:
-        return {key: [(e[0], e[1], e[5] * products[e[3:5]],
-                       width * ((e[2] + pairs.lo(e) - lo) // step)) for e in entries]
-                for key, entries in table.items()}
-
-    packed_plus = pack(plus)
-    one = 1 << (width * (-2 * lo // step))
-    for key, entries in pack(minus).items():
-        acc: Dict[Tuple[int, int], int] = {}
-        for (k, l, x, sx) in entries:
-            for (k2, l2, y, sy) in packed_plus[(k, l)]:
-                acc[(k2, l2)] = acc.get((k2, l2), 0) + ((x * y) << (sx + sy))
-        if {tgt: v for tgt, v in acc.items() if v} != {key: one}:
-            raise ConventionViolationError(
-                f"crossing operators are not inverse at alpha={alpha}, basis {key}"
-            )
+    """Raise unless plus after minus is the identity (:func:`_check_chain`)."""
+    _check_chain([minus, plus], {key: (key, 0) for key in minus}, pairs,
+                 lambda key: ConventionViolationError(
+                     f"crossing operators are not inverse at alpha={alpha}, basis {key}"))
 
 
 @dataclass(frozen=True)
@@ -317,37 +337,6 @@ def _operator_pair(alpha: int) -> Tuple[CrossingOperator, CrossingOperator]:
     return CrossingOperator(alpha, 1, plus, pairs), CrossingOperator(alpha, -1, minus, pairs)
 
 
-def crossing_operator(alpha: int, sign: int) -> CrossingOperator:
-    """The braiding operator for the alpha-dimensional coloring.
-
-    ``sign=+1`` gives the operator of positive braid letters, the choice
-    that makes the positive trefoil braid match the torus-knot line
-    generator (see the cross-path tests); ``sign=-1`` its exact inverse
-    (verified on basis vectors at construction).
-    """
-    if alpha < 1:
-        raise ValueError("alpha must be >= 1")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    plus, minus = _operator_pair(alpha)
-    return plus if sign > 0 else minus
-
-
-def _diagonals(operators) -> List[List[tuple]]:
-    """Per operator, its diagonal entries (i, j, entry): those sending (i, j) to itself."""
-    return [[(i, j, e) for (i, j), entries in op.table.items() for e in entries if e[:2] == (i, j)]
-            for op in operators]
-
-
-def _diagonal_width(diagonals: List[List[tuple]], pairs: _FactorPairs) -> int:
-    """One sign bit over the largest row sum of |S|_1 |B|_1 (see :func:`_markov_data`)."""
-    row_norms: Dict[Tuple[int, int], int] = {}
-    for side, diagonal in enumerate(diagonals):
-        for (i, _, e) in diagonal:
-            row_norms[(side, i)] = row_norms.get((side, i), 0) + pairs.norm(e)
-    return max(row_norms.values()).bit_length() + 1
-
-
 def _markov_data(operators: Tuple[CrossingOperator, CrossingOperator]) -> int:
     """The framing exponent alpha^2 - 1, checked against a color's operator pair.
 
@@ -359,33 +348,20 @@ def _markov_data(operators: Tuple[CrossingOperator, CrossingOperator]) -> int:
 
     Row i of the partial trace is sum_j c_ij u^(2(N-2j)) over the diagonal
     entries c_ij = sgn u^w S B, those that send (i, j) to itself
-    (n = i - j for the plus table, j - i for the minus table).  A row and
-    the monomial are packed by the ring map u -> 2^width from one lowest
-    exponent; a row is one product pack(S) pack(B) per entry
-    (:func:`_pair_products`), shifted, so no entry is expanded.
-
-    Width (:func:`_diagonal_width`): a row minus the monomial has every
-    coefficient at most M + 1 <= 2^(width - 1) in absolute value, M the
-    largest row sum of |S|_1 |B|_1 (the 1-norm is submultiplicative), so it
-    packs to zero only if it is zero.
+    (n = i - j for the plus table, j - i for the minus table).  The charge
+    goes into each entry's w, so the rows of both signs are one table,
+    keyed (sign, i), and the gate is a one-table :func:`_check_chain`.
     """
     alpha = operators[0].alpha
     N, f_exp = alpha - 1, alpha * alpha - 1
-    pairs, diagonals = operators[0].pairs, _diagonals(operators)
-    width = _diagonal_width(diagonals, pairs)
-    products = _pair_products([e for diagonal in diagonals for (_, _, e) in diagonal],
-                              lambda p: _pack_factor(p, width))
-    for monomial, diagonal in zip((f_exp, -f_exp), diagonals):
-        terms = [(i, e[5] * products[e[3:5]], e[2] + pairs.lo(e) + 2 * (N - 2 * j))
-                 for (i, j, e) in diagonal]
-        lo = min(monomial, *(exp for (_, _, exp) in terms))
-        rows = [0] * alpha
-        for (i, x, exp) in terms:
-            rows[i] += x << (width * (exp - lo))
-        if any(row != 1 << (width * (monomial - lo)) for row in rows):
-            raise ConventionViolationError(
-                f"the partial trace is not u^{monomial} times the identity at alpha={alpha}"
-            )
+    trace = {(op.sign, i): [] for op in operators for i in range(alpha)}
+    for op in operators:
+        for (i, j), entries in op.table.items():
+            trace[(op.sign, i)] += [(op.sign, i, w + 2 * (N - 2 * j), s, b, sgn)
+                                    for (k, l, w, s, b, sgn) in entries if (k, l) == (i, j)]
+    _check_chain([trace], {key: (key, key[0] * f_exp) for key in trace}, operators[0].pairs,
+                 lambda key: ConventionViolationError(
+                     f"the partial trace is not u^{key[0] * f_exp} times the identity at alpha={alpha}"))
     return f_exp
 
 

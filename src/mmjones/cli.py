@@ -141,8 +141,13 @@ def cmd_expand(args) -> int:
 
 
 def _emit_expansion(args, rec, d) -> None:
-    """The lines of the D-table ``d`` of ``rec``, as TSV or as the full JSON report."""
+    """The lines of the D-table ``d`` of ``rec``, as TSV or as the full JSON report.
+
+    Either format is gated on the bottom line: 1/Conway is a theorem, so a
+    failure raises :class:`ModelViolationError` naming the failing orders.
+    """
     from .mmexpand import (
+        ModelViolationError,
         _allowed_exponents,
         approx_poly,
         bottom_line_check,
@@ -151,6 +156,13 @@ def _emit_expansion(args, rec, d) -> None:
         to_z_lines,
     )
 
+    bottom = bottom_line_check(d, rec.conway)
+    if not bottom.passed:
+        raise ModelViolationError(
+            "the bottom line times the Conway polynomial is not 1 at the z-orders "
+            f"{list(bottom.line_route_failures)} (line route) and "
+            f"{list(bottom.substitution_route_failures)} (substitution route)"
+        )
     lines = to_z_lines(d) if args.parameter == "h" else to_htilde_lines(d)
     if args.format == "tsv":
         _emit(reports.linetable_tsv(lines), args.out)
@@ -173,7 +185,7 @@ def _emit_expansion(args, rec, d) -> None:
         "conway": reports.qpoly_doc(rec.conway),
         "dtable": reports.dtable_doc(d),
         "lines": reports.linetable_doc(lines),
-        "bottom_line": reports.bottom_line_doc(bottom_line_check(d, rec.conway)),
+        "bottom_line": reports.bottom_line_doc(bottom),
         "integrality": reports.integrality_doc(
             integrality_report(lines, rec.amphicheiral)
         ),

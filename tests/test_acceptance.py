@@ -8,7 +8,7 @@ PASS/FAIL line; all assertions are exact equalities.
 import time
 
 from mmjones import golden
-from mmjones.cjones import colored_jones, crossing_operator, jones_h_series
+from mmjones.cjones import _operator_pair, colored_jones, jones_h_series
 from mmjones.exactalg import LaurentPoly, QPoly
 from mmjones.knots import BraidWord, TorusParams, conway_poly, conway_torus
 from mmjones.mmexpand import approx_poly, bottom_line_check, integrality_report
@@ -140,8 +140,7 @@ class TestAcceptance:
         from itertools import product
 
         for alpha in (2, 3, 4):
-            plus = crossing_operator(alpha, 1)
-            minus = crossing_operator(alpha, -1)
+            plus, minus = _operator_pair(alpha)
             for idx in product(range(alpha), repeat=2):
                 v = basis_state(idx)
                 ok = ok and apply_crossings(v, (plus, 0), (minus, 0)) == v

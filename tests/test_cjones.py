@@ -13,7 +13,6 @@ from mmjones import cjones, golden, mmexpand
 from mmjones.cjones import (
     ConventionViolationError,
     colored_jones,
-    crossing_operator,
     jones_h_series,
 )
 from mmjones.exactalg import LaurentPoly, TruncSeries, series_pow1p
@@ -171,6 +170,16 @@ def exact_gseries(b, alpha, length):
         cjones._state_sum(b, alpha, cjones._ExactRing(alpha)), length, {})
 
 
+def gate_chain(gate, *args):
+    """The (chain, expected, pairs) that ``gate`` hands to the one chain check."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cjones, "_check_chain", lambda *call: calls.append(call[:3]))
+        gate(*args)
+    (call,) = calls
+    return call
+
+
 def factor_pairs(*tables):
     return cjones._FactorPairs(cjones._entries(*tables))
 
@@ -182,19 +191,18 @@ def basis_vectors(alpha, strands):
 
 class TestCrossingOperator:
     def test_alpha_one_is_scalar_unit(self):
-        op = crossing_operator(1, 1)
+        op, _ = cjones._operator_pair(1)
         assert cjones._expand_table(op.table)[(0, 0)] == [(0, 0, LaurentPoly.one("u"))]
 
     @pytest.mark.parametrize("alpha", [2, 3, 4])
     def test_inverse_pair_on_basis(self, alpha):
-        plus = crossing_operator(alpha, 1)
-        minus = crossing_operator(alpha, -1)
+        plus, minus = cjones._operator_pair(alpha)
         for vec in basis_vectors(alpha, 2):
             assert apply_crossings(vec, (plus, 0), (minus, 0)) == vec
 
     @pytest.mark.parametrize("alpha", [2, 3, 4])
     def test_yang_baxter(self, alpha):
-        plus = crossing_operator(alpha, 1)
+        plus, _ = cjones._operator_pair(alpha)
         for vec in basis_vectors(alpha, 3):
             lhs = apply_crossings(vec, (plus, 0), (plus, 1), (plus, 0))
             rhs = apply_crossings(vec, (plus, 1), (plus, 0), (plus, 1))
@@ -202,8 +210,7 @@ class TestCrossingOperator:
 
     @pytest.mark.parametrize("alpha", [2, 3])
     def test_distant_crossings_commute(self, alpha):
-        plus = crossing_operator(alpha, 1)
-        minus = crossing_operator(alpha, -1)
+        plus, minus = cjones._operator_pair(alpha)
         for vec in basis_vectors(alpha, 4):
             ab = apply_crossings(vec, (plus, 0), (minus, 2))
             ba = apply_crossings(vec, (minus, 2), (plus, 0))
@@ -236,14 +243,19 @@ class TestOperatorTables:
         plus = cjones._braiding_table(alpha, 1)
         true_minus = cjones._braiding_table(alpha, -1)
         for minus in (true_minus, *(tamper_minus(true_minus, how) for how in TAMPERS)):
-            width, step, lo = cjones._gate_packing(plus, minus, factor_pairs(plus, minus))
+            chain, expected, pairs = gate_chain(cjones._check_inverse, plus, minus,
+                                                factor_pairs(plus, minus), alpha)
+            assert chain == [minus, plus]
+            width, step, los = cjones._chain_layout(chain, expected, pairs)
             bound = path_bound(plus, minus)
-            assert width >= bound.bit_length() + 1
+            assert width == bound.bit_length() + 1
             products, composed = compose_paths(cjones._expand_table(plus),
                                                cjones._expand_table(minus))
             polys = products + [p for acc in composed.values() for p in acc.values()]
             assert max(abs(c) for p in polys for c in p.terms.values()) <= bound
-            assert all((e - 2 * lo) % step == 0 for p in products for e in p.terms)
+            assert all((e - sum(los)) % step == 0 for p in products for e in p.terms)
+            assert all(m - sum(los) >= 0 and (m - sum(los)) % step == 0
+                       for _, m in expected.values())
 
     @pytest.mark.parametrize("alpha", range(1, 8))
     def test_packed_gate_verdict_matches_exact(self, alpha):
@@ -301,9 +313,9 @@ def oracle_markov_data(alpha):
     """(a, f_sign, f_exp) from the expanded diagonal entries, row by row."""
     N = alpha - 1
     diagonals = [
-        {key: cjones._entry_poly(e) for key, entries in crossing_operator(alpha, sign).table.items()
+        {key: cjones._entry_poly(e) for key, entries in op.table.items()
          for e in entries if e[:2] == key}
-        for sign in (1, -1)
+        for op in cjones._operator_pair(alpha)
     ]
     for a in (1, -1):
         scalars = []
@@ -342,19 +354,27 @@ class TestMarkovData:
         # coefficient of the rows, for both charge signs, true and tampered
         N = alpha - 1
         for operators in (cjones._operator_pair(alpha), *(tampered_pair(alpha, how) for how in TAMPERS)):
-            diagonals = cjones._diagonals(operators)
+            chain, expected, pairs = gate_chain(cjones._markov_data, operators)
+            width, step, (lo,) = cjones._chain_layout(chain, expected, pairs)
+            diagonals = [[(i, j, e) for (i, j), entries in op.table.items()
+                          for e in entries if e[:2] == (i, j)] for op in operators]
             norm = {id(e): sum(map(abs, cjones._scaled_qbinom(*e[3]).terms.values()))
                     * sum(map(abs, cjones._qbinom(*e[4]).terms.values()))
                     for diagonal in diagonals for (_, _, e) in diagonal}
             bound = max(sum(norm[id(e)] for (i, _, e) in diagonal if i == row)
                         for diagonal in diagonals for row in range(alpha))
-            assert cjones._diagonal_width(diagonals, operators[0].pairs) >= bound.bit_length() + 1
+            assert width == bound.bit_length() + 1
             for a in (1, -1):
                 for diagonal in diagonals:
                     for row in range(alpha):
                         poly = sum((cjones._entry_poly(e).shift(2 * a * (N - 2 * j))
                                     for (i, j, e) in diagonal if i == row), LaurentPoly.zero("u"))
                         assert max(map(abs, poly.terms.values()), default=0) <= bound
+            # a path of the one-table chain is one charged diagonal entry
+            (table,) = chain
+            assert all((e - lo) % step == 0 for es in table.values() for entry in es
+                       for e in cjones._entry_poly(entry).terms)
+            assert all(m - lo >= 0 and (m - lo) % step == 0 for _, m in expected.values())
 
     @pytest.mark.parametrize("alpha", [2, 3, 6])
     def test_tampered_diagonal_raises(self, alpha, monkeypatch):
@@ -424,14 +444,13 @@ class TestPackingWidth:
         # over output keys, has the row majorant as coefficientwise max
         length = 9
         _, majorants = gseries_tables(alpha, length)
-        for sign in (1, -1):
-            op = crossing_operator(alpha, sign)
+        for op in cjones._operator_pair(alpha):
             images = []
             for vec in basis_vectors(alpha, 2):
                 amps = apply_crossings(vec, (op, 0)).values()
                 rows = [cjones._laurent_to_gseries(c, length, {}) for c in amps]
                 images.append([sum(abs(r[k]) for r in rows) for k in range(length)])
-            assert majorants[sign] == tuple(map(max, *images))
+            assert majorants[op.sign] == tuple(map(max, *images))
 
     @pytest.mark.parametrize("record", default_catalog(), ids=lambda r: r.name)
     def test_majorant_matches_start_vector_enumeration(self, record):

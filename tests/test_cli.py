@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from mmjones import cjones, cli, golden, mmexpand, toruslines
+from mmjones import cjones, cli, golden, knots, mmexpand, toruslines
 from mmjones.cli import (
     EXIT_GATE_FAILED,
     MAX_LINES_CEILING,
@@ -21,7 +21,7 @@ from mmjones.cli import (
     main,
 )
 from mmjones.mmexpand import OutOfRangeError
-from mmjones.exactalg import LaurentPoly, TruncSeries
+from mmjones.exactalg import LaurentPoly, QPoly, TruncSeries
 from mmjones.reports import parse_frac, parse_linetable
 
 
@@ -313,6 +313,27 @@ class TestExpandCommand:
                                  "--format", fmt)
         assert code == EXIT_GATE_FAILED and out == ""
         assert err.startswith("error: gate ModelViolationError failed: 3_1: odd z-powers")
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("fmt", ["json", "tsv"])
+    def test_bottom_line_gate_fails_closed(self, capsys, monkeypatch, tmp_path, fmt):
+        # a Conway polynomial with an extra z^4 is not the bottom line's inverse;
+        # the catalog record states no Conway polynomial, so it loads
+        original = knots.conway_poly
+
+        def with_z4(b):
+            coeffs = list(original(b).coeffs) + [0] * 5
+            coeffs[4] += 1
+            return QPoly(coeffs)
+
+        monkeypatch.setattr(knots, "conway_poly", with_z4)
+        path = tmp_path / "cat.json"
+        path.write_text(json.dumps([{"name": "3_1", "strands": 2, "braid": [1, 1, 1]}]))
+        code, out, err = run_cli(capsys, "expand", "--knot", "3_1", "--order", "2",
+                                 "--catalog", str(path), "--format", fmt)
+        assert code == EXIT_GATE_FAILED and out == ""
+        assert err.startswith("error: gate ModelViolationError failed: 3_1: the bottom line ")
+        assert "[4] (line route)" in err
         assert "Traceback" not in err and len(err.splitlines()) == 1
 
 

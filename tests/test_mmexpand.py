@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmjones import mmexpand
+from mmjones import cjones, mmexpand
+from mmjones.cjones import ConventionViolationError, jones_h_series
 from mmjones.exactalg import QPoly, TruncSeries, series_compose, series_pow1p
 from mmjones.knots import BraidWord, catalog_lookup, default_catalog
 from mmjones.mmexpand import (
@@ -162,8 +163,24 @@ class TestBuildDTable:
                     assert d52.entry(m, n) == 0
 
     def test_overdetermined_consistency(self):
-        build_dtable(knot("4_1"), 2, extra_alphas=2)
-        build_dtable(knot("5_2"), 2, extra_alphas=1)
+        # the solved polynomial in alpha^2 fits the colors after the N + 1 it is solved from
+        N = 2
+        for name, extra in (("4_1", 2), ("5_2", 1)):
+            d = build_dtable(knot(name), N)
+            for alpha in range(N + 2, N + 2 + extra):
+                fit = [sum(d.entry(m, n) * alpha ** (2 * m) for m in range(N + 1))
+                       for n in range(2 * N + 1)]
+                assert fit == jones_h_series(knot(name).braid, alpha, 2 * N)
+
+    def test_gate_error_names_a_bare_braid_word(self, monkeypatch):
+        # a failing gate inside the solve names the word, not only the color
+        def failing(operators):
+            raise ConventionViolationError(f"tampered at alpha={operators[0].alpha}")
+
+        monkeypatch.setattr(cjones, "_markov_data", failing)
+        with pytest.raises(ConventionViolationError,
+                           match=r"^BraidWord\(strands=2, letters=\(1, 1, 1\)\): tampered at alpha=2$"):
+            build_dtable(BraidWord(2, (1, 1, 1)), 2)
 
     def test_parallel_jobs_match(self, d52):
         d = build_dtable(knot("5_2"), 3, jobs=2)
