@@ -41,8 +41,9 @@ from .knots import (
 CATALOG_ENV = "MMJONES_CATALOG"
 DEFAULT_ORDER_CEILING = 6
 # Exit status when a runtime gate (operator inverse, Markov trace, closure
-# cut, integrality, exact arithmetic, torus line parity or integrality)
-# fails, that is on any GateError; input errors exit with 1.
+# cut, integrality, exact arithmetic, bottom line, amphicheiral ht parity,
+# torus line parity or integrality) fails, that is on any GateError; input
+# errors exit with 1.
 EXIT_GATE_FAILED = 3
 # Fixed ceilings on the torus inputs, well above every tabulated, tested and
 # benchmarked value (|p|, |q| <= 9, 10 z-terms, 6 lines); the (19, 20) knot
@@ -145,6 +146,8 @@ def _emit_expansion(args, rec, d) -> None:
 
     Either format is gated on the bottom line: 1/Conway is a theorem, so a
     failure raises :class:`ModelViolationError` naming the failing orders.
+    The ``ht`` lines of a record marked amphicheiral are gated on their odd
+    rows, which V(q) = V(1/q) makes vanish; the first nonzero one is named.
     """
     from .mmexpand import (
         ModelViolationError,
@@ -164,6 +167,12 @@ def _emit_expansion(args, rec, d) -> None:
             f"{list(bottom.substitution_route_failures)} (substitution route)"
         )
     lines = to_z_lines(d) if args.parameter == "h" else to_htilde_lines(d)
+    if args.parameter == "ht" and rec.amphicheiral:
+        odd = next((n for n in range(1, 2 * d.N + 1, 2) if any(lines.row(n))), None)
+        if odd is not None:
+            raise ModelViolationError(
+                f"the knot is marked amphicheiral, but its ht line {odd} is not zero"
+            )
     if args.format == "tsv":
         _emit(reports.linetable_tsv(lines), args.out)
         return

@@ -1,4 +1,4 @@
-"""Exact scalar, polynomial, Laurent and truncated-series arithmetic.
+"""Exact scalar, Laurent polynomial and truncated-series arithmetic.
 
 Everything here is immutable after construction and computes over exact
 rationals (``fractions.Fraction``) or exact integers.  No floats anywhere.
@@ -6,8 +6,10 @@ rationals (``fractions.Fraction``) or exact integers.  No floats anywhere.
 Conventions used throughout the package:
 
 * ``LaurentPoly`` is an integer-coefficient Laurent polynomial in a single
-  formal variable identified by a short tag ('q', 'u', 't', 'x').
-* ``QPoly`` is a dense polynomial in z with rational coefficients.
+  formal variable identified by a short tag ('q', 'u', 't', 'x', 'z').  It
+  is also the one polynomial type the package returns: a Conway polynomial
+  or a torus line numerator is a ``LaurentPoly`` in z with even exponents
+  (:meth:`LaurentPoly.from_z2_coeffs`).
 * ``TruncSeries`` is a power series truncated at a fixed cap; arithmetic
   never reports coefficients beyond the minimum cap of its operands.
 * An integer series is integers over one common denominator; every change
@@ -93,6 +95,11 @@ class LaurentPoly:
     def monomial(cls, var: str, exp: int, coeff: int = 1) -> "LaurentPoly":
         return cls(var, {exp: coeff})
 
+    @classmethod
+    def from_z2_coeffs(cls, coeffs: Iterable[int]) -> "LaurentPoly":
+        """The polynomial in z with coefficient coeffs[d] at z^(2d)."""
+        return cls("z", {2 * d: c for d, c in enumerate(coeffs)})
+
     # -- predicates / accessors ----------------------------------------
 
     def is_zero(self) -> bool:
@@ -106,9 +113,6 @@ class LaurentPoly:
 
     def max_exp(self) -> int:
         return max(self.terms)
-
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
 
     def __eq__(self, other) -> bool:
         return (
@@ -162,24 +166,6 @@ class LaurentPoly:
         return LaurentPoly(self.var, out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "LaurentPoly":
-        if k < 0:
-            if not self.is_monomial():
-                raise InexactDivisionError("negative power of a non-monomial")
-            ((e, c),) = self.terms.items()
-            if c not in (1, -1):
-                raise InexactDivisionError("negative power needs unit coefficient")
-            return LaurentPoly(self.var, {e * k: 1 if c == 1 or k % 2 == 0 else -1})
-        out = LaurentPoly.one(self.var)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by var**k."""
@@ -245,137 +231,6 @@ class LaurentPoly:
                 bits.append(f"{c}*{self.var}")
             else:
                 bits.append(f"{c}*{self.var}^{e}")
-        return " + ".join(bits)
-
-
-# ---------------------------------------------------------------------------
-# Dense polynomials over Q (variable z unless stated otherwise)
-# ---------------------------------------------------------------------------
-
-
-class QPoly:
-    """Dense polynomial with exact rational coefficients, index = power of z."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable = ()):
-        cs = [_frac(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def zero(cls) -> "QPoly":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "QPoly":
-        return cls((1,))
-
-    @classmethod
-    def from_z2_coeffs(cls, even_coeffs: Iterable) -> "QPoly":
-        """Build a polynomial in z**2 from the coefficients of z^0, z^2, z^4, ..."""
-        out = []
-        for c in even_coeffs:
-            out.append(_frac(c))
-            out.append(_ZERO)
-        if out:
-            out.pop()
-        return cls(out)
-
-    # -- accessors ------------------------------------------------------
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else _ZERO
-
-    def constant_term(self) -> Fraction:
-        return self.coeff(0)
-
-    def even_part_coeffs(self) -> list:
-        return [self.coeff(2 * m) for m in range((len(self.coeffs) + 1) // 2)]
-
-    def only_even_powers(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1::2])
-
-    def has_integer_coeffs(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, QPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    # -- ring operations --------------------------------------------------
-
-    def __add__(self, other: "QPoly") -> "QPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return QPoly(out)
-
-    def __neg__(self) -> "QPoly":
-        return QPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other: "QPoly") -> "QPoly":
-        return self + (-other)
-
-    def __mul__(self, other) -> "QPoly":
-        if isinstance(other, (int, Fraction)):
-            o = _frac(other)
-            return QPoly([c * o for c in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return QPoly.zero()
-        out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] += a * b
-        return QPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "QPoly":
-        if k < 0:
-            raise ValueError("negative polynomial power")
-        out = QPoly.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                bits.append(str(c))
-            elif i == 1:
-                bits.append(f"{c}*z")
-            else:
-                bits.append(f"{c}*z^{i}")
         return " + ".join(bits)
 
 
@@ -454,10 +309,6 @@ class TruncSeries:
         self.coeffs = tuple(cs)
 
     @classmethod
-    def zero(cls, var: str, cap: int) -> "TruncSeries":
-        return cls(var, cap)
-
-    @classmethod
     def constant(cls, var: str, cap: int, value) -> "TruncSeries":
         return cls(var, cap, (value,))
 
@@ -474,9 +325,6 @@ class TruncSeries:
 
     def constant_term(self) -> Fraction:
         return self.coeffs[0]
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
 
     def __eq__(self, other) -> bool:
         return (

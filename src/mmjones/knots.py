@@ -6,7 +6,8 @@ Burau representation: det(Burau(b) - Id) over Z[t, t^-1], divided by
 under t -> 1/t and value 1 at t = 1.  The Burau product takes one row
 update per letter, and no generator matrix is built.  The result is
 rewritten as a polynomial in z by peeling powers of z^2 = t - 2 + 1/t off
-the top.
+the top.  Every Conway polynomial is a ``LaurentPoly`` in z with even
+exponents and integer coefficients.
 
 Torus knots additionally get a closed-form Conway polynomial from the
 quotient of quantum integers x^k - x^-k, computed by exact Laurent division
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Optional, Sequence
 
-from .exactalg import InexactDivisionError, LaurentPoly, QPoly
+from .exactalg import InexactDivisionError, LaurentPoly
 
 
 class KnotError(Exception):
@@ -161,14 +162,14 @@ def _determinant(mat) -> LaurentPoly:
     return a[n - 1][n - 1] if sign == 1 else -a[n - 1][n - 1]
 
 
-def symmetric_laurent_to_z2(p: LaurentPoly) -> QPoly:
+def symmetric_laurent_to_z2(p: LaurentPoly) -> LaurentPoly:
     """Rewrite a t<->1/t symmetric Laurent polynomial as a polynomial in z^2.
 
     (z^2)^d = (t - 2 + 1/t)^d is symmetric with top term t^d, so peeling
     c_d (z^2)^d off p for d = top..0, c_d the current t^d coefficient,
-    clears t^d and t^-d together and gives the z^2 coefficients c_d.  A
-    remainder left after t^0 means a peeled power was not symmetric; it
-    raises rather than return a polynomial.
+    clears t^d and t^-d together and gives the z^2 coefficients c_d, returned
+    as a polynomial in z.  A remainder left after t^0 means a peeled power
+    was not symmetric; it raises rather than return a polynomial.
     """
     if not p.is_symmetric():
         raise PresentationError("polynomial is not symmetric under t -> 1/t")
@@ -184,14 +185,15 @@ def symmetric_laurent_to_z2(p: LaurentPoly) -> QPoly:
         coeffs.append(c)
     if rest:
         raise PresentationError(f"z^2 peeling left the remainder {rest!r}")
-    return QPoly.from_z2_coeffs(reversed(coeffs))
+    return LaurentPoly.from_z2_coeffs(reversed(coeffs))
 
 
-def conway_poly(b: BraidWord) -> QPoly:
+def conway_poly(b: BraidWord) -> LaurentPoly:
     """Conway-normalized Alexander polynomial of the closure of ``b``.
 
     The closure must be a knot.  The result is a polynomial in z^2 with
-    integer coefficients and constant term 1.
+    integer coefficients and constant term 1, the value at t = 1 fixed by
+    the normalization.
     """
     if not b.is_knot():
         raise NotAKnotError(
@@ -220,10 +222,7 @@ def conway_poly(b: BraidWord) -> QPoly:
         centered = -centered
     elif at_one != 1:
         raise PresentationError(f"Alexander polynomial evaluates to {at_one} at t=1")
-    result = symmetric_laurent_to_z2(centered)
-    if not result.has_integer_coeffs() or result.constant_term() != 1:
-        raise PresentationError("Conway normalization failed")
-    return result
+    return symmetric_laurent_to_z2(centered)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +252,7 @@ class TorusParams:
         return BraidWord(p, word)
 
 
-def conway_torus(t: TorusParams) -> QPoly:
+def conway_torus(t: TorusParams) -> LaurentPoly:
     """Closed-form Conway polynomial of the (p, q) torus knot.
 
     Quotient of x-quantum integers in x = t^(1/2):
@@ -271,7 +270,7 @@ def conway_torus(t: TorusParams) -> QPoly:
         raise PresentationError("torus quotient has odd x-powers")
     in_t = quot.compress_exponents(2, "t")
     result = symmetric_laurent_to_z2(in_t)
-    if not result.has_integer_coeffs() or result.constant_term() != 1:
+    if result.coeff(0) != 1:
         raise PresentationError("torus Conway normalization failed")
     return result
 
@@ -286,8 +285,8 @@ class KnotRecord:
     name: str
     braid: BraidWord
     amphicheiral: bool = False
-    expected_conway: Optional[QPoly] = None
-    conway: QPoly = field(init=False)
+    expected_conway: Optional[LaurentPoly] = None
+    conway: LaurentPoly = field(init=False)
 
     def __post_init__(self):
         if not self.braid.is_knot():
@@ -347,7 +346,7 @@ def _record_from_dict(obj: dict) -> KnotRecord:
             not isinstance(c, int) or isinstance(c, bool) for c in coeffs
         ):
             raise CatalogError(f"{name}: 'conway' must be a list of integers")
-        expected = QPoly.from_z2_coeffs(coeffs)
+        expected = LaurentPoly.from_z2_coeffs(coeffs)
     try:
         braid = BraidWord(strands, tuple(letters))
     except ValueError as exc:

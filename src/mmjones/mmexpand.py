@@ -54,7 +54,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from .cjones import _closure_cut, jones_h_series
 from .exactalg import (
     GateError,
-    QPoly,
+    LaurentPoly,
     TruncSeries,
     int_series_mul,
     over_common_den,
@@ -396,7 +396,7 @@ class BottomLineReport:
         return not self.line_route_failures and not self.substitution_route_failures
 
 
-def bottom_line_check(d: DTable, conway: QPoly) -> BottomLineReport:
+def bottom_line_check(d: DTable, conway: LaurentPoly) -> BottomLineReport:
     """Verify that the bottom line is the inverse Conway polynomial.
 
     Two routes must both give 1 through the available order: the bottom
@@ -406,7 +406,7 @@ def bottom_line_check(d: DTable, conway: QPoly) -> BottomLineReport:
     """
     N = d.N
     cap = 2 * N
-    conway_series = TruncSeries("z", cap, conway.coeffs)
+    conway_series = TruncSeries("z", cap, [conway.coeff(e) for e in range(cap + 1)])
     line = TruncSeries("z", cap, [row[0] for row in d.biseries])
     prod1 = line * conway_series
     fail1 = tuple(
@@ -480,9 +480,6 @@ class ApproxPoly:
             return None
         return all(c == 0 for c in self.residual_window)
 
-    def head_poly(self) -> QPoly:
-        return QPoly.from_z2_coeffs(self.head)
-
 
 def _allowed_exponents(n: int) -> list:
     """The approximant exponents of line n: 2n+1, then 3(n/2)+1 when n is even."""
@@ -492,7 +489,7 @@ def _allowed_exponents(n: int) -> list:
     return allowed
 
 
-def approx_poly(lines: LineTable, conway: QPoly, n: int, exponent: int) -> ApproxPoly:
+def approx_poly(lines: LineTable, conway: LaurentPoly, n: int, exponent: int) -> ApproxPoly:
     """Multiply the truncated line n by conway**exponent and split the result.
 
     The product is only trustworthy through the order guaranteed by the
@@ -509,9 +506,9 @@ def approx_poly(lines: LineTable, conway: QPoly, n: int, exponent: int) -> Appro
         )
     row = lines.row(n)
     guaranteed = 2 * (len(row) - 1)
-    conway_series = TruncSeries("z", guaranteed, conway.coeffs)
+    conway_series = TruncSeries("z", guaranteed, [conway.coeff(e) for e in range(guaranteed + 1)])
     prod = lines.line_series(n).pad_exact(guaranteed) * conway_series ** exponent
-    head_bound = (exponent - 1) * conway.degree
+    head_bound = (exponent - 1) * conway.max_exp()
     head = [prod.coeff(2 * j) for j in range(0, min(head_bound, guaranteed) // 2 + 1)]
     window = [
         prod.coeff(2 * j)

@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict
 
-from .exactalg import QPoly
+from .exactalg import LaurentPoly
 
 # The table types are imported where a table is built, so that the torus
 # and catalog commands, which serialize no table, do not load the braid
@@ -46,11 +46,13 @@ def parse_frac(s: str) -> Fraction:
     return Fraction(int(s))
 
 
-def qpoly_doc(p: QPoly) -> list:
-    """Even-power coefficients of a polynomial in z^2, as strings."""
-    if not p.only_even_powers():
+def qpoly_doc(p: LaurentPoly) -> list:
+    """The coefficients of z^0, z^2, ... of a polynomial in z^2, as strings; [] for zero."""
+    if not p:
+        return []
+    if p.var != "z" or p.min_exp() < 0 or not p.exponents_divisible_by(2):
         raise ValueError("expected a polynomial in z^2")
-    return [frac_str(c) for c in p.even_part_coeffs()]
+    return [str(p.coeff(e)) for e in range(0, p.max_exp() + 1, 2)]
 
 
 def dtable_doc(d: DTable) -> dict:

@@ -37,6 +37,9 @@ beyond it stays a runtime gate (``LineConsistencyError``):
   same as S_n / z having only even powers, so one test covers both;
 * integrality: L_n divides every coefficient of S_n / z, so the numerator
   S_n / (L_n z) is an integer polynomial in z^2.
+
+nabla is :func:`knots.conway_torus` as it comes, and each numerator is a
+``LaurentPoly`` in z, the package's one polynomial type.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from fractions import Fraction
 from math import factorial, lcm
 from typing import List
 
-from .exactalg import GateError, LaurentPoly, QPoly, TruncSeries, series_log1p, series_pow1p
+from .exactalg import GateError, LaurentPoly, TruncSeries, series_log1p, series_pow1p
 from .knots import TorusParams, conway_torus
 
 
@@ -59,13 +62,13 @@ class LineFunction:
     """Line n of a torus knot: numerator / nabla^(2n+1), not reduced."""
 
     n: int
-    numerator: QPoly
+    numerator: LaurentPoly  # even exponents >= 0
     denominator: LaurentPoly  # nabla^(2n+1), constant term 1
 
     def series_coeffs(self, z_cap: int) -> List[Fraction]:
         """z-series coefficients through z^z_cap; the denominator is a unit."""
+        num = TruncSeries("z", z_cap, [self.numerator.coeff(e) for e in range(z_cap + 1)])
         den = [self.denominator.coeff(e) for e in range(z_cap + 1)]
-        num = TruncSeries("z", z_cap, self.numerator.coeffs)
         return list((num * TruncSeries("z", z_cap, den).invert()).coeffs)
 
 
@@ -115,7 +118,7 @@ def torus_lines(t: TorusParams, n_max: int) -> List[LineFunction]:
         if m > 0:
             log_pow = log_pow * logf
         weights.append(prefactor * log_pow * Fraction(1, factorial(m)))
-    nabla = LaurentPoly("z", {e: int(c) for e, c in enumerate(conway_torus(t).coeffs)})
+    nabla = conway_torus(t)
     ladder = _ladder(nabla, n_max)
     # even_powers[j] = nabla^(2j)
     even_powers = [LaurentPoly.one("z")]
@@ -135,16 +138,16 @@ def torus_lines(t: TorusParams, n_max: int) -> List[LineFunction]:
     return lines
 
 
-def certify_numerator(n: int, total: LaurentPoly, scale: int) -> QPoly:
+def certify_numerator(n: int, total: LaurentPoly, scale: int) -> LaurentPoly:
     """Line n's numerator total / (scale z), certified even and integral."""
     if any(e % 2 == 0 for e in total.terms):
         raise LineConsistencyError(f"line {n}: numerator has odd powers")
-    numerator = [0] * max(total.terms, default=0)
+    numerator = {}
     for e, coeff in total.terms.items():
         numerator[e - 1], rem = divmod(coeff, scale)
         if rem:
             raise LineConsistencyError(f"line {n}: numerator is not integral")
-    return QPoly(numerator)
+    return LaurentPoly("z", numerator)
 
 
 def torus_line_series(t: TorusParams, n: int, z_cap: int) -> List[Fraction]:

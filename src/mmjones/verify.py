@@ -20,10 +20,11 @@ Suites:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from itertools import zip_longest
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import golden
-from .exactalg import QPoly
+from .exactalg import LaurentPoly
 from .knots import KnotRecord, TorusParams, catalog_lookup, conway_poly, conway_torus, default_catalog
 from .mmexpand import (
     DTable,
@@ -76,6 +77,16 @@ def _check(name: str, passed: bool, detail: str = "") -> CheckResult:
     return CheckResult(name, bool(passed), detail if not passed else "")
 
 
+def _head_matches(head: Sequence, golden_head: Sequence) -> bool:
+    """Exact equality of an approximant head and its golden list.
+
+    A head runs to the structural degree bound, so it may end in zeros that
+    the golden list leaves out; every entry is compared exactly, so a
+    fractional entry never matches an integer.
+    """
+    return all(a == b for a, b in zip_longest(head, golden_head, fillvalue=0))
+
+
 # ---------------------------------------------------------------------------
 # torus suite
 # ---------------------------------------------------------------------------
@@ -85,7 +96,7 @@ def suite_torus(pipe: _Pipeline) -> List[CheckResult]:
     out: List[CheckResult] = []
     for (p, q), coeffs in sorted(golden.TORUS_CONWAY.items()):
         got = conway_torus(TorusParams(p, q))
-        expected = QPoly.from_z2_coeffs(coeffs)
+        expected = LaurentPoly.from_z2_coeffs(coeffs)
         out.append(
             _check(f"torus/conway/({p},{q})", got == expected, f"got {got!r}")
         )
@@ -95,7 +106,7 @@ def suite_torus(pipe: _Pipeline) -> List[CheckResult]:
         out.append(
             _check(
                 f"torus/conway-braid/{name}",
-                got == QPoly.from_z2_coeffs(coeffs),
+                got == LaurentPoly.from_z2_coeffs(coeffs),
                 f"got {got!r}",
             )
         )
@@ -103,7 +114,7 @@ def suite_torus(pipe: _Pipeline) -> List[CheckResult]:
         n_max = max(rows)
         lines = torus_lines(TorusParams(p, q), n_max)
         for n, coeffs in sorted(rows.items()):
-            expected = QPoly.from_z2_coeffs(coeffs)
+            expected = LaurentPoly.from_z2_coeffs(coeffs)
             got = lines[n].numerator
             out.append(
                 _check(
@@ -115,8 +126,8 @@ def suite_torus(pipe: _Pipeline) -> List[CheckResult]:
             out.append(
                 _check(
                     f"torus/numerator-even/({p},{q})/n={n}",
-                    got.only_even_powers() and got.has_integer_coeffs(),
-                    "parity or integrality lost",
+                    got.exponents_divisible_by(2),
+                    "parity lost",
                 )
             )
     sym_a = torus_lines(TorusParams(2, 5), 2)
@@ -228,8 +239,8 @@ def suite_mm(scope: str, pipe: _Pipeline) -> List[CheckResult]:
             out.append(
                 _check(
                     f"mm/approx-head/{name}/n={n}",
-                    ap.head_poly() == QPoly.from_z2_coeffs(head),
-                    f"got {ap.head_poly()!r}",
+                    _head_matches(ap.head, head),
+                    f"got {[str(c) for c in ap.head]}",
                 )
             )
     # amphicheiral structure
@@ -242,12 +253,11 @@ def suite_mm(scope: str, pipe: _Pipeline) -> List[CheckResult]:
         out.append(_check(f"mm/odd-rows-vanish/{name}", odd_zero))
         n, exponent, head = golden.APPROX_HEADS[name][0]  # line 2, exponent 4
         ap = approx_poly(tl, rec.conway, n, exponent)
-        expected = QPoly.from_z2_coeffs(head)
         out.append(
             _check(
                 f"mm/amphicheiral-head/{name}",
-                ap.head_poly() == expected and ap.stabilized is True,
-                f"got {ap.head_poly()!r}, stabilized={ap.stabilized}",
+                _head_matches(ap.head, head) and ap.stabilized is True,
+                f"got {[str(c) for c in ap.head]}, stabilized={ap.stabilized}",
             )
         )
         rep = integrality_report(tl, amphicheiral=True)
@@ -267,13 +277,11 @@ def suite_mm(scope: str, pipe: _Pipeline) -> List[CheckResult]:
             lines = pipe.lines(name, golden.TABLE_BUDGET[name], "ht")
             for (n, exponent, head) in golden.APPROX_HEADS[name]:
                 ap = approx_poly(lines, rec.conway, n, exponent)
-                got = ap.head_poly()
-                expected = QPoly.from_z2_coeffs(head)
                 out.append(
                     _check(
                         f"mm/approx-head-full/{name}/n={n}",
-                        got == expected,
-                        f"got {got!r}",
+                        _head_matches(ap.head, head),
+                        f"got {[str(c) for c in ap.head]}",
                     )
                 )
     return out

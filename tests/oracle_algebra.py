@@ -3,7 +3,8 @@
 The pipeline never reduces a rational function: a torus line is an integer
 numerator over nabla^(2n+1), and an h-series comes from the packed state
 sum.  The routes here are independent of both: gcd-reduced rational
-functions in z with quotient-rule derivatives (Euclidean division over Q),
+functions in z with quotient-rule derivatives (Euclidean division over Q,
+on the dense rational polynomial ``QPoly``, which the package does not have),
 the substitution q = 1 + h term by term, exact tensor states acted on
 one crossing at a time, g-series crossing tables converted term by term
 from the expanded entries, and pinned tables filtered entry by entry.
@@ -18,16 +19,76 @@ invariances; the pipeline never calls them.
 """
 
 from fractions import Fraction
+from itertools import zip_longest
 
 from mmjones import cjones, mmexpand
-from mmjones.exactalg import (
-    LaurentPoly,
-    QPoly,
-    TruncSeries,
-    series_pow1p,
-    series_two_arcsinh_half,
-)
+from mmjones.exactalg import LaurentPoly, TruncSeries, series_pow1p, series_two_arcsinh_half
 from mmjones.knots import BraidWord
+
+
+class QPoly:
+    """Dense polynomial in z with exact rational coefficients, index = power of z."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        cs = [Fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @classmethod
+    def one(cls) -> "QPoly":
+        return cls((1,))
+
+    @classmethod
+    def from_laurent(cls, p: LaurentPoly) -> "QPoly":
+        """The dense form of a polynomial in z with no negative power."""
+        return cls(p.coeff(e) for e in range(p.max_exp() + 1)) if p else cls()
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def constant_term(self) -> Fraction:
+        return self.coeffs[0] if self.coeffs else Fraction(0)
+
+    def only_even_powers(self) -> bool:
+        return all(c == 0 for c in self.coeffs[1::2])
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, QPoly) and self.coeffs == other.coeffs
+
+    def __add__(self, other: "QPoly") -> "QPoly":
+        return QPoly([a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
+
+    def __neg__(self) -> "QPoly":
+        return QPoly([-c for c in self.coeffs])
+
+    def __sub__(self, other: "QPoly") -> "QPoly":
+        return self + (-other)
+
+    def __mul__(self, other) -> "QPoly":
+        """Times a QPoly or a scalar."""
+        if not isinstance(other, QPoly):
+            return QPoly([c * other for c in self.coeffs])
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs))
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return QPoly(out)
+
+    def __pow__(self, k: int) -> "QPoly":
+        out = QPoly.one()
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def __repr__(self) -> str:
+        return f"QPoly({[str(c) for c in self.coeffs]})"
 
 
 def poly_divmod(a: QPoly, b: QPoly):
@@ -74,7 +135,7 @@ class RationalFn:
 
     @classmethod
     def zero(cls) -> "RationalFn":
-        return cls(QPoly.zero(), QPoly.one(), reduce=False)
+        return cls(QPoly(), QPoly.one(), reduce=False)
 
     def __eq__(self, other) -> bool:
         return self.num * other.den == other.num * self.den
@@ -108,7 +169,7 @@ class RationalFn:
 
 def laurent_to_hseries(p: LaurentPoly, cap: int) -> TruncSeries:
     """p(1 + h) through h^cap; negative powers expand binomially."""
-    out = TruncSeries.zero("h", cap)
+    out = TruncSeries("h", cap)
     for e, c in sorted(p.terms.items()):
         out = out + c * series_pow1p(e, cap)
     return out
@@ -161,7 +222,7 @@ def pinned_by_filter(table: dict, want_k, want_l) -> dict:
 def compose_by_horner(outer: TruncSeries, inner: TruncSeries) -> TruncSeries:
     """outer(inner) by Horner's rule, one full truncated product per coefficient."""
     cap = min(outer.cap, inner.cap)
-    acc = TruncSeries.zero(inner.var, cap)
+    acc = TruncSeries(inner.var, cap)
     for c in reversed(outer.coeffs[: cap + 1]):
         acc = acc * inner.truncate(cap) + c
     return acc
@@ -205,10 +266,10 @@ def htilde_rows_by_composition(d) -> tuple:
                  for n in range(2 * N + 1))
 
 
-def approx_product_by_repeats(lines, conway: QPoly, n: int, exponent: int) -> TruncSeries:
+def approx_product_by_repeats(lines, conway: LaurentPoly, n: int, exponent: int) -> TruncSeries:
     """Line n times the Conway series, ``exponent`` products in turn."""
     guaranteed = 2 * (len(lines.row(n)) - 1)
-    conway_series = TruncSeries("z", guaranteed, conway.coeffs)
+    conway_series = TruncSeries("z", guaranteed, [conway.coeff(e) for e in range(guaranteed + 1)])
     prod = lines.line_series(n).pad_exact(guaranteed)
     for _ in range(exponent):
         prod = prod * conway_series

@@ -5,11 +5,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from mmjones import cjones, cli, golden, knots, mmexpand, toruslines
+from mmjones import cjones, cli, golden, knots, mmexpand, toruslines, verify
 from mmjones.cli import (
     EXIT_GATE_FAILED,
     MAX_LINES_CEILING,
@@ -21,7 +22,7 @@ from mmjones.cli import (
     main,
 )
 from mmjones.mmexpand import OutOfRangeError
-from mmjones.exactalg import LaurentPoly, QPoly, TruncSeries
+from mmjones.exactalg import LaurentPoly, TruncSeries
 from mmjones.reports import parse_frac, parse_linetable
 
 
@@ -322,9 +323,7 @@ class TestExpandCommand:
         original = knots.conway_poly
 
         def with_z4(b):
-            coeffs = list(original(b).coeffs) + [0] * 5
-            coeffs[4] += 1
-            return QPoly(coeffs)
+            return original(b) + LaurentPoly.monomial("z", 4)
 
         monkeypatch.setattr(knots, "conway_poly", with_z4)
         path = tmp_path / "cat.json"
@@ -335,6 +334,22 @@ class TestExpandCommand:
         assert err.startswith("error: gate ModelViolationError failed: 3_1: the bottom line ")
         assert "[4] (line route)" in err
         assert "Traceback" not in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("fmt", ["json", "tsv"])
+    def test_amphicheiral_ht_gate_fails_closed(self, capsys, tmp_path, fmt):
+        # 5_2 is chiral, so its odd ht lines do not vanish; a record that calls
+        # it amphicheiral fails the ht gate and passes with --parameter h
+        path = tmp_path / "cat.json"
+        path.write_text(json.dumps([{"name": "5_2", "strands": 3, "braid": [-1, -1, -1, -2, 1, -2],
+                                     "amphicheiral": True, "conway": [1, 2]}]))
+        argv = ("expand", "--knot", "5_2", "--order", "3", "--catalog", str(path), "--format", fmt)
+        code, out, err = run_cli(capsys, *argv, "--parameter", "ht")
+        assert code == EXIT_GATE_FAILED and out == ""
+        assert err.startswith("error: gate ModelViolationError failed: 5_2: ")
+        assert "ht line 1 is not zero" in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        code, out, err = run_cli(capsys, *argv, "--parameter", "h")
+        assert code == 0 and out and err == ""
 
 
 class TestVerifyCommand:
@@ -368,6 +383,15 @@ class TestVerifyCommand:
         )
         assert code == 1
         assert "FAIL" in out
+
+    def test_head_comparison_is_exact(self):
+        # -11/2 truncates to the golden -5, and must still fail
+        assert not verify._head_matches([0, -6, Fraction(-11, 2)], [0, -6, -5])
+        assert verify._head_matches([0, -6, Fraction(-5)], [0, -6, -5])
+        # a head runs to the degree bound: trailing zeros pass, a nonzero tail fails
+        assert verify._head_matches([-1, -1, 0, 0], [-1, -1])
+        assert not verify._head_matches([-1, -1, 0, 1], [-1, -1])
+        assert not verify._head_matches([-1], [-1, -1])
 
 
 class TestCatalogCommand:
