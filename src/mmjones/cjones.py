@@ -48,13 +48,13 @@ each key keeps at most the one entry that returns the slot to its start
 index.  The entry is picked by its index, from the wanted slot values; no
 entry of the table is filtered.
 
-The kernel cuts the closure open at a cut (r, f): the word rotated by r,
-slot f pinned, charge mu on the slots right of f and mu^-1 on those left
-of it.  Every cut gives the invariant (the proof is in :func:`_state_sum`)
-but the products it runs depend on the cut: from 4,416 to 47,545 over the
-cuts of 6_1 at alpha = 6.  :func:`jones_h_series` runs at the cut it is
-given; :func:`_closure_cut` picks one per word by running the kernel's
-per-start loop over a third, key-only ring that counts products
+The kernel reads the closure cut open at (r, f) from one value, the one
+owner of the rotation by r, the pinned slot f, the charges and the writhe
+(:class:`_Closure`).  Every cut gives the invariant, but the products it
+runs depend on the cut: from 4,416 to 47,545 over the cuts of 6_1 at
+alpha = 6.  :func:`jones_h_series` runs at the cut it is given;
+:func:`_closure_cut` picks one per word by running the kernel's per-start
+loop over a third, key-only ring that counts products
 (:class:`_CountingRing`), with a runtime gate at alpha = 2.
 
 Packing g -> 2**bits modulo 2**(bits * length) is a ring map, so only the
@@ -72,6 +72,7 @@ memos :func:`_qbinom`, :func:`_scaled_qbinom`, :func:`_factor_gseries` and
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -417,26 +418,60 @@ def _pinned(table: dict, sign: int, want_k, want_l) -> dict:
     return picked
 
 
-def _closure_steps(letters: tuple) -> List[Tuple[int, int, bool, bool]]:
-    """(pos, sign, pin_k, pin_l) per letter: its slots, its sign, and whether
-    it is the last letter to touch slot pos (pin_k) or pos + 1 (pin_l)."""
-    steps = []
-    touched: set = set()
-    for k in reversed(letters):
-        pos = abs(k) - 1
-        steps.append((pos, 1 if k > 0 else -1, pos not in touched, pos + 1 not in touched))
-        touched.update((pos, pos + 1))
-    steps.reverse()
-    return steps
+@dataclass(frozen=True)
+class _Closure:
+    """A braid closure cut open at (r, f), the one owner of its rotation,
+    pinned slot, charges and writhe.
 
+    ``word`` is the letters rotated by r, and slot f is pinned.  ``steps`` holds
+    (pos, sign, pin_k, pin_l) per letter of ``word``: its slots, its sign,
+    and whether it is the last letter to touch slot pos (pin_k) or pos + 1
+    (pin_l).  :func:`_state_sum` sums, over the start vectors with slot f
+    at index 0 (:meth:`starts`), each one's diagonal amplitude times
+    u^(2 charge), charge = sum_(i>f) (N - 2s_i) - sum_(i<f) (N - 2s_i) over
+    the indices s_i of the other slots, and frames the sum by
+    u^(-(alpha^2 - 1) writhe).
 
-def _start_vectors(alpha: int, strands: int, f: int):
-    """Each start vector with slot f at index 0, and its charge
-    sum_(i>f) (N - 2s_i) - sum_(i<f) (N - 2s_i), s_i the index of slot i."""
-    N = alpha - 1
-    for rest in product(range(alpha), repeat=strands - 1):
-        charge = sum(N - 2 * i for i in rest[f:]) - sum(N - 2 * i for i in rest[:f])
-        yield rest[:f] + (0,) + rest[f:], charge
+    Every cut gives the same value.  A rotation is a conjugation, and the
+    trace is cyclic.  For the slot: mu = u^(2(N - 2s)) on index s is the
+    charge of :func:`_markov_data`, the pivotal weight that makes the right
+    partial trace of the crossing a scalar.  Closing a slot to the right
+    of slot f is that right quantum trace (weight mu), and closing a slot to
+    its left is the left quantum trace (weight mu^-1).  Closing every slot
+    but f leaves the partial quantum trace of the braid operator, an
+    operator on the open copy of V_alpha.  The braid operator commutes with
+    the quantum-group action and both quantum traces keep that property, so
+    by Schur's lemma on the irreducible V_alpha the operator is a scalar,
+    read off at index 0.  It is the invariant of the (1,1)-tangle left by
+    opening the closure at slot f, and a knot cut open anywhere gives one
+    (1,1)-tangle up to isotopy.  With mu on the left slots as well, the
+    value changes (the tests and the gate of :func:`_closure_cut` check
+    this).
+    """
+
+    strands: int
+    cut: Tuple[int, int]
+    word: tuple
+    writhe: int
+    steps: Tuple[Tuple[int, int, bool, bool], ...]
+
+    @classmethod
+    def of(cls, b: BraidWord, cut: Tuple[int, int] = (0, 0)) -> _Closure:
+        word = b.letters[cut[0]:] + b.letters[:cut[0]]
+        steps = []
+        touched: set = set()
+        for k in reversed(word):
+            pos = abs(k) - 1
+            steps.append((pos, 1 if k > 0 else -1, pos not in touched, pos + 1 not in touched))
+            touched.update((pos, pos + 1))
+        return cls(b.strands, cut, word, b.writhe(), tuple(reversed(steps)))
+
+    def starts(self, alpha: int):
+        """Each start vector, slot f at index 0, with its weight exponent 2 charge."""
+        N, f = alpha - 1, self.cut[1]
+        for rest in product(range(alpha), repeat=self.strands - 1):
+            charge = sum(N - 2 * i for i in rest[f:]) - sum(N - 2 * i for i in rest[:f])
+            yield rest[:f] + (0,) + rest[f:], 2 * charge
 
 
 def _diagonal_amplitude(steps: list, start: tuple, ring):
@@ -457,33 +492,8 @@ def _diagonal_amplitude(steps: list, start: tuple, ring):
     return state.get(start)
 
 
-def _state_sum(b: BraidWord, alpha: int, ring, cut: Tuple[int, int] = (0, 0)):
-    """Framed Markov trace of the braiding operators of ``b``, in ``ring``.
-
-    ``cut`` = (r, f) says where the closure is cut open: the letters are
-    rotated by r (``b.letters[r:] + b.letters[:r]``) and slot f is pinned.
-    The closure is the sum, over start vectors with slot f fixed to index 0,
-    of each start vector's diagonal amplitude (:func:`_diagonal_amplitude`)
-    times its charge weight u^(2 charge), where charge is
-    sum_(i>f) (N - 2s_i) - sum_(i<f) (N - 2s_i) over the indices s_i of the
-    other slots (:func:`_start_vectors`); the framing monomial
-    u^(-(alpha^2 - 1) writhe) then removes the writhe dependence.
-
-    Every cut gives the same value.  A rotation is a conjugation, and the
-    trace is cyclic.  For the slot: mu = u^(2(N - 2s)) on index s is the
-    charge of :func:`_markov_data`, the pivotal weight that makes the right
-    partial trace of the crossing a scalar.  Closing a slot to the right
-    of slot f is that right quantum trace (weight mu), and closing a slot to
-    its left is the left quantum trace (weight mu^-1).  Closing every slot
-    but f leaves the partial quantum trace of the braid operator, an
-    operator on the open copy of V_alpha.  The braid operator commutes with
-    the quantum-group action and both quantum traces keep that property, so
-    by Schur's lemma on the irreducible V_alpha the operator is a scalar,
-    read off at index 0.  It is the invariant of the (1,1)-tangle left by
-    opening the closure at slot f, and a knot cut open anywhere gives one
-    (1,1)-tangle up to isotopy.  With mu on the left slots as well, the
-    value changes (the tests and the gate of :func:`_closure_cut` check
-    this).
+def _state_sum(closure: _Closure, alpha: int, ring):
+    """Framed Markov trace of the braiding operators of ``closure``, in ``ring``.
 
     ``ring`` supplies ``zero``, ``one``, ``tables`` (braid sign -> operator
     table with ring coefficients), ``framing`` (the exponent alpha^2 - 1 of
@@ -492,14 +502,12 @@ def _state_sum(b: BraidWord, alpha: int, ring, cut: Tuple[int, int] = (0, 0)):
     that keeps the tables filtered for finished slots across the sums the
     ring runs.
     """
-    r, f = cut
-    steps = _closure_steps(b.letters[r:] + b.letters[:r])
     total = ring.zero
-    for start, charge in _start_vectors(alpha, b.strands, f):
-        amp = _diagonal_amplitude(steps, start, ring)
+    for start, weight in closure.starts(alpha):
+        amp = _diagonal_amplitude(closure.steps, start, ring)
         if amp is not None:
-            total = total + amp * ring.monomial(2 * charge)
-    return total * ring.monomial(-ring.framing * b.writhe())
+            total = total + amp * ring.monomial(weight)
+    return total * ring.monomial(-ring.framing * closure.writhe)
 
 
 class _ExactRing:
@@ -545,23 +553,20 @@ class _CountingRing:
         self.products += sum(state.values())
         return dict.fromkeys(state, 1)
 
-    def count(self, b: BraidWord, cut: Tuple[int, int], budget: float = inf) -> float:
-        """The products :func:`_state_sum` runs for ``b`` at ``cut`` in this color.
+    def count(self, closure: _Closure, budget: float = inf) -> float:
+        """The products :func:`_state_sum` runs for ``closure`` in this color.
 
         The start vectors of one rotated word are the same for every pinned
         slot, so each one's count is kept and shared by the cuts of that
         word.  A count that passes ``budget`` stops and reads ``inf``.
         """
-        r, f = cut
-        word = b.letters[r:] + b.letters[:r]
-        steps = _closure_steps(word)
         total = 0
-        for start, _ in _start_vectors(self.alpha, b.strands, f):
-            n = self._per_start.get((word, start))
+        for start, _ in closure.starts(self.alpha):
+            n = self._per_start.get((closure.word, start))
             if n is None:
                 self.products = 0
-                _diagonal_amplitude(steps, start, self)
-                n = self._per_start[(word, start)] = self.products
+                _diagonal_amplitude(closure.steps, start, self)
+                n = self._per_start[(closure.word, start)] = self.products
             total += n
             if total > budget:
                 return inf
@@ -569,7 +574,7 @@ class _CountingRing:
 
 
 def _closure_cut(b: BraidWord) -> Tuple[int, int]:
-    """The cut (r, f) of :func:`_state_sum` with the fewest products at large colors.
+    """The cut (r, f) of :class:`_Closure` with the fewest products at large colors.
 
     The product count of a cut grows with the color at a rate set by the
     word, so the counts at small colors rank the cuts.  Stage 1 counts every
@@ -585,28 +590,26 @@ def _closure_cut(b: BraidWord) -> Tuple[int, int]:
     alpha = 2 (:class:`ConventionViolationError` otherwise); a wrong charge
     on the slots left of the pinned one fails it.
     """
-    letters = b.letters
-    cuts: Dict[Tuple[int, tuple], Tuple[int, int]] = {}
-    for r in range(max(1, len(letters))):
+    cuts: Dict[Tuple[int, tuple], _Closure] = {}
+    for r in range(max(1, len(b.letters))):
         for f in range(b.strands):
-            cuts.setdefault((f, letters[r:] + letters[:r]), (r, f))
-    given = (0, letters)
-    if len(cuts) == 1:
-        return cuts[given]
+            closure = _Closure.of(b, (r, f))
+            cuts.setdefault((f, closure.word), closure)
+    given = (0, b.letters)
     counting = _CountingRing(2)
-    first = {key: counting.count(b, cut) for key, cut in cuts.items()}
+    first = {key: counting.count(closure) for key, closure in cuts.items()}
     least = min(first.values())
     near = {key for key, n in first.items() if 8 * n <= 9 * least} | {given}
     # a count above the least one so far cannot win, so it stops there
     counting = _CountingRing(3)
     second: Dict[Tuple[int, tuple], float] = {}
     for key in sorted(near, key=lambda key: (first[key], key)):
-        second[key] = counting.count(b, cuts[key], min(second.values(), default=inf))
+        second[key] = counting.count(cuts[key], min(second.values(), default=inf))
     best = min(near, key=lambda key: (second[key], first[key], key))
-    cut = cuts[best]
+    cut = cuts[best].cut
     if best != given:
         exact = _ExactRing(2)
-        if _state_sum(b, 2, exact, cut) != _state_sum(b, 2, exact):
+        if _state_sum(cuts[best], 2, exact) != _state_sum(cuts[given], 2, exact):
             raise ConventionViolationError(
                 f"the closure cut {cut} changes the invariant at alpha=2"
             )
@@ -751,26 +754,20 @@ def _gseries_entry_tables(operators: Tuple[CrossingOperator, CrossingOperator], 
     return tables, majorants
 
 
-def _majorant_series(b: BraidWord, alpha: int, length: int, majorants: dict,
+def _majorant_series(closure: _Closure, alpha: int, length: int, majorants: dict,
                      framing: int) -> List[int]:
-    """The truncated majorant series of :class:`_PackedRing` for ``b`` at this color.
+    """The truncated majorant series of :class:`_PackedRing` for ``closure`` at this color.
 
-    prod_letters R_sign * sum_start |u^(2 charge)| * |u^(-framing writhe)|
+    prod_letters R_sign * sum_start |u^weight| * |u^(-framing writhe)|
     mod g**length, which bounds every coefficient of the framed g-series.
     """
-    N = alpha - 1
-    # counts[s]: start vectors whose free slots have index sum s
-    counts = [1]
-    for _ in range(b.strands - 1):
-        counts = [sum(counts[max(0, s - N) : s + 1]) for s in range(len(counts) + N)]
     bound = [0] * length
-    for s, count in enumerate(counts):
-        row = _binom_row(2 * ((b.strands - 1) * N - 2 * s), length)
-        bound = [x + count * abs(r) for x, r in zip(bound, row)]
-    bound = int_series_mul(bound, [abs(r) for r in _binom_row(-framing * b.writhe(), length)],
+    for weight, count in Counter(w for _, w in closure.starts(alpha)).items():
+        bound = [x + count * abs(r) for x, r in zip(bound, _binom_row(weight, length))]
+    bound = int_series_mul(bound, [abs(r) for r in _binom_row(-framing * closure.writhe, length)],
                            length - 1)
-    for k in b.letters:
-        bound = int_series_mul(bound, majorants[1 if k > 0 else -1], length - 1)
+    for _, sign, _, _ in closure.steps:
+        bound = int_series_mul(bound, majorants[sign], length - 1)
     return bound
 
 
@@ -801,33 +798,33 @@ class _PackedRing:
     ones, so R_s bounds them too.  A start vector begins at 1 and its
     diagonal amplitude is one term of the final state, so
 
-        |F| <= prod_letters R_sign * sum_start |u^(2 charge)| * |u^(-framing writhe)|
+        |F| <= prod_letters R_sign * sum_start |u^weight| * |u^(-framing writhe)|
 
-    truncated at g**length.  :func:`_majorant_series` evaluates this
-    series, and the width is one sign bit over the bit length of its
-    largest coefficient.  It reads R_s only for the signs of the word's
+    truncated at g**length, over the weights of ``closure.starts``.
+    :func:`_majorant_series` evaluates this series, and the width is one
+    sign bit over the bit length of its largest coefficient.  It reads R_s only for the signs of the word's
     letters, so the ring builds the tables and row majorants of those signs
     alone, and none for a word without letters.
 
-    The bound, and so the width, is the same at every cut (r, f) of
-    :func:`_state_sum`.  The series R_sign commute, so a rotation leaves
-    their product alone.  The charges of the start vectors pinned at slot f
-    sum N - 2s_i over the slots right of f and -(N - 2s_i) over those left
-    of it, each s_i running over 0..N; s -> N - s maps N - 2s to its
-    negative and permutes 0..N, so every pinned slot gives one multiset of
-    charges, that of slot 0.
+    The bound holds at every cut, its start weights being the closure's
+    own.  It is also the same at every cut, and so is the width.  The
+    series R_sign commute, so a rotation leaves their product alone.  The
+    charges of the start vectors pinned at slot f sum N - 2s_i over the
+    slots right of f and -(N - 2s_i) over those left of it, each s_i
+    running over 0..N; s -> N - s maps N - 2s to its negative and permutes
+    0..N, so every pinned slot gives one multiset of charges, that of slot 0.
     """
 
     zero = 0
     one = 1
 
-    def __init__(self, b: BraidWord, alpha: int, length: int):
+    def __init__(self, closure: _Closure, alpha: int, length: int):
         operators = _operator_pair(alpha)
         self.framing = _markov_data(operators)
-        signs = {1 if k > 0 else -1 for k in b.letters}
+        signs = {sign for _, sign, _, _ in closure.steps}
         raw_tables, majorants = _gseries_entry_tables(operators, length, signs)
         self.length = length
-        self.bits = max(_majorant_series(b, alpha, length, majorants, self.framing)).bit_length() + 1
+        self.bits = max(_majorant_series(closure, alpha, length, majorants, self.framing)).bit_length() + 1
         self.mask = (1 << (self.bits * length)) - 1
         # each sign's unpacked table is released as soon as it is repacked
         self.tables = {}
@@ -881,7 +878,7 @@ def colored_jones(b: BraidWord, alpha: int) -> LaurentPoly:
     alpha = _knot_color(b, alpha)
     if alpha == 1:
         return LaurentPoly.one("q")
-    framed = _state_sum(b, alpha, _ExactRing(alpha))
+    framed = _state_sum(_Closure.of(b), alpha, _ExactRing(alpha))
     if not framed.exponents_divisible_by(4):
         raise ConventionViolationError(
             f"normalized invariant has fractional powers of q-hat at alpha={alpha}"
@@ -905,7 +902,7 @@ def jones_h_series(b: BraidWord, alpha: int, cap: int,
 
     Same invariant as :func:`colored_jones`, evaluated in the packed
     truncated ring so large colors stay tractable, by the state sum cut
-    open at ``cut`` (see :func:`_state_sum`; :func:`_closure_cut` picks the
+    open at ``cut`` (see :class:`_Closure`; :func:`_closure_cut` picks the
     cheapest).  Coefficients are certified integers (returned as Fractions
     for uniformity downstream).
     """
@@ -914,8 +911,9 @@ def jones_h_series(b: BraidWord, alpha: int, cap: int,
         raise ValueError("cap must be >= 0")
     if alpha == 1:
         return [Fraction(1)] + [Fraction(0)] * cap
-    ring = _PackedRing(b, alpha, cap + 1)
-    return _gseries_to_hseries(ring.unpack(_state_sum(b, alpha, ring, cut)), alpha, cap)
+    closure = _Closure.of(b, cut)
+    ring = _PackedRing(closure, alpha, cap + 1)
+    return _gseries_to_hseries(ring.unpack(_state_sum(closure, alpha, ring)), alpha, cap)
 
 
 @lru_cache(maxsize=None)

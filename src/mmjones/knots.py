@@ -316,6 +316,11 @@ DEFAULT_CATALOG_ENTRIES = [
 ]
 
 
+# Ceilings on a catalog record, whose Conway gate runs at load (README, Catalog).
+STRANDS_CEILING = 32
+LETTERS_CEILING = 96
+
+
 def _record_from_dict(obj: dict) -> KnotRecord:
     try:
         name = obj["name"]
@@ -336,6 +341,9 @@ def _record_from_dict(obj: dict) -> KnotRecord:
         raise CatalogError(
             f"{name}: {strands} strands need at least {strands - 1} letters to close to a knot"
         )
+    for n, ceiling, what in ((strands, STRANDS_CEILING, "strands"), (len(letters), LETTERS_CEILING, "letters")):
+        if n > ceiling:
+            raise CatalogError(f"{name}: {n} {what} exceed the ceiling of {ceiling} {what}")
     amphicheiral = obj.get("amphicheiral", False)
     if not isinstance(amphicheiral, bool):
         raise CatalogError(f"{name}: 'amphicheiral' must be a boolean")
@@ -359,9 +367,9 @@ def load_catalog(source) -> list:
 
     ``source`` is a parsed list of record dicts or the path (``str`` or
     ``os.PathLike``) of a JSON file holding one; nothing else is accepted.
-    Every record is validated: well-formed braid, single-component closure,
-    and a Conway polynomial match whenever an expected polynomial is
-    supplied.
+    Every record is validated: well-formed braid within the strand and
+    letter ceilings, single-component closure, and a Conway polynomial
+    match whenever an expected polynomial is supplied.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8") as fh:

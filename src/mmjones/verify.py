@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import golden
 from .exactalg import LaurentPoly
@@ -73,8 +73,9 @@ class _Pipeline:
         return self._lines[key]
 
 
-def _check(name: str, passed: bool, detail: str = "") -> CheckResult:
-    return CheckResult(name, bool(passed), detail if not passed else "")
+def _check(name: str, passed: bool, detail: Callable[[], str] = str) -> CheckResult:
+    """The check's result; ``detail()`` explains a failure and runs only on one."""
+    return CheckResult(name, bool(passed), "" if passed else detail())
 
 
 def _head_matches(head: Sequence, golden_head: Sequence) -> bool:
@@ -97,19 +98,12 @@ def suite_torus(pipe: _Pipeline) -> List[CheckResult]:
     for (p, q), coeffs in sorted(golden.TORUS_CONWAY.items()):
         got = conway_torus(TorusParams(p, q))
         expected = LaurentPoly.from_z2_coeffs(coeffs)
-        out.append(
-            _check(f"torus/conway/({p},{q})", got == expected, f"got {got!r}")
-        )
+        out.append(_check(f"torus/conway/({p},{q})", got == expected, lambda: f"got {got!r}"))
     for name, coeffs in [("4_1", [1, -1]), ("5_2", [1, 2]), ("6_1", [1, -2]), ("8_3", [1, -4])]:
         rec = pipe.record(name)
         got = conway_poly(rec.braid)
-        out.append(
-            _check(
-                f"torus/conway-braid/{name}",
-                got == LaurentPoly.from_z2_coeffs(coeffs),
-                f"got {got!r}",
-            )
-        )
+        out.append(_check(f"torus/conway-braid/{name}", got == LaurentPoly.from_z2_coeffs(coeffs),
+                          lambda: f"got {got!r}"))
     for (p, q), rows in sorted(golden.TORUS_NUMERATORS.items()):
         n_max = max(rows)
         lines = torus_lines(TorusParams(p, q), n_max)
@@ -120,14 +114,14 @@ def suite_torus(pipe: _Pipeline) -> List[CheckResult]:
                 _check(
                     f"torus/numerator/({p},{q})/n={n}",
                     got == expected,
-                    f"got {got!r}",
+                    lambda: f"got {got!r}",
                 )
             )
             out.append(
                 _check(
                     f"torus/numerator-even/({p},{q})/n={n}",
                     got.exponents_divisible_by(2),
-                    "parity lost",
+                    lambda: "parity lost",
                 )
             )
     sym_a = torus_lines(TorusParams(2, 5), 2)
@@ -163,7 +157,7 @@ def _table_checks(
                 _check(
                     f"tables/{name}/d^({n})_{m}",
                     got == expected,
-                    f"got {got}, expected {expected}",
+                    lambda: f"got {got}, expected {expected}",
                 )
             )
     return out
@@ -207,7 +201,7 @@ def suite_mm(scope: str, pipe: _Pipeline) -> List[CheckResult]:
             _check(
                 f"mm/bottom-line/{name}",
                 blc.passed,
-                f"failing orders {blc.line_route_failures} {blc.substitution_route_failures}",
+                lambda: f"failing orders {blc.line_route_failures} {blc.substitution_route_failures}",
             )
         )
         zl = pipe.lines(name, 5, "h")
@@ -216,7 +210,7 @@ def suite_mm(scope: str, pipe: _Pipeline) -> List[CheckResult]:
             _check(
                 f"mm/integrality-lines/{name}",
                 rep.all_integer,
-                f"violations {rep.violations[:3]}",
+                lambda: f"violations {rep.violations[:3]}",
             )
         )
         agree = z_lines_by_basis_change(d).rows == zl.rows
@@ -231,7 +225,7 @@ def suite_mm(scope: str, pipe: _Pipeline) -> List[CheckResult]:
                 _check(
                     f"mm/stabilization/{name}/n={n}",
                     ap.stabilized is True,
-                    f"window {ap.residual_window}",
+                    lambda: f"window {ap.residual_window}",
                 )
             )
         for (n, exponent, head) in golden.APPROX_HEADS[name]:
@@ -240,7 +234,7 @@ def suite_mm(scope: str, pipe: _Pipeline) -> List[CheckResult]:
                 _check(
                     f"mm/approx-head/{name}/n={n}",
                     _head_matches(ap.head, head),
-                    f"got {[str(c) for c in ap.head]}",
+                    lambda: f"got {[str(c) for c in ap.head]}",
                 )
             )
     # amphicheiral structure
@@ -257,7 +251,7 @@ def suite_mm(scope: str, pipe: _Pipeline) -> List[CheckResult]:
             _check(
                 f"mm/amphicheiral-head/{name}",
                 _head_matches(ap.head, head) and ap.stabilized is True,
-                f"got {[str(c) for c in ap.head]}, stabilized={ap.stabilized}",
+                lambda: f"got {[str(c) for c in ap.head]}, stabilized={ap.stabilized}",
             )
         )
         rep = integrality_report(tl, amphicheiral=True)
@@ -268,7 +262,7 @@ def suite_mm(scope: str, pipe: _Pipeline) -> List[CheckResult]:
         _check(
             "mm/fractional-flag/6_1",
             (not rep61.all_integer) and rep61.informational,
-            "expected informational non-integer entries",
+            lambda: "expected informational non-integer entries",
         )
     )
     if scope == "full":
@@ -281,7 +275,7 @@ def suite_mm(scope: str, pipe: _Pipeline) -> List[CheckResult]:
                     _check(
                         f"mm/approx-head-full/{name}/n={n}",
                         _head_matches(ap.head, head),
-                        f"got {[str(c) for c in ap.head]}",
+                        lambda: f"got {[str(c) for c in ap.head]}",
                     )
                 )
     return out
@@ -305,7 +299,7 @@ def suite_cross(pipe: _Pipeline) -> List[CheckResult]:
                 _check(
                     f"cross/two-path/({p},{q})/n={n}",
                     ok,
-                    f"braid {list(zl.row(n)[:5])} vs torus {[series[2*m] for m in range(5)]}",
+                    lambda: f"braid {list(zl.row(n)[:5])} vs torus {[series[2*m] for m in range(5)]}",
                 )
             )
     return out

@@ -163,14 +163,15 @@ def brute_majorant(b, alpha, length):
 
 def packed_gseries(b, alpha, length):
     """The packed ring and the g-series its state sum unpacks to."""
-    ring = cjones._PackedRing(b, alpha, length)
-    return ring, ring.unpack(cjones._state_sum(b, alpha, ring))
+    closure = cjones._Closure.of(b)
+    ring = cjones._PackedRing(closure, alpha, length)
+    return ring, ring.unpack(cjones._state_sum(closure, alpha, ring))
 
 
 def exact_gseries(b, alpha, length):
     """The g-series of the exact ring's framed invariant."""
     return cjones._laurent_to_gseries(
-        cjones._state_sum(b, alpha, cjones._ExactRing(alpha)), length, {})
+        cjones._state_sum(cjones._Closure.of(b), alpha, cjones._ExactRing(alpha)), length, {})
 
 
 def gate_chain(gate, *args):
@@ -460,7 +461,8 @@ class TestPackingWidth:
         for word in (record.braid, mirror(record.braid)):
             for alpha in (2, 3, 4):
                 _, majorants = gseries_tables(alpha, 9)
-                assert (cjones._majorant_series(word, alpha, 9, majorants, framing(alpha))
+                assert (cjones._majorant_series(cjones._Closure.of(word), alpha, 9, majorants,
+                                                framing(alpha))
                         == brute_majorant(word, alpha, 9))
 
     def test_one_bit_short_breaks_the_sum(self, monkeypatch):
@@ -509,9 +511,9 @@ class TestGSeriesTables:
 class TestOneSignTables:
     def test_ring_builds_only_its_word_signs(self):
         positive = BraidWord(2, (1, 1, 1))
-        assert set(cjones._PackedRing(positive, 4, 9).tables) == {1}
-        assert set(cjones._PackedRing(mirror(positive), 4, 9).tables) == {-1}
-        assert set(cjones._PackedRing(FIG8, 4, 9).tables) == {1, -1}
+        assert set(cjones._PackedRing(cjones._Closure.of(positive), 4, 9).tables) == {1}
+        assert set(cjones._PackedRing(cjones._Closure.of(mirror(positive)), 4, 9).tables) == {-1}
+        assert set(cjones._PackedRing(cjones._Closure.of(FIG8), 4, 9).tables) == {1, -1}
 
     @pytest.mark.parametrize("alpha", [2, 5, 9])
     def test_one_sign_is_that_sign_of_both(self, alpha):
@@ -528,24 +530,26 @@ class TestOneSignTables:
         original = cjones._unpack
         monkeypatch.setattr(cjones, "_unpack",
                             lambda *args: unpacked.append(args) or original(*args))
-        cjones._PackedRing(BraidWord(2, (sign,) * 3), alpha, 13)
+        cjones._PackedRing(cjones._Closure.of(BraidWord(2, (sign,) * 3)), alpha, 13)
         assert len(unpacked) == len(cjones._entries(cjones._braiding_table(alpha, sign)))
 
     def test_trefoil_widths_at_order_12(self):
         # the widths of both-sign tables: the width reads only the word's signs
-        assert [cjones._PackedRing(TREFOIL, alpha, 25).bits for alpha in range(2, 14)] == [
+        assert [cjones._PackedRing(cjones._Closure.of(TREFOIL), alpha, 25).bits
+                for alpha in range(2, 14)] == [
             42, 69, 89, 106, 121, 134, 145, 154, 163, 171, 178, 185]
 
     def test_unknot_builds_no_table(self):
-        ring = cjones._PackedRing(BraidWord(1, []), 4, 9)
+        closure = cjones._Closure.of(BraidWord(1, []))
+        ring = cjones._PackedRing(closure, 4, 9)
         assert ring.tables == {}
-        assert ring.unpack(cjones._state_sum(BraidWord(1, []), 4, ring)) == [1] + [0] * 8
+        assert ring.unpack(cjones._state_sum(closure, 4, ring)) == [1] + [0] * 8
 
 
 class TestPinnedTables:
     @pytest.mark.parametrize("alpha", range(2, 9))
     def test_index_picker_matches_filter(self, alpha):
-        rings = (cjones._ExactRing(alpha), cjones._PackedRing(FIG8, alpha, 5),
+        rings = (cjones._ExactRing(alpha), cjones._PackedRing(cjones._Closure.of(FIG8), alpha, 5),
                  cjones._CountingRing(alpha))
         wanted = (None, *range(alpha))
         for ring in rings:
@@ -726,7 +730,8 @@ def packed_products(b, alpha, cut, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(cjones, "_apply_letter", counted)
-        cjones._state_sum(b, alpha, cjones._PackedRing(b, alpha, 5), cut)
+        closure = cjones._Closure.of(b, cut)
+        cjones._state_sum(closure, alpha, cjones._PackedRing(closure, alpha, 5))
     return sum(products)
 
 
@@ -742,21 +747,24 @@ class TestClosureCut:
         for alpha in (2, 3):
             ring = cjones._ExactRing(alpha)
             invariant = colored_jones(b, alpha)
-            exact = cjones._laurent_to_gseries(cjones._state_sum(b, alpha, ring), 7, {})
+            framed = cjones._state_sum(cjones._Closure.of(b), alpha, ring)
+            exact = cjones._laurent_to_gseries(framed, 7, {})
             for cut in every_cut(b):
-                framed = cjones._state_sum(b, alpha, ring, cut)
+                closure = cjones._Closure.of(b, cut)
+                framed = cjones._state_sum(closure, alpha, ring)
                 assert framed.compress_exponents(4, "q") == invariant
-                packed = cjones._PackedRing(b, alpha, 7)
-                assert packed.unpack(cjones._state_sum(b, alpha, packed, cut)) == exact
+                packed = cjones._PackedRing(closure, alpha, 7)
+                assert packed.unpack(cjones._state_sum(closure, alpha, packed)) == exact
 
     def test_wrong_left_charge_fails_the_gate(self, monkeypatch):
-        def mu_everywhere(alpha, strands, f):
-            for start, _ in original(alpha, strands, f):
-                yield start, sum(alpha - 1 - 2 * i for slot, i in enumerate(start) if slot != f)
+        def mu_everywhere(closure, alpha):
+            f = closure.cut[1]
+            for start, _ in original(closure, alpha):
+                yield start, 2 * sum(alpha - 1 - 2 * i for slot, i in enumerate(start) if slot != f)
 
         # each of these words moves its pinned slot off slot 0
-        original = cjones._start_vectors
-        monkeypatch.setattr(cjones, "_start_vectors", mu_everywhere)
+        original = cjones._Closure.starts
+        monkeypatch.setattr(cjones._Closure, "starts", mu_everywhere)
         for b in (K5_2, catalog_words()["6_1"], K8_3):
             with pytest.raises(ConventionViolationError, match="alpha=2"):
                 cjones._closure_cut(b)
@@ -766,33 +774,37 @@ class TestClosureCut:
         for b in (K5_2, K6_1):
             ring = cjones._CountingRing(alpha)
             for cut in every_cut(b):
-                assert ring.count(b, cut) == packed_products(b, alpha, cut, monkeypatch)
+                closure = cjones._Closure.of(b, cut)
+                assert ring.count(closure) == packed_products(b, alpha, cut, monkeypatch)
 
     def test_count_stops_past_its_budget(self):
         ring = cjones._CountingRing(3)
-        full = ring.count(K6_1, (0, 0))
-        assert ring.count(K6_1, (0, 0), full) == full
-        assert ring.count(K6_1, (0, 0), full - 1) == float("inf")
+        closure = cjones._Closure.of(K6_1)
+        full = ring.count(closure)
+        assert ring.count(closure, full) == full
+        assert ring.count(closure, full - 1) == float("inf")
 
     @pytest.mark.parametrize("name", ["3_1", "4_1", "5_2", "6_1", "8_3"])
     def test_catalog_cuts(self, name):
         b = catalog_words()[name]
         cut = cjones._closure_cut(b)
         chosen = cut_word(b, cut)
+        closed = cjones._Closure.of
         count = {alpha: cjones._CountingRing(alpha).count for alpha in (5, golden.TABLE_BUDGET.get(name, 12) + 1)}
         for r in range(len(b.letters)):
             rotated = BraidWord(b.strands, b.letters[r:] + b.letters[:r])
             rotated_cut = cjones._closure_cut(rotated)
             assert cut_word(rotated, rotated_cut) == chosen
-            assert count[5](rotated, rotated_cut) <= count[5](rotated, (0, 0))
+            assert count[5](closed(rotated, rotated_cut)) <= count[5](closed(rotated, (0, 0)))
         for alpha, counted in count.items():
-            assert counted(b, cut) <= counted(b, (0, 0))
+            assert counted(closed(b, cut)) <= counted(closed(b, (0, 0)))
 
     def test_golden_top_color_counts(self):
         words = catalog_words()
         for name, most in (("5_2", 1905), ("6_1", 49147)):
             b = words[name]
-            assert cjones._CountingRing(10).count(b, cjones._closure_cut(b)) <= most
+            closure = cjones._Closure.of(b, cjones._closure_cut(b))
+            assert cjones._CountingRing(10).count(closure) <= most
 
     @pytest.mark.parametrize("name", ["3_1", "4_1", "5_2", "6_1", "8_3"])
     def test_width_is_the_same_for_every_cut(self, name):
@@ -800,13 +812,13 @@ class TestClosureCut:
         # have one distribution (N - 2s and its negative are both charges)
         b = catalog_words()[name]
         for alpha in (2, 3, 5):
-            charges = sorted(c for _, c in cjones._start_vectors(alpha, b.strands, 0))
+            charges = sorted(c for _, c in cjones._Closure.of(b).starts(alpha))
             for f in range(b.strands):
-                assert sorted(c for _, c in cjones._start_vectors(alpha, b.strands, f)) == charges
-            bits = cjones._PackedRing(b, alpha, 9).bits
+                assert sorted(c for _, c in cjones._Closure.of(b, (0, f)).starts(alpha)) == charges
+            bits = cjones._PackedRing(cjones._Closure.of(b), alpha, 9).bits
             for r in range(len(b.letters)):
                 rotated = BraidWord(b.strands, b.letters[r:] + b.letters[:r])
-                assert cjones._PackedRing(rotated, alpha, 9).bits == bits
+                assert cjones._PackedRing(cjones._Closure.of(rotated), alpha, 9).bits == bits
 
     def test_small_colors_keep_the_given_cut(self, monkeypatch):
         # a D-table whose colors stop at 3 runs them at the given cut

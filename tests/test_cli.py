@@ -384,6 +384,14 @@ class TestVerifyCommand:
         assert code == 1
         assert "FAIL" in out
 
+    def test_detail_is_built_only_for_a_failure(self, monkeypatch):
+        def no_repr(poly):
+            raise AssertionError("detail formatted for a passing check")
+
+        monkeypatch.setattr(LaurentPoly, "__repr__", no_repr)
+        assert all(c.passed and not c.detail for c in verify.run_suite("torus"))
+        assert verify._check("x", False, lambda: "why") == verify.CheckResult("x", False, "why")
+
     def test_head_comparison_is_exact(self):
         # -11/2 truncates to the golden -5, and must still fail
         assert not verify._head_matches([0, -6, Fraction(-11, 2)], [0, -6, -5])
@@ -408,6 +416,19 @@ class TestCatalogCommand:
         code, _, err = run_cli(capsys, "catalog", "--path", str(path))
         assert code == 1
         assert "components" in err
+
+    @pytest.mark.parametrize("record, message", [
+        ({"name": "wide", "strands": knots.STRANDS_CEILING + 1,
+          "braid": list(range(1, knots.STRANDS_CEILING + 1))},
+         f"wide: {knots.STRANDS_CEILING + 1} strands exceed the ceiling of {knots.STRANDS_CEILING} strands"),
+        ({"name": "long", "strands": 2, "braid": [1] * (knots.LETTERS_CEILING + 1)},
+         f"long: {knots.LETTERS_CEILING + 1} letters exceed the ceiling of {knots.LETTERS_CEILING} letters"),
+    ], ids=["strands", "letters"])
+    def test_record_over_a_ceiling(self, capsys, tmp_path, record, message):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps([record]))
+        code, out, err = run_cli(capsys, "catalog", "--path", str(path))
+        assert (code, out, err) == (1, "", f"catalog invalid: {message}\n")
 
     def test_bracketed_path(self, capsys, tmp_path):
         folder = tmp_path / "a[1]"

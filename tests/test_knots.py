@@ -9,6 +9,8 @@ import pytest
 from mmjones.exactalg import LaurentPoly
 from mmjones.knots import (
     DEFAULT_CATALOG_ENTRIES,
+    LETTERS_CEILING,
+    STRANDS_CEILING,
     BraidWord,
     CatalogError,
     InvalidTorusParametersError,
@@ -280,6 +282,26 @@ class TestCatalog:
         unknot = load_catalog([{"name": "unknot", "strands": 1, "braid": []}])
         assert [r.name for r in unknot] == ["unknot"]
         assert len(load_catalog(DEFAULT_CATALOG_ENTRIES)) == len(DEFAULT_CATALOG_ENTRIES)
+
+    def test_rejects_records_over_a_ceiling(self, tmp_path):
+        # each record is one over one ceiling, and fails before its Conway gate
+        over = [
+            ({"name": "wide", "strands": STRANDS_CEILING + 1, "braid": list(range(1, STRANDS_CEILING + 1))},
+             f"wide: {STRANDS_CEILING + 1} strands exceed the ceiling of {STRANDS_CEILING} strands"),
+            ({"name": "long", "strands": 2, "braid": [1] * (LETTERS_CEILING + 1)},
+             f"long: {LETTERS_CEILING + 1} letters exceed the ceiling of {LETTERS_CEILING} letters"),
+        ]
+        for record, message in over:
+            path = tmp_path / f"{record['name']}.json"
+            path.write_text(json.dumps([record]))
+            for source in ([record], str(path)):
+                with pytest.raises(CatalogError) as err:
+                    load_catalog(source)
+                assert str(err.value) == message
+        # at the letter ceiling a record loads
+        at = {"name": "at", "strands": 3, "braid": [1, 2] * ((LETTERS_CEILING - 2) // 2) + [1, 1]}
+        assert len(at["braid"]) == LETTERS_CEILING
+        assert [r.name for r in load_catalog([at])] == ["at"]
 
     def test_path_with_brackets(self, tmp_path):
         folder = tmp_path / "a[1]"

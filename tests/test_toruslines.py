@@ -8,9 +8,11 @@ certified against nabla^(2n+1).
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mmjones import toruslines
 from mmjones.exactalg import LaurentPoly, TruncSeries, series_log1p, series_pow1p
@@ -249,3 +251,17 @@ class TestTorusLineSeries:
             series = torus_line_series(t, n, 6)
             for m in range(4):
                 assert series[2 * m] == zl.entry(n, m)
+
+    @given(p=st.integers(2, 4), q=st.integers(2, 9), N=st.integers(1, 4),
+           signs=st.sampled_from([(1, 1), (1, -1), (-1, 1), (-1, -1)]))
+    @settings(max_examples=25, deadline=None)
+    def test_two_path_agreement_on_multi_strand_braids(self, p, q, N, signs):
+        # up to 4 strands, mirrors (only negative letters) among them; the cut
+        # search pins a slot other than slot 0 on some, so slots on both sides
+        # of the pinned one carry charges
+        assume(gcd(p, q) == 1 and (p < 4 or N <= 3))
+        t = TorusParams(signs[0] * p, signs[1] * q)
+        zl = to_z_lines(build_dtable(t.braid(), N))
+        for n in range(2 * N + 1):
+            series = torus_line_series(t, n, 2 * N)
+            assert list(zl.row(n)) == series[: 2 * len(zl.row(n)) : 2]
