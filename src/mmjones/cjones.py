@@ -923,7 +923,7 @@ def _g_to_h_columns(cap: int) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
     Returns (den, columns): columns[j][k] / den is the h**j coefficient of
     ((1+h)^(1/4) - 1)**k, for k = 0..cap.
     """
-    den, powers = series_powers(series_pow1p(Fraction(1, 4), cap) - 1, cap)
+    den, powers = series_powers((0,) + series_pow1p(Fraction(1, 4), cap)[1:], cap)
     return den, tuple(zip(*powers))
 
 

@@ -10,11 +10,12 @@ Conventions used throughout the package:
   is also the one polynomial type the package returns: a Conway polynomial
   or a torus line numerator is a ``LaurentPoly`` in z with even exponents
   (:meth:`LaurentPoly.from_z2_coeffs`).
-* ``TruncSeries`` is a power series truncated at a fixed cap; arithmetic
-  never reports coefficients beyond the minimum cap of its operands.
-* An integer series is integers over one common denominator; every change
-  of variables on the main line reads one power table (:func:`series_powers`,
-  built with the one truncated integer product :func:`int_series_mul`).
+* A truncated power series is the tuple of its coefficients through its
+  cap, so ``len(s) - 1`` is the highest power it knows.  The one truncated
+  product is the integer :func:`int_series_mul`, over common denominators
+  (:func:`over_common_den`); :func:`series_mul` and :func:`series_powers`
+  read it.  Every change of variables on the main line reads one power
+  table (:func:`series_powers`).
 """
 
 from __future__ import annotations
@@ -288,196 +289,6 @@ def solve_linear_system(matrix: Sequence[Sequence], rhs_columns: Sequence[Sequen
 # ---------------------------------------------------------------------------
 
 
-class TruncSeries:
-    """Power series truncated at ``cap`` (highest retained power).
-
-    Arithmetic propagates the minimum cap of the operands, so an operation
-    never fabricates coefficients its inputs do not know.
-    """
-
-    __slots__ = ("var", "cap", "coeffs")
-
-    def __init__(self, var: str, cap: int, coeffs: Iterable = ()):
-        if cap < 0:
-            raise ValueError("cap must be >= 0")
-        cs = [_frac(c) for c in coeffs]
-        if len(cs) > cap + 1:
-            cs = cs[: cap + 1]
-        cs += [_ZERO] * (cap + 1 - len(cs))
-        self.var = var
-        self.cap = cap
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def constant(cls, var: str, cap: int, value) -> "TruncSeries":
-        return cls(var, cap, (value,))
-
-    @classmethod
-    def identity(cls, var: str, cap: int) -> "TruncSeries":
-        return cls(var, cap, (0, 1))
-
-    def coeff(self, k: int) -> Fraction:
-        if k < 0:
-            return _ZERO
-        if k > self.cap:
-            raise IndexError(f"coefficient {k} beyond cap {self.cap}")
-        return self.coeffs[k]
-
-    def constant_term(self) -> Fraction:
-        return self.coeffs[0]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TruncSeries)
-            and self.var == other.var
-            and self.cap == other.cap
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.var, self.cap, self.coeffs))
-
-    def _check(self, other: "TruncSeries"):
-        if self.var != other.var:
-            raise ValueError(f"variable mismatch: {self.var} vs {other.var}")
-
-    def truncate(self, cap: int) -> "TruncSeries":
-        if cap > self.cap:
-            raise ValueError("truncate cannot extend knowledge; use pad_exact")
-        if cap == self.cap:
-            return self
-        return TruncSeries(self.var, cap, self.coeffs[: cap + 1])
-
-    def pad_exact(self, cap: int) -> "TruncSeries":
-        """Extend the cap, declaring the tail exactly zero.
-
-        Only valid when the series is known to be an exact polynomial
-        (e.g. a finite binomial expansion); the caller asserts that.
-        """
-        if cap < self.cap:
-            return self.truncate(cap)
-        return TruncSeries(self.var, cap, self.coeffs)
-
-    def __add__(self, other) -> "TruncSeries":
-        if isinstance(other, (int, Fraction)):
-            out = list(self.coeffs)
-            out[0] += _frac(other)
-            return TruncSeries(self.var, self.cap, out)
-        self._check(other)
-        cap = min(self.cap, other.cap)
-        return TruncSeries(
-            self.var, cap, [self.coeffs[k] + other.coeffs[k] for k in range(cap + 1)]
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "TruncSeries":
-        return TruncSeries(self.var, self.cap, [-c for c in self.coeffs])
-
-    def __sub__(self, other) -> "TruncSeries":
-        return self + (-other if isinstance(other, TruncSeries) else -_frac(other))
-
-    def __mul__(self, other) -> "TruncSeries":
-        if isinstance(other, (int, Fraction)):
-            o = _frac(other)
-            return TruncSeries(self.var, self.cap, [c * o for c in self.coeffs])
-        self._check(other)
-        cap = min(self.cap, other.cap)
-        out = [_ZERO] * (cap + 1)
-        for i, a in enumerate(self.coeffs[: cap + 1]):
-            if a == 0:
-                continue
-            for j in range(cap + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return TruncSeries(self.var, cap, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "TruncSeries":
-        if k < 0:
-            return self.invert() ** (-k)
-        out = TruncSeries.constant(self.var, self.cap, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
-
-    def invert(self) -> "TruncSeries":
-        """Multiplicative inverse; requires a nonzero constant term."""
-        c0 = self.coeffs[0]
-        if c0 == 0:
-            raise ExactAlgError("cannot invert a series with zero constant term")
-        inv0 = 1 / c0
-        out = [inv0] + [_ZERO] * self.cap
-        for k in range(1, self.cap + 1):
-            s = _ZERO
-            for j in range(1, k + 1):
-                if self.coeffs[j]:
-                    s += self.coeffs[j] * out[k - j]
-            out[k] = -inv0 * s
-        return TruncSeries(self.var, self.cap, out)
-
-    def __repr__(self) -> str:
-        bits = [
-            f"{c}*{self.var}^{k}" for k, c in enumerate(self.coeffs) if c != 0
-        ]
-        body = " + ".join(bits) if bits else "0"
-        return f"{body} + O({self.var}^{self.cap + 1})"
-
-
-def series_log1p(cap: int, var: str = "h") -> TruncSeries:
-    """log(1 + h) truncated at ``cap``."""
-    coeffs = [_ZERO] + [Fraction((-1) ** (n + 1), n) for n in range(1, cap + 1)]
-    return TruncSeries(var, cap, coeffs)
-
-
-def series_pow1p(c, cap: int, var: str = "h") -> TruncSeries:
-    """(1 + h)**c as a binomial series with rational exponent c."""
-    c = _frac(c)
-    coeffs = [_ONE]
-    acc = _ONE
-    for k in range(1, cap + 1):
-        acc = acc * (c - (k - 1)) / k
-        coeffs.append(acc)
-    return TruncSeries(var, cap, coeffs)
-
-
-def series_two_arcsinh_half(cap: int, var: str = "z") -> TruncSeries:
-    """2*log(sqrt(1 + (z/2)^2) + z/2) truncated at ``cap``.
-
-    Built from the square-root binomial series and the logarithm series,
-    so it stays independent of the term-wise-integration identity used as
-    an oracle in the tests.
-    """
-    # inner = sqrt(1 + (z/2)^2) + z/2 - 1, a series with zero constant term
-    half_sq = TruncSeries(var, cap, [_ZERO, _ZERO, Fraction(1, 4)])
-    root = series_compose(series_pow1p(Fraction(1, 2), cap, var="_t"), half_sq)
-    inner = root + TruncSeries(var, cap, [_ZERO, Fraction(1, 2)]) - 1
-    return 2 * series_compose(series_log1p(cap, var="_t"), inner)
-
-
-def series_compose(outer: TruncSeries, inner: TruncSeries) -> TruncSeries:
-    """Formal composition outer(inner); inner must have zero constant term.
-
-    The n-th coefficient is one integer dot product of the outer
-    coefficients with the n-th coefficients of the powers of inner
-    (:func:`series_powers`).
-    """
-    if inner.constant_term() != 0:
-        raise CompositionError("inner series must have zero constant term")
-    cap = min(outer.cap, inner.cap)
-    den, powers = series_powers(inner.truncate(cap), cap)
-    outer_den, outs = over_common_den(outer.coeffs[: cap + 1])
-    return TruncSeries(inner.var, cap, [Fraction(sum(map(mul, outs, column)), outer_den * den)
-                                        for column in zip(*powers)])
-
-
 def over_common_den(coeffs: Sequence[Fraction]) -> Tuple[int, List[int]]:
     """(den, ints) with coeffs[i] = ints[i] / den, den the lcm of the denominators."""
     den = lcm(*(c.denominator for c in coeffs))
@@ -494,18 +305,99 @@ def int_series_mul(x: Sequence[int], y: Sequence[int], cap: int) -> List[int]:
     return out
 
 
-def series_powers(s: TruncSeries, count: int) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
-    """(den, powers): powers[k] / den is s**k through s.cap, for k = 0..count.
+def series_mul(x: Sequence[Fraction], y: Sequence[Fraction], cap: int) -> Tuple[Fraction, ...]:
+    """The series x * y through the power ``cap``: one integer product."""
+    x_den, xs = over_common_den(x)
+    y_den, ys = over_common_den(y)
+    den = x_den * y_den
+    return tuple(Fraction(c, den) for c in int_series_mul(xs, ys, cap))
+
+
+def series_inverse(x: Sequence[Fraction]) -> Tuple[Fraction, ...]:
+    """1 / x through the cap of x; x must have a nonzero constant term.
+
+    With x = xs / den and a = xs[0], the k-th coefficient of 1 / x is
+    den * ys[k] / a**(k+1), where ys[0] = 1 and
+    ys[k] = -sum_{i=1..k} xs[i] a**(i-1) ys[k-i], all integers.
+    """
+    den, xs = over_common_den(x)
+    a = xs[0]
+    if a == 0:
+        raise ExactAlgError("cannot invert a series with zero constant term")
+    ys = [1]
+    for k in range(1, len(xs)):
+        ys.append(-sum(xs[i] * a ** (i - 1) * ys[k - i] for i in range(1, k + 1)))
+    return tuple(Fraction(den * y, a ** (k + 1)) for k, y in enumerate(ys))
+
+
+def series_powers(s: Sequence[Fraction], count: int) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
+    """(den, powers): powers[k] / den is s**k through the cap of s, for k = 0..count.
 
     Each power is one reduced integer product from the previous one.  The
     table is immutable, so callers may cache and share it.
     """
-    s_den, s_ints = over_common_den(s.coeffs)
-    reduced = [(1, [1] + [0] * s.cap)]
+    cap = len(s) - 1
+    s_den, s_ints = over_common_den(s)
+    reduced = [(1, [1] + [0] * cap)]
     for _ in range(count):
         p_den, p = reduced[-1]
-        out = int_series_mul(p, s_ints, s.cap)
+        out = int_series_mul(p, s_ints, cap)
         g = gcd(p_den * s_den, *out)
         reduced.append((p_den * s_den // g, [c // g for c in out]))
     den = lcm(*(p_den for p_den, _ in reduced))
     return den, tuple(tuple(c * (den // p_den) for c in p) for p_den, p in reduced)
+
+
+def series_compose(outer: Sequence[Fraction], inner: Sequence[Fraction]) -> Tuple[Fraction, ...]:
+    """Formal composition outer(inner); inner must have zero constant term.
+
+    The result runs through the smaller of the two caps.  The n-th
+    coefficient is one integer dot product of the outer coefficients with
+    the n-th coefficients of the powers of inner (:func:`series_powers`).
+    """
+    if inner[0] != 0:
+        raise CompositionError("inner series must have zero constant term")
+    cap = min(len(outer), len(inner)) - 1
+    den, powers = series_powers(inner[: cap + 1], cap)
+    outer_den, outs = over_common_den(outer[: cap + 1])
+    return tuple(Fraction(sum(map(mul, outs, column)), outer_den * den) for column in zip(*powers))
+
+
+def series_log1p(cap: int) -> Tuple[Fraction, ...]:
+    """log(1 + h) truncated at ``cap``."""
+    return (_ZERO,) + tuple(Fraction((-1) ** (n + 1), n) for n in range(1, cap + 1))
+
+
+def series_pow1p(c, cap: int) -> Tuple[Fraction, ...]:
+    """(1 + h)**c as a binomial series with rational exponent c."""
+    c = _frac(c)
+    coeffs = [_ONE]
+    acc = _ONE
+    for k in range(1, cap + 1):
+        acc = acc * (c - (k - 1)) / k
+        coeffs.append(acc)
+    return tuple(coeffs)
+
+
+def series_u(cap: int) -> Tuple[Fraction, ...]:
+    """u(x) = x/2 + sqrt(1 + (x/2)^2) through ``cap``: the root of u - 1/u = x with u(0) = 1.
+
+    With x = z it is q-hat^(alpha/2); with x = t it is (1 + h)^(1/2), so
+    h = u*t.
+    """
+    quarter_sq = tuple(Fraction(1, 4) if k == 2 else _ZERO for k in range(cap + 1))
+    u = list(series_compose(series_pow1p(Fraction(1, 2), cap), quarter_sq))
+    if cap:
+        u[1] += Fraction(1, 2)
+    return tuple(u)
+
+
+def series_two_arcsinh_half(cap: int) -> Tuple[Fraction, ...]:
+    """2*log(sqrt(1 + (z/2)^2) + z/2) truncated at ``cap``.
+
+    Built from the square-root binomial series and the logarithm series,
+    so it stays independent of the term-wise-integration identity used as
+    an oracle in the tests.
+    """
+    u_minus_one = (_ZERO,) + series_u(cap)[1:]
+    return tuple(2 * c for c in series_compose(series_log1p(cap), u_minus_one))

@@ -50,6 +50,11 @@ class CatalogError(KnotError):
 # ---------------------------------------------------------------------------
 
 
+def _is_int(value) -> bool:
+    """An ``int`` that is not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class BraidWord:
     """A word in the braid group B_strands.
@@ -62,11 +67,15 @@ class BraidWord:
     letters: tuple = ()
 
     def __post_init__(self):
+        if not _is_int(self.strands):
+            raise ValueError(f"strands must be an integer, not {self.strands!r}")
         if self.strands < 1:
             raise ValueError("strands must be >= 1")
-        letters = tuple(int(k) for k in self.letters)
+        letters = tuple(self.letters)
         object.__setattr__(self, "letters", letters)
         for k in letters:
+            if not _is_int(k):
+                raise ValueError(f"letter {k!r} is not an integer")
             if k == 0 or abs(k) > self.strands - 1:
                 raise ValueError(f"letter {k} out of range for {self.strands} strands")
 
@@ -316,9 +325,11 @@ DEFAULT_CATALOG_ENTRIES = [
 ]
 
 
-# Ceilings on a catalog record, whose Conway gate runs at load (README, Catalog).
+# Ceilings on a catalog record, whose Conway gate runs at load, and on the
+# records of one catalog, checked before any gate runs (README, Catalog).
 STRANDS_CEILING = 32
 LETTERS_CEILING = 96
+RECORDS_CEILING = 256
 
 
 def _record_from_dict(obj: dict) -> KnotRecord:
@@ -330,11 +341,9 @@ def _record_from_dict(obj: dict) -> KnotRecord:
         raise CatalogError(f"catalog record missing field {exc}") from exc
     if not isinstance(name, str):
         raise CatalogError("catalog 'name' must be a string")
-    if not isinstance(strands, int) or isinstance(strands, bool):
+    if not _is_int(strands):
         raise CatalogError(f"{name}: 'strands' must be an integer")
-    if not isinstance(letters, list) or any(
-        not isinstance(k, int) or isinstance(k, bool) for k in letters
-    ):
+    if not isinstance(letters, list) or not all(map(_is_int, letters)):
         raise CatalogError(f"{name}: 'braid' must be a list of integers")
     # a knot's closure permutation is one strands-cycle: strands - 1 letters at least
     if strands > len(letters) + 1:
@@ -350,9 +359,7 @@ def _record_from_dict(obj: dict) -> KnotRecord:
     expected = None
     if "conway" in obj and obj["conway"] is not None:
         coeffs = obj["conway"]
-        if not isinstance(coeffs, list) or any(
-            not isinstance(c, int) or isinstance(c, bool) for c in coeffs
-        ):
+        if not isinstance(coeffs, list) or not all(map(_is_int, coeffs)):
             raise CatalogError(f"{name}: 'conway' must be a list of integers")
         expected = LaurentPoly.from_z2_coeffs(coeffs)
     try:
@@ -367,9 +374,10 @@ def load_catalog(source) -> list:
 
     ``source`` is a parsed list of record dicts or the path (``str`` or
     ``os.PathLike``) of a JSON file holding one; nothing else is accepted.
-    Every record is validated: well-formed braid within the strand and
-    letter ceilings, single-component closure, and a Conway polynomial
-    match whenever an expected polynomial is supplied.
+    A catalog holds at most ``RECORDS_CEILING`` records.  Every record is
+    validated: well-formed braid within the strand and letter ceilings,
+    single-component closure, and a Conway polynomial match whenever an
+    expected polynomial is supplied.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8") as fh:
@@ -382,6 +390,10 @@ def load_catalog(source) -> list:
     elif not isinstance(source, list):
         raise TypeError(
             f"catalog source must be a list of records or a path, not {type(source).__name__}"
+        )
+    if len(source) > RECORDS_CEILING:
+        raise CatalogError(
+            f"{len(source)} records exceed the ceiling of {RECORDS_CEILING} records"
         )
     records = []
     seen = set()

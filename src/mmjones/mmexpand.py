@@ -23,11 +23,14 @@ The colors of a D-table, serial or pooled, share the closure cut that
 color is above 3.  Each color's ring owns its operator pair and framing;
 the four color-independent memos of ``cjones`` are the only process caches.
 
+Every series here is a coefficient tuple (see ``exactalg``), and every
+product is the one truncated integer product, ``exactalg.int_series_mul``.
 Cost of the line routes after the solve, with cap = 2N.  Every change of
 variables of the substitution route reads one integer table of the powers
 of its substitution series, ``exactalg.series_powers``: O(cap^3) per table,
 each power one truncated integer product from the last (the basis-change
-route keeps its own power loops, so it stays an independent check).  Each D-table builds two tables
+route keeps its own power loops through ``exactalg.series_mul``, so it
+stays an independent check).  Each D-table builds two tables
 once, as cached properties, and every route reads them: ``DTable.z_powers``
 (the table of s(z)^2, s = 2 arcsinh(z/2)), read by the bi-series and by the
 second route of the bottom-line check, one dot product per z-order, and
@@ -38,7 +41,10 @@ product, and its outer product with z-row m is added into an integer grid
 over one common denominator, so the collection costs O(N cap^2) products
 and each entry becomes a Fraction once.  The ht lines take one dot product
 per entry against the table of the substitution series, O(N cap^2) after
-the table.  An approximant multiplies its line by one Conway power.
+the table.  An approximant runs in w = z^2: its line row over one
+denominator, times one Conway factor per unit of the exponent.  The
+bottom-line check multiplies the integer numerators of both of its routes
+by the Conway coefficients and compares each product with its denominator.
 """
 
 from __future__ import annotations
@@ -48,21 +54,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from math import factorial, lcm
-from operator import mul
+from operator import add, mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .cjones import _closure_cut, jones_h_series
 from .exactalg import (
     GateError,
     LaurentPoly,
-    TruncSeries,
     int_series_mul,
     over_common_den,
-    series_compose,
+    series_inverse,
     series_log1p,
-    series_pow1p,
+    series_mul,
     series_powers,
     series_two_arcsinh_half,
+    series_u,
     solve_linear_system,
 )
 from .knots import BraidWord, KnotRecord
@@ -113,7 +119,7 @@ class DTable:
         bottom-line check.
         """
         s = series_two_arcsinh_half(2 * self.N)
-        return series_powers(s * s, self.N)
+        return series_powers(series_mul(s, s, 2 * self.N), self.N)
 
     @cached_property
     def biseries(self) -> Tuple[Tuple[Fraction, ...], ...]:
@@ -216,23 +222,10 @@ class LineTable:
             )
         return row[m]
 
-    def line_series(self, n: int) -> TruncSeries:
-        """The truncated line as a series in z (even powers only)."""
-        row = self.row(n)
-        coeffs = []
-        for c in row:
-            coeffs.extend([c, ZERO])
-        if coeffs:
-            coeffs.pop()
-        return TruncSeries("z", 2 * (len(row) - 1) if row else 0, coeffs)
 
-
-def _h_over_log1p(cap: int) -> TruncSeries:
+def _h_over_log1p(cap: int) -> Tuple[Fraction, ...]:
     # log(1+h)/h = sum (-1)^n h^n/(n+1); invert to get h/log(1+h)
-    base = TruncSeries(
-        "h", cap, [Fraction((-1) ** n, n + 1) for n in range(cap + 1)]
-    )
-    return base.invert()
+    return series_inverse([Fraction((-1) ** n, n + 1) for n in range(cap + 1)])
 
 
 def to_z_lines(d: DTable) -> LineTable:
@@ -255,34 +248,33 @@ def z_lines_by_basis_change(d: DTable) -> LineTable:
     """
     N = d.N
     cap = 2 * N
-    half_log = series_log1p(cap) * Fraction(1, 2)
+
+    def accumulate(table, j, term):
+        table[j] = tuple(map(add, table[j], term)) if j in table else term
+
+    half_log = tuple(c / 2 for c in series_log1p(cap))
+    half_log_sq = series_mul(half_log, half_log, cap)
     # z = sum_i c_i(h) alpha^(2i+1),  c_i = 2 * half_log^(2i+1) / (2i+1)!
-    c: List[TruncSeries] = []
+    c = []
     power = half_log
     for i in range(N + 1):
-        c.append(power * Fraction(2, factorial(2 * i + 1)))
-        power = power * half_log * half_log
+        c.append(tuple(x * Fraction(2, factorial(2 * i + 1)) for x in power))
+        power = series_mul(power, half_log_sq, cap)
     # z^2 as a polynomial in alpha^2 with series coefficients
-    z2: Dict[int, TruncSeries] = {}
+    z2 = {}
     for a in range(len(c)):
         for bidx in range(len(c)):
             j = a + bidx + 1
-            if j > N:
-                continue
-            term = c[a] * c[bidx]
-            z2[j] = z2[j] + term if j in z2 else term
+            if j <= N:
+                accumulate(z2, j, series_mul(c[a], c[bidx], cap))
     # powers[m][j] = alpha^(2j)-coefficient series of z^(2m)
-    powers: List[Dict[int, TruncSeries]] = [{0: TruncSeries.constant("h", cap, 1)}]
+    powers = [{0: (ONE,) + (ZERO,) * cap}]
     for m in range(1, N + 1):
-        prev = powers[-1]
-        new: Dict[int, TruncSeries] = {}
-        for j1, s1 in prev.items():
+        new = {}
+        for j1, s1 in powers[-1].items():
             for j2, s2 in z2.items():
-                j = j1 + j2
-                if j > N:
-                    continue
-                term = s1 * s2
-                new[j] = new[j] + term if j in new else term
+                if j1 + j2 <= N:
+                    accumulate(new, j1 + j2, series_mul(s1, s2, cap))
         powers.append(new)
     solved: Dict[Tuple[int, int], Fraction] = {}
     for level in range(cap + 1):  # level = n + 2m = k at the diagonal
@@ -300,21 +292,17 @@ def z_lines_by_basis_change(d: DTable) -> LineTable:
                     val = solved.get((n, m))
                     if val is None or val == 0:
                         continue
-                    acc -= val * pm.coeffs[k - n]
+                    acc -= val * pm[k - n]
             solved[(n_diag, j)] = acc
     return LineTable.build(N, "h", lambda n, m: solved[(n, m)])
 
 
-def reparam_series(cap: int) -> TruncSeries:
+def reparam_series(cap: int) -> Tuple[Fraction, ...]:
     """h as a series in the mirror-friendly variable t (tagged 'ht').
 
-    From u = t/2 + sqrt(1 + (t/2)^2) and h = u*t - ... : h = t^2/2 + t*sqrt(1+(t/2)^2).
+    From u = t/2 + sqrt(1 + (t/2)^2) = (1+h)^(1/2): h = u*t = t^2/2 + t*sqrt(1+(t/2)^2).
     """
-    quarter_sq = TruncSeries("ht", cap, [ZERO, ZERO, Fraction(1, 4)])
-    root = series_compose(series_pow1p(Fraction(1, 2), cap, var="_r"), quarter_sq)
-    t = TruncSeries.identity("ht", cap)
-    half_sq = TruncSeries("ht", cap, [ZERO, ZERO, Fraction(1, 2)])
-    return half_sq + t * root
+    return (ZERO,) + series_u(cap)[:cap]
 
 
 def to_htilde_lines(d: DTable) -> LineTable:
@@ -357,7 +345,7 @@ def _z_h_biseries(d: DTable) -> Tuple[Tuple[Fraction, ...], ...]:
     cap = 2 * N
     lfac = _h_over_log1p(cap)
     z_den, z_rows = d.z_powers
-    l_den, l_rows = series_powers(lfac * lfac, N)
+    l_den, l_rows = series_powers(series_mul(lfac, lfac, cap), N)
     d_rows = [over_common_den(d.entries[m][2 * m:]) for m in range(N + 1)]
     d_den = lcm(*(row_den for row_den, _ in d_rows))
     grid = [[0] * (cap + 1) for _ in range(cap + 1)]
@@ -404,23 +392,21 @@ def bottom_line_check(d: DTable, conway: LaurentPoly) -> BottomLineReport:
     polynomial, and the boundary D[m][2m] coefficients composed with the
     odd substitution series directly.
     """
-    N = d.N
-    cap = 2 * N
-    conway_series = TruncSeries("z", cap, [conway.coeff(e) for e in range(cap + 1)])
-    line = TruncSeries("z", cap, [row[0] for row in d.biseries])
-    prod1 = line * conway_series
-    fail1 = tuple(
-        k for k in range(cap + 1) if prod1.coeff(k) != (1 if k == 0 else 0)
-    )
+    cap = 2 * d.N
+    conway_coeffs = [conway.coeff(e) for e in range(cap + 1)]
+
+    def failures(den: int, nums: Sequence[int]) -> tuple:
+        # nums / den times the Conway polynomial must be 1 through z^cap
+        prod = int_series_mul(nums, conway_coeffs, cap)
+        return tuple(k for k, c in enumerate(prod) if c != (den if k == 0 else 0))
+
     z_den, z_rows = d.z_powers
     b_den, bs = over_common_den(d.boundary_coeffs())
-    acc = TruncSeries("z", cap, [Fraction(sum(map(mul, bs, column)), b_den * z_den)
-                                 for column in zip(*z_rows)])
-    prod2 = acc * conway_series
-    fail2 = tuple(
-        k for k in range(cap + 1) if prod2.coeff(k) != (1 if k == 0 else 0)
+    return BottomLineReport(
+        cap,
+        failures(*over_common_den([row[0] for row in d.biseries])),
+        failures(b_den * z_den, [sum(map(mul, bs, column)) for column in zip(*z_rows)]),
     )
-    return BottomLineReport(cap, fail1, fail2)
 
 
 @dataclass(frozen=True)
@@ -496,7 +482,9 @@ def approx_poly(lines: LineTable, conway: LaurentPoly, n: int, exponent: int) ->
     truncation (twice the largest available m); coefficients beyond the
     structural degree bound but inside the guarantee form the residual
     window, which is exactly zero whenever the line is the expansion of a
-    rational function with the matching denominator power.
+    rational function with the matching denominator power.  Line and
+    Conway polynomial are even, so the product runs in w = z^2: the row
+    over its common denominator, times ``exponent`` Conway factors.
     """
     if n > 2 * lines.N:
         raise OutOfRangeError(f"line {n} beyond budget 2N = {2 * lines.N}")
@@ -505,13 +493,12 @@ def approx_poly(lines: LineTable, conway: LaurentPoly, n: int, exponent: int) ->
             f"exponent {exponent} not in {{2n+1, 3(n/2)+1}} for line {n}"
         )
     row = lines.row(n)
-    guaranteed = 2 * (len(row) - 1)
-    conway_series = TruncSeries("z", guaranteed, [conway.coeff(e) for e in range(guaranteed + 1)])
-    prod = lines.line_series(n).pad_exact(guaranteed) * conway_series ** exponent
-    head_bound = (exponent - 1) * conway.max_exp()
-    head = [prod.coeff(2 * j) for j in range(0, min(head_bound, guaranteed) // 2 + 1)]
-    window = [
-        prod.coeff(2 * j)
-        for j in range(min(head_bound, guaranteed) // 2 + 1, guaranteed // 2 + 1)
-    ]
-    return ApproxPoly(n, exponent, tuple(head), tuple(window), guaranteed)
+    w_cap = len(row) - 1
+    guaranteed = 2 * w_cap
+    conway_w = [conway.coeff(2 * j) for j in range(w_cap + 1)]
+    row_den, prod = over_common_den(row)
+    for _ in range(exponent):
+        prod = int_series_mul(prod, conway_w, w_cap)
+    coeffs = tuple(Fraction(c, row_den) for c in prod)
+    split = min((exponent - 1) * conway.max_exp(), guaranteed) // 2 + 1
+    return ApproxPoly(n, exponent, coeffs[:split], coeffs[split:], guaranteed)

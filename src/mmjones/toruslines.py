@@ -46,10 +46,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import lcm
 from typing import List
 
-from .exactalg import GateError, LaurentPoly, TruncSeries, series_log1p, series_pow1p
+from .exactalg import GateError, LaurentPoly, series_inverse, series_log1p, series_mul, series_pow1p
 from .knots import TorusParams, conway_torus
 
 
@@ -67,9 +67,9 @@ class LineFunction:
 
     def series_coeffs(self, z_cap: int) -> List[Fraction]:
         """z-series coefficients through z^z_cap; the denominator is a unit."""
-        num = TruncSeries("z", z_cap, [self.numerator.coeff(e) for e in range(z_cap + 1)])
+        num = [self.numerator.coeff(e) for e in range(z_cap + 1)]
         den = [self.denominator.coeff(e) for e in range(z_cap + 1)]
-        return list((num * TruncSeries("z", z_cap, den).invert()).coeffs)
+        return list(series_mul(num, series_inverse(den), z_cap))
 
 
 def _derivative(p: LaurentPoly) -> LaurentPoly:
@@ -109,15 +109,11 @@ def torus_lines(t: TorusParams, n_max: int) -> List[LineFunction]:
     p, q = t.p, t.q
     pq = p * q
     c = (Fraction(pq) - Fraction(p, q) - Fraction(q, p)) / 4
-    prefactor = series_pow1p(c, n_max)
-    logf = series_log1p(n_max) * Fraction(1, 4 * pq)
-    # weights[m] = (1+h)^c * (log(1+h)/(4pq))^m / m!
-    weights: List[TruncSeries] = []
-    log_pow = TruncSeries.constant("h", n_max, 1)
-    for m in range(n_max + 1):
-        if m > 0:
-            log_pow = log_pow * logf
-        weights.append(prefactor * log_pow * Fraction(1, factorial(m)))
+    logf = tuple(x / (4 * pq) for x in series_log1p(n_max))
+    # weights[m] = (1+h)^c * (log(1+h)/(4pq))^m / m! = weights[m-1] * logf / m
+    weights = [series_pow1p(c, n_max)]
+    for m in range(1, n_max + 1):
+        weights.append(tuple(w / m for w in series_mul(weights[-1], logf, n_max)))
     nabla = conway_torus(t)
     ladder = _ladder(nabla, n_max)
     # even_powers[j] = nabla^(2j)
@@ -126,7 +122,7 @@ def torus_lines(t: TorusParams, n_max: int) -> List[LineFunction]:
         even_powers.append(even_powers[-1] * nabla * nabla)
     lines = []
     for n in range(n_max + 1):
-        ws = [weights[m].coeff(n) for m in range(n + 1)]
+        ws = [weights[m][n] for m in range(n + 1)]
         scale = lcm(*(w.denominator for w in ws))
         total = LaurentPoly.zero("z")
         for m, w in enumerate(ws):

@@ -2,28 +2,116 @@
 
 The pipeline never reduces a rational function: a torus line is an integer
 numerator over nabla^(2n+1), and an h-series comes from the packed state
-sum.  The routes here are independent of both: gcd-reduced rational
-functions in z with quotient-rule derivatives (Euclidean division over Q,
-on the dense rational polynomial ``QPoly``, which the package does not have),
-the substitution q = 1 + h term by term, exact tensor states acted on
-one crossing at a time, g-series crossing tables converted term by term
-from the expanded entries, and pinned tables filtered entry by entry.
-Next come the line routes as they first ran: series composition by
-Horner's rule, the (z, h) bi-series collected one product at a time,
-the ht rows by one series composition each, and approximants by repeated
-multiplication.  The reduced Burau product comes as it first ran: one
-generator matrix per letter, multiplied in by a full matrix product.  The
-braid and polynomial helpers at the end (mirror, conjugate, Markov
-stabilization, u -> 1/u, odd parity) are what the tests use to state
-invariances; the pipeline never calls them.
+sum.  Its truncated series are coefficient tuples, multiplied only by the
+integer product ``exactalg.int_series_mul``.  The routes here are
+independent of all three, on types the package does not have: the truncated
+series ``TruncSeries`` (Fraction coefficients, a variable tag, the
+schoolbook product and inverse), gcd-reduced rational functions in z with
+quotient-rule derivatives (Euclidean division over Q, on the dense rational
+polynomial ``QPoly``), the substitution q = 1 + h term by term, exact
+tensor states acted on one crossing at a time, g-series crossing tables
+converted term by term from the expanded entries, and pinned tables
+filtered entry by entry.  Next come the line routes as they first ran:
+series composition by Horner's rule, the (z, h) bi-series collected one
+product at a time, the ht rows by one series composition each, and
+approximants by repeated multiplication.  An oracle that reads a series of
+the package wraps its tuple in a ``TruncSeries``.  The reduced Burau
+product comes as it first ran: one generator matrix per letter, multiplied
+in by a full matrix product.  The braid and polynomial helpers at the end
+(mirror, conjugate, Markov stabilization, u -> 1/u, odd parity) are what
+the tests use to state invariances; the pipeline never calls them.
 """
 
 from fractions import Fraction
 from itertools import zip_longest
 
 from mmjones import cjones, mmexpand
-from mmjones.exactalg import LaurentPoly, TruncSeries, series_pow1p, series_two_arcsinh_half
+from mmjones.exactalg import LaurentPoly, series_pow1p, series_two_arcsinh_half
 from mmjones.knots import BraidWord
+
+
+class TruncSeries:
+    """Power series in ``var`` truncated at ``cap`` (highest retained power).
+
+    Arithmetic propagates the minimum cap of the operands, so an operation
+    never fabricates coefficients its inputs do not know.
+    """
+
+    __slots__ = ("var", "cap", "coeffs")
+
+    def __init__(self, var: str, cap: int, coeffs=()):
+        cs = [Fraction(c) for c in coeffs][: cap + 1]
+        self.var = var
+        self.cap = cap
+        self.coeffs = tuple(cs + [Fraction(0)] * (cap + 1 - len(cs)))
+
+    @classmethod
+    def constant(cls, var: str, cap: int, value) -> "TruncSeries":
+        return cls(var, cap, (value,))
+
+    @classmethod
+    def identity(cls, var: str, cap: int) -> "TruncSeries":
+        return cls(var, cap, (0, 1))
+
+    def coeff(self, k: int) -> Fraction:
+        return self.coeffs[k] if k >= 0 else Fraction(0)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, TruncSeries)
+            and (self.var, self.cap, self.coeffs) == (other.var, other.cap, other.coeffs)
+        )
+
+    def truncate(self, cap: int) -> "TruncSeries":
+        assert cap <= self.cap, "truncate cannot extend knowledge"
+        return TruncSeries(self.var, cap, self.coeffs)
+
+    def __add__(self, other) -> "TruncSeries":
+        if not isinstance(other, TruncSeries):
+            return TruncSeries(self.var, self.cap, (self.coeffs[0] + other,) + self.coeffs[1:])
+        assert self.var == other.var, f"variable mismatch: {self.var} vs {other.var}"
+        cap = min(self.cap, other.cap)
+        return TruncSeries(self.var, cap, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "TruncSeries":
+        return self * -1
+
+    def __sub__(self, other) -> "TruncSeries":
+        return self + (-other)
+
+    def __mul__(self, other) -> "TruncSeries":
+        """Times a TruncSeries, by the schoolbook double loop, or a scalar."""
+        if not isinstance(other, TruncSeries):
+            return TruncSeries(self.var, self.cap, [c * other for c in self.coeffs])
+        assert self.var == other.var, f"variable mismatch: {self.var} vs {other.var}"
+        cap = min(self.cap, other.cap)
+        out = [Fraction(0)] * (cap + 1)
+        for i in range(cap + 1):
+            for j in range(cap + 1 - i):
+                out[i + j] += self.coeffs[i] * other.coeffs[j]
+        return TruncSeries(self.var, cap, out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int) -> "TruncSeries":
+        out = TruncSeries.constant(self.var, self.cap, 1)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def invert(self) -> "TruncSeries":
+        """Multiplicative inverse by the recurrence; requires a nonzero constant term."""
+        inv0 = 1 / self.coeffs[0]
+        out = [inv0]
+        for k in range(1, self.cap + 1):
+            out.append(-inv0 * sum(self.coeffs[j] * out[k - j] for j in range(1, k + 1)))
+        return TruncSeries(self.var, self.cap, out)
+
+    def __repr__(self) -> str:
+        body = " + ".join(f"{c}*{self.var}^{k}" for k, c in enumerate(self.coeffs) if c) or "0"
+        return f"{body} + O({self.var}^{self.cap + 1})"
 
 
 class QPoly:
@@ -171,7 +259,7 @@ def laurent_to_hseries(p: LaurentPoly, cap: int) -> TruncSeries:
     """p(1 + h) through h^cap; negative powers expand binomially."""
     out = TruncSeries("h", cap)
     for e, c in sorted(p.terms.items()):
-        out = out + c * series_pow1p(e, cap)
+        out = out + TruncSeries("h", cap, series_pow1p(e, cap)) * c
     return out
 
 
@@ -235,8 +323,8 @@ def z_h_biseries_by_terms(d) -> tuple:
     coefficient of lfac(h)^(2m), added into the grid: O(N cap^3) products.
     """
     cap = 2 * d.N
-    s = series_two_arcsinh_half(cap)
-    lfac = mmexpand._h_over_log1p(cap)
+    s = TruncSeries("z", cap, series_two_arcsinh_half(cap))
+    lfac = TruncSeries("h", cap, mmexpand._h_over_log1p(cap))
     grid = [[Fraction(0)] * (cap + 1) for _ in range(cap + 1)]
     s_pow = TruncSeries.constant("z", cap, 1)
     l_pow = TruncSeries.constant("h", cap, 1)
@@ -256,7 +344,7 @@ def z_h_biseries_by_terms(d) -> tuple:
 def htilde_rows_by_composition(d) -> tuple:
     """The ht line rows, each z-row of the bi-series composed with the substitution."""
     N = d.N
-    sub = mmexpand.reparam_series(2 * N)
+    sub = TruncSeries("ht", 2 * N, mmexpand.reparam_series(2 * N))
     by_m = []
     for m in range(N + 1):
         valid = 2 * (N - m)
@@ -268,9 +356,11 @@ def htilde_rows_by_composition(d) -> tuple:
 
 def approx_product_by_repeats(lines, conway: LaurentPoly, n: int, exponent: int) -> TruncSeries:
     """Line n times the Conway series, ``exponent`` products in turn."""
-    guaranteed = 2 * (len(lines.row(n)) - 1)
+    row = lines.row(n)
+    guaranteed = 2 * (len(row) - 1)
     conway_series = TruncSeries("z", guaranteed, [conway.coeff(e) for e in range(guaranteed + 1)])
-    prod = lines.line_series(n).pad_exact(guaranteed)
+    # the line in z: row[m] at z^(2m), zero at the odd powers
+    prod = TruncSeries("z", guaranteed, [c for m in row for c in (m, 0)])
     for _ in range(exponent):
         prod = prod * conway_series
     return prod

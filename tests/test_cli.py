@@ -22,7 +22,7 @@ from mmjones.cli import (
     main,
 )
 from mmjones.mmexpand import OutOfRangeError
-from mmjones.exactalg import LaurentPoly, TruncSeries
+from mmjones.exactalg import LaurentPoly
 from mmjones.reports import parse_frac, parse_linetable
 
 
@@ -307,7 +307,7 @@ class TestExpandCommand:
 
         def even_term(cap):
             s = original(cap)
-            return TruncSeries(s.var, s.cap, (*s.coeffs[:2], s.coeffs[2] + 1, *s.coeffs[3:]))
+            return (*s[:2], s[2] + 1, *s[3:])
 
         monkeypatch.setattr(mmexpand, "series_two_arcsinh_half", even_term)
         code, out, err = run_cli(capsys, "expand", "--knot", "3_1", "--order", "2",
@@ -429,6 +429,19 @@ class TestCatalogCommand:
         path.write_text(json.dumps([record]))
         code, out, err = run_cli(capsys, "catalog", "--path", str(path))
         assert (code, out, err) == (1, "", f"catalog invalid: {message}\n")
+
+    @pytest.mark.parametrize("argv, prefix", [
+        (["catalog", "--path"], "catalog invalid"),
+        (["expand", "--knot", "u0", "--order", "1", "--catalog"], "error"),
+    ], ids=["catalog", "expand"])
+    def test_catalog_over_the_records_ceiling(self, capsys, tmp_path, argv, prefix):
+        path = tmp_path / "many.json"
+        path.write_text(json.dumps([{"name": f"u{i}", "strands": 1, "braid": []}
+                                    for i in range(knots.RECORDS_CEILING + 1)]))
+        code, out, err = run_cli(capsys, *argv, str(path))
+        message = (f"{knots.RECORDS_CEILING + 1} records exceed the ceiling of "
+                   f"{knots.RECORDS_CEILING} records")
+        assert (code, out, err) == (1, "", f"{prefix}: {message}\n")
 
     def test_bracketed_path(self, capsys, tmp_path):
         folder = tmp_path / "a[1]"

@@ -6,10 +6,12 @@ import time
 
 import pytest
 
+from mmjones import knots
 from mmjones.exactalg import LaurentPoly
 from mmjones.knots import (
     DEFAULT_CATALOG_ENTRIES,
     LETTERS_CEILING,
+    RECORDS_CEILING,
     STRANDS_CEILING,
     BraidWord,
     CatalogError,
@@ -50,6 +52,17 @@ class TestBraidWord:
             BraidWord(2, [2])
         with pytest.raises(ValueError):
             BraidWord(3, [0])
+
+    @pytest.mark.parametrize("strands, letters, message", [
+        (2, (1.5, 1.9, True), "letter 1.5 is not an integer"),
+        (2, (1, True), "letter True is not an integer"),
+        (2.7, (1,), "strands must be an integer, not 2.7"),
+        (True, (), "strands must be an integer, not True"),
+    ], ids=["float-letter", "bool-letter", "float-strands", "bool-strands"])
+    def test_rejects_non_integers(self, strands, letters, message):
+        with pytest.raises(ValueError) as err:
+            BraidWord(strands, letters)
+        assert str(err.value) == message
 
 
 class TestBurau:
@@ -302,6 +315,22 @@ class TestCatalog:
         at = {"name": "at", "strands": 3, "braid": [1, 2] * ((LETTERS_CEILING - 2) // 2) + [1, 1]}
         assert len(at["braid"]) == LETTERS_CEILING
         assert [r.name for r in load_catalog([at])] == ["at"]
+
+    def test_rejects_a_catalog_over_the_records_ceiling(self, tmp_path, monkeypatch):
+        records = [{"name": f"u{i}", "strands": 1, "braid": []} for i in range(RECORDS_CEILING + 1)]
+        path = tmp_path / "many.json"
+        path.write_text(json.dumps(records))
+        gated = []
+        monkeypatch.setattr(knots, "conway_poly", lambda b: gated.append(b))
+        for source in (records, str(path)):
+            with pytest.raises(CatalogError) as err:
+                load_catalog(source)
+            assert str(err.value) == (
+                f"{RECORDS_CEILING + 1} records exceed the ceiling of {RECORDS_CEILING} records")
+        # the count is checked before any record's Conway gate runs
+        assert gated == []
+        monkeypatch.undo()
+        assert len(load_catalog(records[:RECORDS_CEILING])) == RECORDS_CEILING
 
     def test_path_with_brackets(self, tmp_path):
         folder = tmp_path / "a[1]"

@@ -5,7 +5,10 @@ report.  Its ``expand/...`` keys name the request (knot, order, parameter,
 format), its ``torus/P,Q/L=4`` keys a torus request and ``catalog`` the
 default catalog listing; each runs here in-process through ``cli.main``, so
 a change that alters a report byte fails the test suite, not only the
-benchmark.
+benchmark.  The report of ``verify --suite all --format json`` is pinned
+here too, by its own digest: it reads both line routes (``mm/route-agreement``),
+both bottom-line routes (``mm/bottom-line``) and the approximants
+(``mm/approx-head``).
 """
 
 import hashlib
@@ -21,6 +24,7 @@ DIGESTS = {
     key: ref["sha256"]
     for key, ref in json.loads(REFERENCE.read_text(encoding="utf-8"))["reports"].items()
 }
+VERIFY_ALL_DIGEST = "28738e25faecc789dac4607a4c723dd552b1c9095b435fcd18c5b381701f5718"
 EXPAND_DIGESTS = {key: d for key, d in DIGESTS.items() if key.startswith("expand/")}
 TORUS_DIGESTS = {key: d for key, d in DIGESTS.items() if key.startswith("torus/")}
 
@@ -58,3 +62,8 @@ def test_torus_report_digest(key, capsysbinary):
 
 def test_catalog_report_digest(capsysbinary):
     assert _digest(["catalog"], capsysbinary) == DIGESTS["catalog"]
+
+
+def test_verify_report_digest(capsysbinary):
+    argv = ["verify", "--suite", "all", "--format", "json"]
+    assert _digest(argv, capsysbinary) == VERIFY_ALL_DIGEST

@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mmjones import toruslines
-from mmjones.exactalg import LaurentPoly, TruncSeries, series_log1p, series_pow1p
+from mmjones.exactalg import LaurentPoly, series_log1p, series_pow1p
 from mmjones.knots import TorusParams, conway_torus
 from mmjones.mmexpand import build_dtable, to_z_lines
 from mmjones.toruslines import (
@@ -25,7 +25,14 @@ from mmjones.toruslines import (
     torus_line_series,
     torus_lines,
 )
-from oracle_algebra import QPoly, RationalFn, only_odd_powers, poly_derivative, poly_exact_div
+from oracle_algebra import (
+    QPoly,
+    RationalFn,
+    TruncSeries,
+    only_odd_powers,
+    poly_derivative,
+    poly_exact_div,
+)
 
 
 def zpoly(coeffs) -> LaurentPoly:
@@ -68,8 +75,8 @@ def oracle_lines(p: int, q: int, n_max: int):
     """
     pq = p * q
     c = (Fraction(pq) - Fraction(p, q) - Fraction(q, p)) / 4
-    prefactor = series_pow1p(c, n_max)
-    logf = series_log1p(n_max) * Fraction(1, 4 * pq)
+    prefactor = TruncSeries("h", n_max, series_pow1p(c, n_max))
+    logf = TruncSeries("h", n_max, series_log1p(n_max)) * Fraction(1, 4 * pq)
     chain = oracle_chain(*sorted((abs(p), abs(q))))
     odd_over_z = []
     for g in chain[: n_max + 1]:
