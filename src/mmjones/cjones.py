@@ -26,11 +26,18 @@ each source key to an expected monomial.  The inverse gate
 check and the g-series tables (:func:`_gseries_entry_tables`) multiply
 Kronecker-packed factors, not Laurent polynomials: pack(S) pack(B) once
 per factor pair (:func:`_pair_products`), then one big-integer product
-per entry, at a width each of them proves exact from the color's
-factor-pair layer (:class:`_FactorPairs`).  The check multiplies
-unshifted packed entries and shifts each path product once; the g-series
-tables are built only for the signs of the word's letters.  Only the exact
-ring expands entries, whole tables, for the test oracle.
+per entry (check) or distinct coefficient (tables), at a width each proves
+exact from the color's factor-pair layer (:class:`_FactorPairs`).  The
+check multiplies unshifted packed entries and shifts each path product
+once; the tables are built only for the signs of the word's letters.  Only
+the exact ring expands entries, whole tables, for the test oracle.
+
+Flip symmetry: under omega (i, j) -> (N - j, N - i), entry n of omega(i, j)
+has entry n of (i, j)'s w and sgn, the target omega(k, l) and the factors
+S(b, n) B(a, n) for S(a, n) B(b, n), the same polynomial.  Proof: omega maps
+(i, j, k, l) to (N - j, N - i, N - l, N - k): n, its range and w keep their
+values, and the factor indices swap; S(a, n) B(b, n) is S(n, n) [a choose n]
+[b choose n].  So only about half the entries' coefficients are distinct.
 
 One state-sum kernel, :func:`_state_sum`, evaluates the invariant over
 either of two coefficient rings; only the table coefficients, the weight
@@ -67,12 +74,11 @@ once, hand it to its consumers and keep the framing exponent as
 ``ring.framing``.  The caller owns the cut (``mmexpand._jones_rows`` picks
 one per D-table).  The only process caches are the four color-independent
 memos :func:`_qbinom`, :func:`_scaled_qbinom`, :func:`_factor_gseries` and
-:func:`_g_to_h_columns`.
+:func:`_g_to_h_columns`; a color's coefficient table is not one.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -155,6 +161,12 @@ def _entry_poly(entry: tuple) -> LaurentPoly:
     """The coefficient sgn u^w S(s) B(b) of a factored entry, expanded."""
     _, _, w, s, b, sgn = entry
     return (_scaled_qbinom(*s) * _qbinom(*b)).shift(w) * sgn
+
+
+def _coefficient_key(entry: tuple) -> tuple:
+    """(w, n, sgn, min(a, b), max(a, b)) of sgn u^w S(a, n) B(b, n): equal keys, equal coefficients."""
+    _, _, w, (a, n), (b, _), sgn = entry
+    return w, n, sgn, min(a, b), max(a, b)
 
 
 def _expand_table(table: dict) -> dict:
@@ -473,6 +485,14 @@ class _Closure:
             charge = sum(N - 2 * i for i in rest[f:]) - sum(N - 2 * i for i in rest[:f])
             yield rest[:f] + (0,) + rest[f:], 2 * charge
 
+    def start_weights(self, alpha: int) -> Dict[int, int]:
+        """weight -> count of :meth:`starts`: every pinned slot has slot 0's charges
+        (:class:`_PackedRing`), so the terms of (sum_s u^(2(N - 2s)))^(strands - 1)."""
+        counts = LaurentPoly.one("u")
+        for _ in range(self.strands - 1):
+            counts = counts * _qbinom(alpha, 1)
+        return counts.terms
+
 
 def _diagonal_amplitude(steps: list, start: tuple, ring):
     """The amplitude of ``start`` after the letters act on it, or None.
@@ -694,10 +714,9 @@ def _gseries_entry_tables(operators: Tuple[CrossingOperator, CrossingOperator], 
     An entry c = sgn u^w S B has the g-series sgn row(w) gS gB mod
     g**length, where row(w) = (1+g)**w (:func:`_binom_row`) and gS, gB are
     the factor g-series (:func:`_factor_gseries`).  Packed with g -> 2**W,
-    that is one big-integer product per entry, (sgn row(w) (gS gB)) mod
-    2**(W length), with gS gB one product per factor pair
-    (:func:`_pair_products`), shared by the signs built; the signed W-bit
-    digits are the coefficients.
+    that is one big-integer product, (sgn row(w) (gS gB)) mod 2**(W length),
+    and one unpack per distinct coefficient (:func:`_coefficient_key`), whose
+    entries, flip mirrors (module docstring) among them, share one tuple.
 
     Width: c_k, the g**k coefficient of c = sum_e c_e u^e, is
     sum_e c_e C(e, k) with C(e, k) that of (1+g)**e, so
@@ -715,12 +734,13 @@ def _gseries_entry_tables(operators: Tuple[CrossingOperator, CrossingOperator], 
 
     Returns (tables, majorants): ``majorants[sign]`` is the row majorant of
     that sign's table, the coefficientwise max over source keys of the sum
-    of |c| over the key's entries (see :class:`_PackedRing`).
+    of |c| over the key's entries (see :class:`_PackedRing`), taken over
+    i + j <= N: the mirror (N - j, N - i) of a key has the same sum.
     """
     factored = {op.sign: op.table for op in operators if op.sign in signs}
     if not factored:
         return {}, {}
-    pairs = operators[0].pairs
+    pairs, N = operators[0].pairs, operators[0].alpha - 1
     entries = _entries(*factored.values())
     width = _gseries_width(entries, pairs, length)
     mask = (1 << (width * length)) - 1
@@ -734,23 +754,20 @@ def _gseries_entry_tables(operators: Tuple[CrossingOperator, CrossingOperator], 
             series = cache[p] = tuple(_laurent_to_gseries(p, length, rows))
         return _pack(series, width)
 
-    products = _pair_products(entries, pack, mask)
-    packed_rows: Dict[int, int] = {}
+    reps = {_coefficient_key(e): e for e in entries}  # one entry per distinct coefficient
+    products = _pair_products(reps.values(), pack, mask)
+    packed_rows = {w: _pack(_binom_row(w, length), width) for w in {e[2] for e in reps.values()}}
+    coeffs = {ckey: tuple(_unpack((esgn * packed_rows[w] * products[s, b]) & mask, width, length))
+              for ckey, (_, _, w, s, b, esgn) in reps.items()}
     tables, majorants = {}, {}
     for sgn, table in factored.items():
-        tbl = tables[sgn] = {}
-        for key, es in table.items():
-            out = []
-            for (k, l, w, s, b, esgn) in es:
-                row = packed_rows.get(w)
-                if row is None:
-                    row = packed_rows[w] = _pack(_binom_row(w, length), width)
-                out.append((k, l, tuple(_unpack((esgn * row * products[s, b]) & mask,
-                                                width, length))))
-            tbl[key] = tuple(out)
-        key_sums = [tuple(map(sum, zip(*(map(abs, c) for (_, _, c) in es))))
-                    for es in tbl.values()]
-        majorants[sgn] = tuple(map(max, zip(*key_sums)))
+        tbl = tables[sgn] = {key: tuple((e[0], e[1], coeffs[_coefficient_key(e)]) for e in es)
+                             for key, es in table.items()}
+        majorant = (0,) * length
+        for (i, j), es in tbl.items():
+            if i + j <= N:
+                majorant = tuple(map(max, majorant, map(sum, zip(*(map(abs, c) for _, _, c in es)))))
+        majorants[sgn] = majorant
     return tables, majorants
 
 
@@ -762,7 +779,7 @@ def _majorant_series(closure: _Closure, alpha: int, length: int, majorants: dict
     mod g**length, which bounds every coefficient of the framed g-series.
     """
     bound = [0] * length
-    for weight, count in Counter(w for _, w in closure.starts(alpha)).items():
+    for weight, count in closure.start_weights(alpha).items():
         bound = [x + count * abs(r) for x, r in zip(bound, _binom_row(weight, length))]
     bound = int_series_mul(bound, [abs(r) for r in _binom_row(-framing * closure.writhe, length)],
                            length - 1)
@@ -802,17 +819,17 @@ class _PackedRing:
 
     truncated at g**length, over the weights of ``closure.starts``.
     :func:`_majorant_series` evaluates this series, and the width is one
-    sign bit over the bit length of its largest coefficient.  It reads R_s only for the signs of the word's
-    letters, so the ring builds the tables and row majorants of those signs
-    alone, and none for a word without letters.
+    sign bit over the bit length of its largest coefficient.  It reads R_s
+    only for the signs of the word's letters, so the ring builds the tables
+    and row majorants of those signs alone, and none for a word without
+    letters.  The ring packs each distinct coefficient once, keyed by
+    :func:`_coefficient_key`, so flip mirrors share one int.
 
-    The bound holds at every cut, its start weights being the closure's
-    own.  It is also the same at every cut, and so is the width.  The
-    series R_sign commute, so a rotation leaves their product alone.  The
-    charges of the start vectors pinned at slot f sum N - 2s_i over the
-    slots right of f and -(N - 2s_i) over those left of it, each s_i
-    running over 0..N; s -> N - s maps N - 2s to its negative and permutes
-    0..N, so every pinned slot gives one multiset of charges, that of slot 0.
+    The bound, and so the width, is the same at every cut.  The series
+    R_sign commute, so a rotation leaves their product alone.  The charges
+    pinned at slot f sum N - 2s_i over the slots right of f and -(N - 2s_i)
+    over those left of it, each s_i in 0..N; s -> N - s maps N - 2s to its
+    negative and permutes 0..N, so every pinned slot has slot 0's charges.
     """
 
     zero = 0
@@ -826,11 +843,14 @@ class _PackedRing:
         self.length = length
         self.bits = max(_majorant_series(closure, alpha, length, majorants, self.framing)).bit_length() + 1
         self.mask = (1 << (self.bits * length)) - 1
-        # each sign's unpacked table is released as soon as it is repacked
+        packed: Dict[tuple, int] = {}  # coefficient key -> its packed int, shared by equal entries
         self.tables = {}
-        for sgn in list(raw_tables):
-            self.tables[sgn] = {key: tuple((k, l, self.pack(c)) for (k, l, c) in entries)
-                                for key, entries in raw_tables.pop(sgn).items()}
+        for op in operators:
+            if op.sign in raw_tables:  # each unpacked table is released once repacked
+                self.tables[op.sign] = {key: tuple(
+                    (k, l, packed[ck] if ck in packed else packed.setdefault(ck, self.pack(c)))
+                    for ck, (k, l, c) in zip(map(_coefficient_key, op.table[key]), entries))
+                    for key, entries in raw_tables.pop(op.sign).items()}
         self._monomials: Dict[int, int] = {}
         self.pinned: dict = {}
 

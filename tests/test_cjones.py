@@ -1,5 +1,6 @@
 """Gates for the braiding operators and the colored Jones evaluation."""
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -466,6 +467,14 @@ class TestPackingWidth:
                                                 framing(alpha))
                         == brute_majorant(word, alpha, 9))
 
+    @pytest.mark.parametrize("strands", range(1, 7))
+    def test_start_weights_count_the_start_vectors(self, strands):
+        for alpha in range(1, 8):
+            for f in range(strands):
+                closure = cjones._Closure.of(BraidWord(strands, ()), (0, f))
+                assert (closure.start_weights(alpha)
+                        == Counter(weight for _, weight in closure.starts(alpha)))
+
     def test_one_bit_short_breaks_the_sum(self, monkeypatch):
         exact = exact_gseries(K6_1, 6, 11)
         observed = max(abs(c) for c in exact).bit_length()
@@ -508,6 +517,35 @@ class TestGSeriesTables:
             for factor in (cjones._scaled_qbinom(3, 2), cjones._qbinom(3, 2)):
                 assert cache[factor] == tuple(cjones._laurent_to_gseries(factor, length, {}))
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_tables_are_flip_symmetric(self, sign):
+        # entry n of (N - j, N - i) is entry n of (i, j) with target (N - l, N - k),
+        # the same w and sign, and the factors S(b, n) B(a, n) for S(a, n) B(b, n)
+        for alpha in range(2, 26):
+            N = alpha - 1
+            table = cjones._braiding_table(alpha, sign)
+            for (i, j), entries in table.items():
+                mirrored = table[(N - j, N - i)]
+                assert len(mirrored) == len(entries)
+                for (k, l, w, s, b, sgn), other in zip(entries, mirrored):
+                    assert other == (N - l, N - k, w, (b[0], s[1]), (s[0], b[1]), sgn)
+                    if alpha <= 8:
+                        assert (cjones._scaled_qbinom(*s) * cjones._qbinom(*b)
+                                == cjones._scaled_qbinom(*other[3]) * cjones._qbinom(*other[4]))
+
+    @pytest.mark.parametrize("alpha", [2, 5, 9])
+    def test_mirrored_entries_share_one_coefficient(self, alpha):
+        # one tuple per coefficient in the g-series tables, one int in the ring
+        N = alpha - 1
+        operators = cjones._operator_pair(alpha)
+        tables, _ = cjones._gseries_entry_tables(operators, 11, (1, -1))
+        ring = cjones._PackedRing(cjones._Closure.of(FIG8), alpha, 11)
+        for built in (tables, ring.tables):
+            for sign in (1, -1):
+                for (i, j), entries in built[sign].items():
+                    for entry, other in zip(entries, built[sign][(N - j, N - i)]):
+                        assert other[2] is entry[2]
+
 
 class TestOneSignTables:
     def test_ring_builds_only_its_word_signs(self):
@@ -526,13 +564,14 @@ class TestOneSignTables:
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_one_sign_word_converts_only_its_entries(self, sign, monkeypatch):
-        # each converted entry is unpacked once, and the ring unpacks nothing else
+        # each distinct coefficient is unpacked once, and the ring unpacks nothing else
         alpha, unpacked = 6, []
         original = cjones._unpack
         monkeypatch.setattr(cjones, "_unpack",
                             lambda *args: unpacked.append(args) or original(*args))
         cjones._PackedRing(cjones._Closure.of(BraidWord(2, (sign,) * 3)), alpha, 13)
-        assert len(unpacked) == len(cjones._entries(cjones._braiding_table(alpha, sign)))
+        assert len(unpacked) == len({cjones._coefficient_key(e)
+                                     for e in cjones._entries(cjones._braiding_table(alpha, sign))})
 
     def test_trefoil_widths_at_order_12(self):
         # the widths of both-sign tables: the width reads only the word's signs
