@@ -40,29 +40,32 @@ values, and the factor indices swap; S(a, n) B(b, n) is S(n, n) [a choose n]
 [b choose n].  So only about half the entries' coefficients are distinct.
 
 One state-sum kernel, :func:`_state_sum`, evaluates the invariant over
-either of two coefficient rings; only the table coefficients, the weight
-monomials and the reduction after each letter depend on the ring:
+three coefficient rings; only the table coefficients, the charges and the
+reduction after each letter depend on the ring:
 
 * the exact ring of integer Laurent polynomials in u, which returns the
   invariant itself (:func:`colored_jones`, the reference the tests check
   against);
 * the ring of integer series in g = u - 1 truncated at a fixed order and
   packed into single big integers (Kronecker substitution), which gives
-  h-expansions (h = q-hat - 1) at large colors (:func:`jones_h_series`).
+  h-expansions (h = q-hat - 1) at large colors (:func:`jones_h_series`);
+* a key-only ring that counts products (:class:`_CountingRing`).
 
-The last letter to touch a slot reads a pinned table (:func:`_pinned`):
-each key keeps at most the one entry that returns the slot to its start
-index.  The entry is picked by its index, from the wanted slot values; no
-entry of the table is filtered.
+The kernel contracts the closure slot by slot, transfer-matrix style: one
+state per color, keyed by the current index of every open slot and the
+start index of every open slot but the pinned one.  A slot opens at its
+first letter and closes at its last, through a pinned table
+(:func:`_pinned`) that keeps the one entry returning the slot to the key's
+start index; its charge is multiplied in there and its indices leave the
+key, so states that differ only in finished slots merge.
 
 The kernel reads the closure cut open at (r, f) from one value, the one
 owner of the rotation by r, the pinned slot f, the charges and the writhe
 (:class:`_Closure`).  Every cut gives the invariant, but the products it
-runs depend on the cut: from 4,416 to 47,545 over the cuts of 6_1 at
+runs depend on the cut: from 1,027 to 44,640 over the cuts of 6_1 at
 alpha = 6.  :func:`jones_h_series` runs at the cut it is given;
-:func:`_closure_cut` picks one per word by running the kernel's per-start
-loop over a third, key-only ring that counts products
-(:class:`_CountingRing`), with a runtime gate at alpha = 2.
+:func:`_closure_cut` picks one per word from the counting ring's counts,
+with a runtime gate at alpha = 2.
 
 Packing g -> 2**bits modulo 2**(bits * length) is a ring map, so only the
 final coefficients must fit; their width comes from a truncated majorant
@@ -79,13 +82,12 @@ memos :func:`_qbinom`, :func:`_scaled_qbinom`, :func:`_factor_gseries` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd, inf, isqrt
 from operator import itemgetter, mul
-from typing import Callable, Collection, Dict, Iterable, List, Tuple
+from typing import Callable, Collection, Dict, Iterable, List, NamedTuple, Tuple
 
 from .exactalg import GateError, LaurentPoly, int_series_mul, series_pow1p, series_powers
 from .knots import BraidWord, NotAKnotError
@@ -322,8 +324,7 @@ def _check_inverse(plus: dict, minus: dict, pairs: _FactorPairs, alpha: int) -> 
                      f"crossing operators are not inverse at alpha={alpha}, basis {key}"))
 
 
-@dataclass(frozen=True)
-class CrossingOperator:
+class CrossingOperator(NamedTuple):
     """Braiding operator on two adjacent tensor slots, entries factored exactly.
 
     ``table`` maps (i, j) to the entries (k, l, w, s, b, sgn) of
@@ -379,31 +380,8 @@ def _markov_data(operators: Tuple[CrossingOperator, CrossingOperator]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The state sum and its two coefficient rings
+# The state sum and its three coefficient rings
 # ---------------------------------------------------------------------------
-
-
-def _apply_letter(state: dict, table: dict, pos: int, reduce) -> dict:
-    """One braid letter on tensor slots (pos, pos+1), 0-based, of a sparse state.
-
-    ``table`` maps a slot pair (i, j) to its (k, l, coefficient) entries;
-    ``reduce`` normalizes the accumulated amplitudes once per letter.
-    """
-    new: dict = {}
-    get = new.get
-    end = pos + 2
-    for key, amp in state.items():
-        pre = key[:pos]
-        post = key[end:]
-        for (k, l, c) in table[key[pos:end]]:
-            nk = pre + (k, l) + post
-            prev = get(nk)
-            new[nk] = amp * c if prev is None else prev + amp * c
-    return reduce(new)
-
-
-def _drop_zeros(state: dict) -> dict:
-    return {key: amp for key, amp in state.items() if amp}
 
 
 def _pinned(table: dict, sign: int, want_k, want_l) -> dict:
@@ -430,19 +408,21 @@ def _pinned(table: dict, sign: int, want_k, want_l) -> dict:
     return picked
 
 
-@dataclass(frozen=True)
-class _Closure:
+class _Closure(NamedTuple):
     """A braid closure cut open at (r, f), the one owner of its rotation,
-    pinned slot, charges and writhe.
+    pinned slot, charges and writhe.  ``word`` is the letters rotated by r;
+    ``steps`` holds (pos, sign, opens, close_k, close_l) per letter: its
+    slots pos and pos + 1, its sign, the slots other than f it touches
+    first, and for slot pos (close_k) and pos + 1 (close_l) None unless the
+    letter is the last to touch it, else the slot's side: +1 right of f,
+    -1 left of it, 0 for f.  ``idle`` counts the slots other than f that no
+    letter touches (none in a knot's braid on two or more strands).
 
-    ``word`` is the letters rotated by r, and slot f is pinned.  ``steps`` holds
-    (pos, sign, pin_k, pin_l) per letter of ``word``: its slots, its sign,
-    and whether it is the last letter to touch slot pos (pin_k) or pos + 1
-    (pin_l).  :func:`_state_sum` sums, over the start vectors with slot f
-    at index 0 (:meth:`starts`), each one's diagonal amplitude times
-    u^(2 charge), charge = sum_(i>f) (N - 2s_i) - sum_(i<f) (N - 2s_i) over
-    the indices s_i of the other slots, and frames the sum by
-    u^(-(alpha^2 - 1) writhe).
+    The value is the sum, over the start vectors with slot f at index 0
+    (the other slots at indices s_i in 0..N), of each one's diagonal
+    amplitude times u^(2 charge), charge = sum_(i>f) (N - 2s_i) -
+    sum_(i<f) (N - 2s_i), framed by u^(-(alpha^2 - 1) writhe).
+    :func:`_state_sum` contracts that sum slot by slot.
 
     Every cut gives the same value.  A rotation is a conjugation, and the
     trace is cyclic.  For the slot: mu = u^(2(N - 2s)) on index s is the
@@ -465,28 +445,31 @@ class _Closure:
     cut: Tuple[int, int]
     word: tuple
     writhe: int
-    steps: Tuple[Tuple[int, int, bool, bool], ...]
+    steps: Tuple[tuple, ...]
+    idle: int
 
     @classmethod
     def of(cls, b: BraidWord, cut: Tuple[int, int] = (0, 0)) -> _Closure:
-        word = b.letters[cut[0]:] + b.letters[:cut[0]]
-        steps = []
-        touched: set = set()
-        for k in reversed(word):
-            pos = abs(k) - 1
-            steps.append((pos, 1 if k > 0 else -1, pos not in touched, pos + 1 not in touched))
-            touched.update((pos, pos + 1))
-        return cls(b.strands, cut, word, b.writhe(), tuple(reversed(steps)))
+        r, f = cut
+        word = b.letters[r:] + b.letters[:r]
+        first, last = {}, {}  # slot -> its first and its last letter
+        for t, k in enumerate(word):
+            for slot in (abs(k) - 1, abs(k)):
+                first.setdefault(slot, t)
+                last[slot] = t
 
-    def starts(self, alpha: int):
-        """Each start vector, slot f at index 0, with its weight exponent 2 charge."""
-        N, f = alpha - 1, self.cut[1]
-        for rest in product(range(alpha), repeat=self.strands - 1):
-            charge = sum(N - 2 * i for i in rest[f:]) - sum(N - 2 * i for i in rest[:f])
-            yield rest[:f] + (0,) + rest[f:], 2 * charge
+        def close(slot: int, t: int):
+            return (slot > f) - (slot < f) if last[slot] == t else None
+
+        steps = tuple((abs(k) - 1, 1 if k > 0 else -1,
+                       tuple(s for s in (abs(k) - 1, abs(k)) if first[s] == t and s != f),
+                       close(abs(k) - 1, t), close(abs(k), t))
+                      for t, k in enumerate(word))
+        idle = sum(1 for s in range(b.strands) if s not in first and s != f)
+        return cls(b.strands, cut, word, b.writhe(), steps, idle)
 
     def start_weights(self, alpha: int) -> Dict[int, int]:
-        """weight -> count of :meth:`starts`: every pinned slot has slot 0's charges
+        """weight -> count of the start vectors: every pinned slot has slot 0's charges
         (:class:`_PackedRing`), so the terms of (sum_s u^(2(N - 2s)))^(strands - 1)."""
         counts = LaurentPoly.one("u")
         for _ in range(self.strands - 1):
@@ -494,40 +477,80 @@ class _Closure:
         return counts.terms
 
 
-def _diagonal_amplitude(steps: list, start: tuple, ring):
-    """The amplitude of ``start`` after the letters act on it, or None.
+def _apply_letter(state: dict, step: tuple, n: int, alpha: int, ring) -> dict:
+    """One letter of :func:`_state_sum` on a merged state, which it consumes.
 
-    Only the diagonal amplitude counts, so the last letter to touch a slot
-    keeps only the entries that put the slot back at its start index;
-    states that cannot contribute are never built.
+    A key is (current index of each slot, start index of each slot), 2n
+    indices; a slot that is not open holds 0 in both.  The letter acts on
+    the current indices of slots (pos, pos + 1).  A slot it closes reads
+    the pinned table (:func:`_pinned`) that wants the key's own start
+    index, so only the entry that returns the slot to its start survives;
+    its charge u^(side 2(N - 2s)) is multiplied in once per source key, and
+    both its indices leave the key, so keys that differ only there merge.
     """
-    pinned, reduce = ring.pinned, ring.reduce
-    state = {start: ring.one}
-    for pos, sign, pin_k, pin_l in steps:
-        key = (sign, start[pos] if pin_k else None, start[pos + 1] if pin_l else None)
-        table = pinned.get(key)
+    pos, sign, _, close_k, close_l = step
+    end = pos + 2
+    new: dict = {}
+    get = new.get
+    if close_k is None and close_l is None:
+        table = ring.tables[sign]
+        while state:
+            key, amp = state.popitem()
+            pre, post = key[:pos], key[end:]
+            for (k, l, c) in table[key[pos:end]]:
+                nk = pre + (k, l) + post
+                prev = get(nk)
+                new[nk] = amp * c if prev is None else prev + amp * c
+        return ring.reduce(new)
+    N = alpha - 1
+    pinned, charge = ring.pinned, ring.charge
+    while state:
+        key, amp = state.popitem()
+        sk, sl = key[n + pos], key[n + pos + 1]
+        want = (sign, None if close_k is None else sk, None if close_l is None else sl)
+        table = pinned.get(want)
         if table is None:
-            table = pinned[key] = _pinned(ring.tables[sign], *key)
-        state = _apply_letter(state, table, pos, reduce)
-    return state.get(start)
+            table = pinned[want] = _pinned(ring.tables[sign], *want)
+        picked = table[key[pos:end]]
+        if not picked:
+            continue
+        ((k, l, c),) = picked
+        exp = 2 * ((close_k or 0) * (N - 2 * sk) + (close_l or 0) * (N - 2 * sl))
+        if exp:
+            amp = charge(amp, exp)
+        k, sk = (k, sk) if close_k is None else (0, 0)  # a closed slot leaves the key
+        l, sl = (l, sl) if close_l is None else (0, 0)
+        nk = key[:pos] + (k, l) + key[end:n + pos] + (sk, sl) + key[n + end:]
+        prev = get(nk)
+        new[nk] = amp * c if prev is None else prev + amp * c
+    return ring.reduce(new)
 
 
 def _state_sum(closure: _Closure, alpha: int, ring):
     """Framed Markov trace of the braiding operators of ``closure``, in ``ring``.
 
+    One merged state (:func:`_apply_letter`).  A slot opens at its first
+    letter at every index 0..N, current and start alike (slot f at 0 alone).
+    Once every slot has closed, one key is left, holding the sum over the
+    start vectors of :class:`_Closure`; an untouched slot adds its charges.
+
     ``ring`` supplies ``zero``, ``one``, ``tables`` (braid sign -> operator
     table with ring coefficients), ``framing`` (the exponent alpha^2 - 1 of
-    :func:`_markov_data`), ``monomial(exp)`` for u**exp,
+    :func:`_markov_data`), ``charge(amp, exp)`` for amp u**exp,
     ``reduce(state)``, applied after each letter, and ``pinned``, a dict
-    that keeps the tables filtered for finished slots across the sums the
-    ring runs.
+    that keeps the closing tables across the sums the ring runs.
     """
-    total = ring.zero
-    for start, weight in closure.starts(alpha):
-        amp = _diagonal_amplitude(closure.steps, start, ring)
-        if amp is not None:
-            total = total + amp * ring.monomial(weight)
-    return total * ring.monomial(-ring.framing * closure.writhe)
+    n, N = closure.strands, alpha - 1
+    state = {(0,) * (2 * n): ring.one}
+    for step in closure.steps:
+        for s in step[2]:
+            state = {key[:s] + (i,) + key[s + 1:n + s] + (i,) + key[n + s + 1:]: amp
+                     for key, amp in state.items() for i in range(alpha)}
+        state = _apply_letter(state, step, n, alpha, ring)
+    total = state.popitem()[1] if state else ring.zero
+    for _ in range(closure.idle):
+        total = sum((ring.charge(total, 2 * (N - 2 * i)) for i in range(alpha)), ring.zero)
+    return ring.charge(total, -ring.framing * closure.writhe)
 
 
 class _ExactRing:
@@ -535,7 +558,7 @@ class _ExactRing:
 
     zero = LaurentPoly.zero("u")
     one = LaurentPoly.one("u")
-    reduce = staticmethod(_drop_zeros)
+    reduce = staticmethod(lambda state: {key: amp for key, amp in state.items() if amp})
 
     def __init__(self, alpha: int):
         operators = _operator_pair(alpha)
@@ -544,8 +567,8 @@ class _ExactRing:
         self.pinned: dict = {}
 
     @staticmethod
-    def monomial(exp: int) -> LaurentPoly:
-        return LaurentPoly.monomial("u", exp)
+    def charge(amp: LaurentPoly, exp: int) -> LaurentPoly:
+        return amp.shift(exp)
 
 
 class _CountingRing:
@@ -555,9 +578,13 @@ class _CountingRing:
     a key), and each product ``amp * c`` of :func:`_apply_letter` adds 1 to
     its target key, so the amplitudes after a letter sum to the products it
     ran; :meth:`reduce` adds them to ``products`` and resets them to 1.
+    The charges, at most one per source key of a closing letter, are not
+    counted: they grow with the keys, the letter products with the entries.
     """
 
+    zero = 0
     one = 1
+    framing = 0
 
     def __init__(self, alpha: int):
         self.alpha = alpha
@@ -566,31 +593,22 @@ class _CountingRing:
                        for sgn in (1, -1)}
         self.pinned: dict = {}
         self.products = 0
-        # (rotated word, start vector) -> products of its diagonal amplitude
-        self._per_start: Dict[Tuple[tuple, tuple], int] = {}
+        self.budget = inf
 
     def reduce(self, state: dict) -> dict:
         self.products += sum(state.values())
-        return dict.fromkeys(state, 1)
+        return dict.fromkeys(state, 1) if self.products <= self.budget else {}
+
+    @staticmethod
+    def charge(amp: int, exp: int) -> int:
+        return amp
 
     def count(self, closure: _Closure, budget: float = inf) -> float:
-        """The products :func:`_state_sum` runs for ``closure`` in this color.
-
-        The start vectors of one rotated word are the same for every pinned
-        slot, so each one's count is kept and shared by the cuts of that
-        word.  A count that passes ``budget`` stops and reads ``inf``.
-        """
-        total = 0
-        for start, _ in closure.starts(self.alpha):
-            n = self._per_start.get((closure.word, start))
-            if n is None:
-                self.products = 0
-                _diagonal_amplitude(closure.steps, start, self)
-                n = self._per_start[(closure.word, start)] = self.products
-            total += n
-            if total > budget:
-                return inf
-        return total
+        """The products :func:`_state_sum` runs for ``closure`` in this color;
+        past ``budget``, the state empties, the count stops and reads ``inf``."""
+        self.products, self.budget = 0, budget
+        _state_sum(closure, self.alpha, self)
+        return self.products if self.products <= budget else inf
 
 
 def _closure_cut(b: BraidWord) -> Tuple[int, int]:
@@ -600,11 +618,11 @@ def _closure_cut(b: BraidWord) -> Tuple[int, int]:
     word, so the counts at small colors rank the cuts.  Stage 1 counts every
     cut at alpha = 2 in :class:`_CountingRing`; stage 2 counts, at
     alpha = 3, the cuts at most an eighth above the least stage-1 count
-    and the given cut (0, 0).  Stage 1 alone can
-    mislead: two cuts of 8_3 tie at alpha = 2 and differ by 1.8x at
-    alpha = 9.  The least (alpha = 3 count, alpha = 2 count, f, rotated
-    word) wins.  A cut is known by its pinned slot and its rotated word,
-    never by r, so every rotation of a word picks the same cut.
+    and the given cut (0, 0).  Stage 1 alone can mislead: three cuts of 6_1
+    tie at alpha = 2 and differ by 2.1x at alpha = 10.  The least
+    (alpha = 3 count, alpha = 2 count, f, rotated word) wins.  A cut is
+    known by its pinned slot and its rotated word, never by r, so every
+    rotation of a word picks the same cut.
 
     Gate: the chosen cut must give the given cut's exact invariant at
     alpha = 2 (:class:`ConventionViolationError` otherwise); a wrong charge
@@ -783,8 +801,8 @@ def _majorant_series(closure: _Closure, alpha: int, length: int, majorants: dict
         bound = [x + count * abs(r) for x, r in zip(bound, _binom_row(weight, length))]
     bound = int_series_mul(bound, [abs(r) for r in _binom_row(-framing * closure.writhe, length)],
                            length - 1)
-    for _, sign, _, _ in closure.steps:
-        bound = int_series_mul(bound, majorants[sign], length - 1)
+    for step in closure.steps:
+        bound = int_series_mul(bound, majorants[step[1]], length - 1)
     return bound
 
 
@@ -797,27 +815,30 @@ class _PackedRing:
     Only the final coefficients must fit.  The map Z[g]/(g**length) ->
     Z/2**(bits * length), g -> 2**bits, is a ring homomorphism, because
     (2**bits)**length = 0 there; u -> 1 + g is one from Z[u, 1/u] to
-    Z[g]/(g**length), since 1 + g is a unit.  Table entries and monomials
-    are packed as images under the composite, and the per-letter masking,
+    Z[g]/(g**length), since 1 + g is a unit.  Table entries and charge
+    monomials are packed as images under the composite, and the masking,
     the sums and the products of :func:`_state_sum` are ring operations on
-    those images.  So the packed state sum is the image
-    of the true truncated g-series F of the framed invariant, whatever
-    wrapped around in between, and :meth:`unpack` recovers F exactly when
-    every |F_k| < 2**(bits - 1).
+    those images.  So the packed state sum is the image of the true
+    truncated g-series F of the framed invariant, whatever wrapped around
+    in between (merged intermediates included), and :meth:`unpack`
+    recovers F exactly when every |F_k| < 2**(bits - 1).
 
-    The width bounds |F| by a truncated majorant series.  Write |s| for the
-    coefficientwise absolute value of a series and compare series
-    coefficient by coefficient; |x y| <= |x| |y| for truncated series.  A
-    letter of sign s maps a state x to x' with
+    The width bounds F itself, which no contraction order changes, by a
+    truncated majorant series.  Write |s| for the coefficientwise absolute
+    value of a series and compare series coefficient by coefficient;
+    |x y| <= |x| |y| for truncated series.  F is the sum over the start
+    vectors of :class:`_Closure` of each one's diagonal amplitude times
+    u^weight, framed.  A letter of sign s maps a state x to x' with
     sum_keys |x'| <= (sum_keys |x|) * R_s, where R_s is the row majorant of
     :func:`_gseries_entry_tables`, which bounds the sum of |c| over the
     entries of every source key; pinned tables are subsets of the full
     ones, so R_s bounds them too.  A start vector begins at 1 and its
-    diagonal amplitude is one term of the final state, so
+    diagonal amplitude is one term of its final state, so
 
         |F| <= prod_letters R_sign * sum_start |u^weight| * |u^(-framing writhe)|
 
-    truncated at g**length, over the weights of ``closure.starts``.
+    truncated at g**length, the weights counted by
+    :meth:`_Closure.start_weights`.
     :func:`_majorant_series` evaluates this series, and the width is one
     sign bit over the bit length of its largest coefficient.  It reads R_s
     only for the signs of the word's letters, so the ring builds the tables
@@ -838,7 +859,7 @@ class _PackedRing:
     def __init__(self, closure: _Closure, alpha: int, length: int):
         operators = _operator_pair(alpha)
         self.framing = _markov_data(operators)
-        signs = {sign for _, sign, _, _ in closure.steps}
+        signs = {step[1] for step in closure.steps}
         raw_tables, majorants = _gseries_entry_tables(operators, length, signs)
         self.length = length
         self.bits = max(_majorant_series(closure, alpha, length, majorants, self.framing)).bit_length() + 1
@@ -857,11 +878,11 @@ class _PackedRing:
     def pack(self, coeffs: Iterable[int]) -> int:
         return _pack(coeffs, self.bits) & self.mask
 
-    def monomial(self, exp: int) -> int:
+    def charge(self, amp: int, exp: int) -> int:
         v = self._monomials.get(exp)
         if v is None:
             v = self._monomials[exp] = self.pack(_binom_row(exp, self.length))
-        return v
+        return (amp * v) & self.mask
 
     def reduce(self, state: dict) -> dict:
         mask = self.mask

@@ -132,7 +132,7 @@ def cmd_expand(args) -> int:
             f"error: order {args.order} exceeds the ceiling {args.max_order} "
             "(raise it with --max-order)"
         )
-    d = build_dtable(rec, args.order, jobs=args.jobs)
+    d = build_dtable(rec, args.order)
     # build_dtable names the knot on its own gates; so do the routes after it
     try:
         _emit_expansion(args, rec, d)
@@ -239,7 +239,7 @@ def cmd_verify(args) -> int:
     from .verify import run_suite
 
     records = _load_records(args.catalog)
-    results = run_suite(args.suite, scope=args.scope, records=records, jobs=args.jobs)
+    results = run_suite(args.suite, scope=args.scope, records=records)
     failed = [r for r in results if not r.passed]
     if args.format == "json":
         doc = {
@@ -312,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand.add_argument("--max-order", type=_max_order, default=DEFAULT_ORDER_CEILING,
                           help="runtime ceiling on N (default %(default)s, "
                                f"at most {MAX_ORDER_CEILING})")
-    p_expand.add_argument("--jobs", type=_positive_int, default=1)
     p_expand.set_defaults(func=cmd_expand)
 
     p_torus = sub.add_parser("torus", help="certified lines of a torus knot")
@@ -336,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.add_argument("--out", default=None, metavar="PATH")
     p_verify.add_argument("--catalog", default=None, metavar="FILE")
-    p_verify.add_argument("--jobs", type=_positive_int, default=1)
     p_verify.set_defaults(func=cmd_verify)
 
     p_catalog = sub.add_parser("catalog", help="validate and list a knot catalog")

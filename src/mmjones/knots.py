@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
 from math import gcd
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .exactalg import InexactDivisionError, LaurentPoly
 
@@ -55,29 +54,32 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class _BraidFields(NamedTuple):
+    strands: int
+    letters: tuple = ()
+
+
+class BraidWord(_BraidFields):
     """A word in the braid group B_strands.
 
     Letter k (nonzero) means the generator with index |k| and sign sign(k);
     generators are 1-based, so 1 <= |k| <= strands - 1.
     """
 
-    strands: int
-    letters: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not _is_int(self.strands):
-            raise ValueError(f"strands must be an integer, not {self.strands!r}")
-        if self.strands < 1:
+    def __new__(cls, strands: int, letters=()) -> BraidWord:
+        if not _is_int(strands):
+            raise ValueError(f"strands must be an integer, not {strands!r}")
+        if strands < 1:
             raise ValueError("strands must be >= 1")
-        letters = tuple(self.letters)
-        object.__setattr__(self, "letters", letters)
+        letters = tuple(letters)
         for k in letters:
             if not _is_int(k):
                 raise ValueError(f"letter {k!r} is not an integer")
-            if k == 0 or abs(k) > self.strands - 1:
-                raise ValueError(f"letter {k} out of range for {self.strands} strands")
+            if k == 0 or abs(k) > strands - 1:
+                raise ValueError(f"letter {k} out of range for {strands} strands")
+        return super().__new__(cls, strands, letters)
 
     def writhe(self) -> int:
         return sum(1 if k > 0 else -1 for k in self.letters)
@@ -239,18 +241,22 @@ def conway_poly(b: BraidWord) -> LaurentPoly:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TorusParams:
-    """Parameters (p, q) of a torus knot; coprime, both of magnitude >= 2."""
-
+class _TorusFields(NamedTuple):
     p: int
     q: int
 
-    def __post_init__(self):
-        if abs(self.p) < 2 or abs(self.q) < 2:
+
+class TorusParams(_TorusFields):
+    """Parameters (p, q) of a torus knot; coprime, both of magnitude >= 2."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, q: int) -> TorusParams:
+        if abs(p) < 2 or abs(q) < 2:
             raise InvalidTorusParametersError("|p| and |q| must be >= 2")
-        if gcd(self.p, self.q) != 1:
-            raise InvalidTorusParametersError(f"gcd({self.p},{self.q}) != 1")
+        if gcd(p, q) != 1:
+            raise InvalidTorusParametersError(f"gcd({p},{q}) != 1")
+        return super().__new__(cls, p, q)
 
     def braid(self) -> BraidWord:
         """The standard (sigma_1 ... sigma_(p-1))^q presentation (positive p, q)."""
@@ -289,27 +295,32 @@ def conway_torus(t: TorusParams) -> LaurentPoly:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KnotRecord:
+class _RecordFields(NamedTuple):
     name: str
     braid: BraidWord
-    amphicheiral: bool = False
-    expected_conway: Optional[LaurentPoly] = None
-    conway: LaurentPoly = field(init=False)
+    amphicheiral: bool
+    expected_conway: Optional[LaurentPoly]
+    conway: LaurentPoly
 
-    def __post_init__(self):
-        if not self.braid.is_knot():
+
+class KnotRecord(_RecordFields):
+    """A catalog knot; ``conway`` is computed from the braid and gated."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, braid: BraidWord, amphicheiral: bool = False,
+                expected_conway: Optional[LaurentPoly] = None) -> KnotRecord:
+        if not braid.is_knot():
             raise NotAKnotError(
-                f"{self.name}: braid closes to "
-                f"{self.braid.closure_component_count()} components"
+                f"{name}: braid closes to {braid.closure_component_count()} components"
             )
-        computed = conway_poly(self.braid)
-        if self.expected_conway is not None and computed != self.expected_conway:
+        computed = conway_poly(braid)
+        if expected_conway is not None and computed != expected_conway:
             raise CatalogError(
-                f"{self.name}: computed Conway polynomial {computed!r} does not "
-                f"match expected {self.expected_conway!r}"
+                f"{name}: computed Conway polynomial {computed!r} does not "
+                f"match expected {expected_conway!r}"
             )
-        object.__setattr__(self, "conway", computed)
+        return super().__new__(cls, name, braid, amphicheiral, expected_conway, computed)
 
 
 # Default braid words.  These are presentation data, not ground truth: the

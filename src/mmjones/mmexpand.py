@@ -18,7 +18,7 @@ t = (1+h)^(1/2) - (1+h)^(-1/2) (written ``ht`` in tags); the substitution
 series comes from the closed form h = u*t with u = t/2 + sqrt(1 + (t/2)^2),
 u the square root of q-hat.
 
-The colors of a D-table, serial or pooled, share the closure cut that
+The colors of a D-table share the closure cut that
 ``_jones_rows`` owns: it picks one with ``cjones._closure_cut`` when some
 color is above 3.  Each color's ring owns its operator pair and framing;
 the four color-independent memos of ``cjones`` are the only process caches.
@@ -49,13 +49,11 @@ by the Conway coefficients and compares each product with its denominator.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from math import factorial, lcm
 from operator import add, mul
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .cjones import _closure_cut, jones_h_series
 from .exactalg import (
@@ -95,12 +93,16 @@ def _braid_of(knot: Union[KnotRecord, BraidWord]) -> BraidWord:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DTable:
-    """Exact coefficients D[m][n] of alpha^(2m) h^n, 0 <= m <= N, 0 <= n <= 2N."""
-
+class _DTableFields(NamedTuple):
     N: int
     entries: tuple  # entries[m][n]
+
+
+class DTable(_DTableFields):
+    """Exact coefficients D[m][n] of alpha^(2m) h^n, 0 <= m <= N, 0 <= n <= 2N.
+
+    Not slotted, so that the cached properties have an instance dict.
+    """
 
     def entry(self, m: int, n: int) -> Fraction:
         if not (0 <= m <= self.N and 0 <= n <= 2 * self.N):
@@ -131,21 +133,14 @@ class DTable:
         return _z_h_biseries(self)
 
 
-def _jones_rows(b: BraidWord, alphas: Sequence[int], cap: int, jobs: int = 1):
+def _jones_rows(b: BraidWord, alphas: Sequence[int], cap: int):
     """The h-series of every color, all at the one closure cut of the D-table."""
     # the cut search costs more than it saves when no color is above 3
     cut = _closure_cut(b) if max(alphas) > 3 else (0, 0)
-    h_series = partial(jones_h_series, b, cap=cap, cut=cut)
-    workers = min(jobs, len(alphas), os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(h_series, alphas))
-    return list(map(h_series, alphas))
+    return [jones_h_series(b, alpha, cap, cut) for alpha in alphas]
 
 
-def build_dtable(knot: Union[KnotRecord, BraidWord], N: int, jobs: int = 1) -> DTable:
+def build_dtable(knot: Union[KnotRecord, BraidWord], N: int) -> DTable:
     """Solve for the D-table of a knot at order budget N.
 
     Evaluates the h-expansion of the colored Jones polynomial to order 2N
@@ -161,7 +156,7 @@ def build_dtable(knot: Union[KnotRecord, BraidWord], N: int, jobs: int = 1) -> D
     try:
         cap = 2 * N
         alphas = list(range(1, N + 2))
-        rows = _jones_rows(b, alphas, cap, jobs=jobs)
+        rows = _jones_rows(b, alphas, cap)
         matrix = [[Fraction(a * a) ** m for m in range(N + 1)] for a in alphas]
         rhs = [[row[n] for row in rows] for n in range(cap + 1)]
         sols = solve_linear_system(matrix, rhs)
@@ -185,8 +180,7 @@ def build_dtable(knot: Union[KnotRecord, BraidWord], N: int, jobs: int = 1) -> D
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LineTable:
+class LineTable(NamedTuple):
     """Exact line coefficients d^(n)_m, emitted only inside the valid range.
 
     ``tag`` is 'h' for the plain expansion variable and 'ht' for the
@@ -371,8 +365,7 @@ def _z_h_biseries(d: DTable) -> Tuple[Tuple[Fraction, ...], ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BottomLineReport:
+class BottomLineReport(NamedTuple):
     """Result of the bottom-line identity checks against the Conway polynomial."""
 
     order: int
@@ -409,8 +402,7 @@ def bottom_line_check(d: DTable, conway: LaurentPoly) -> BottomLineReport:
     )
 
 
-@dataclass(frozen=True)
-class IntegralityReport:
+class IntegralityReport(NamedTuple):
     """Non-integer line entries, with their table position."""
 
     tag: str
@@ -443,8 +435,7 @@ def integrality_report(lines: LineTable, amphicheiral: bool = False) -> Integral
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ApproxPoly:
+class ApproxPoly(NamedTuple):
     """Truncated line times a Conway power, split into head and residual window.
 
     ``head`` covers even z-degrees up to the structural degree bound

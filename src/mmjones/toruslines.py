@@ -44,10 +44,9 @@ nabla is :func:`knots.conway_torus` as it comes, and each numerator is a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import List
+from typing import List, NamedTuple
 
 from .exactalg import GateError, LaurentPoly, series_inverse, series_log1p, series_mul, series_pow1p
 from .knots import TorusParams, conway_torus
@@ -57,8 +56,7 @@ class LineConsistencyError(GateError):
     """An oddness/divisibility/integrality certification failed."""
 
 
-@dataclass(frozen=True)
-class LineFunction:
+class LineFunction(NamedTuple):
     """Line n of a torus knot: numerator / nabla^(2n+1), not reduced."""
 
     n: int

@@ -19,9 +19,8 @@ Suites:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import golden
 from .exactalg import LaurentPoly
@@ -40,8 +39,7 @@ from .mmexpand import (
 from .toruslines import torus_line_series, torus_lines
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
@@ -50,9 +48,8 @@ class CheckResult:
 class _Pipeline:
     """Memoized per-knot pipeline shared across checks within a run."""
 
-    def __init__(self, records=None, jobs: int = 1):
+    def __init__(self, records=None):
         self.records = records if records is not None else default_catalog()
-        self.jobs = jobs
         self._dtables: Dict[Tuple[str, int], DTable] = {}
         self._lines: Dict[Tuple[str, int, str], LineTable] = {}
 
@@ -62,7 +59,7 @@ class _Pipeline:
     def dtable(self, name: str, N: int) -> DTable:
         key = (name, N)
         if key not in self._dtables:
-            self._dtables[key] = build_dtable(self.record(name), N, jobs=self.jobs)
+            self._dtables[key] = build_dtable(self.record(name), N)
         return self._dtables[key]
 
     def lines(self, name: str, N: int, tag: str) -> LineTable:
@@ -290,7 +287,7 @@ def suite_cross(pipe: _Pipeline) -> List[CheckResult]:
     out: List[CheckResult] = []
     for (p, q) in ((2, 3), (2, 5)):
         t = TorusParams(p, q)
-        d = build_dtable(t.braid(), 6, jobs=pipe.jobs)
+        d = build_dtable(t.braid(), 6)
         zl = to_z_lines(d)
         for n in range(4):
             series = torus_line_series(t, n, 8)
@@ -312,12 +309,11 @@ def run_suite(
     suite: str,
     scope: str = "small",
     records=None,
-    jobs: int = 1,
 ) -> List[CheckResult]:
     """Run a named verification suite and return its check results."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
-    pipe = _Pipeline(records, jobs=jobs)
+    pipe = _Pipeline(records)
     if suite == "torus":
         return suite_torus(pipe)
     if suite == "tables":

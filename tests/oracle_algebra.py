@@ -9,7 +9,8 @@ series ``TruncSeries`` (Fraction coefficients, a variable tag, the
 schoolbook product and inverse), gcd-reduced rational functions in z with
 quotient-rule derivatives (Euclidean division over Q, on the dense rational
 polynomial ``QPoly``), the substitution q = 1 + h term by term, exact
-tensor states acted on one crossing at a time, g-series crossing tables
+tensor states acted on one crossing at a time, the state sum of a cut
+closure one start vector at a time, g-series crossing tables
 converted term by term from the expanded entries, and pinned tables
 filtered entry by entry.  Next come the line routes as they first ran:
 series composition by Horner's rule, the (z, h) bi-series collected one
@@ -23,7 +24,7 @@ the tests use to state invariances; the pipeline never calls them.
 """
 
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import product, zip_longest
 
 from mmjones import cjones, mmexpand
 from mmjones.exactalg import LaurentPoly, series_pow1p, series_two_arcsinh_half
@@ -268,14 +269,67 @@ def basis_state(index) -> dict:
     return {tuple(index): LaurentPoly.one("u")}
 
 
+def apply_table(state: dict, table: dict, pos: int, keep=lambda k, l: True) -> dict:
+    """``table`` ((i, j) -> [(k, l, c)]) on tensor slots (pos, pos+1), 0-based.
+
+    Only the entries whose outputs pass ``keep(k, l)`` are applied; zero
+    amplitudes are dropped.
+    """
+    new: dict = {}
+    for key, amp in state.items():
+        for (k, l, c) in table[key[pos:pos + 2]]:
+            if keep(k, l):
+                target = key[:pos] + (k, l) + key[pos + 2:]
+                new[target] = new[target] + amp * c if target in new else amp * c
+    return {key: amp for key, amp in new.items() if amp}
+
+
 def apply_crossings(state: dict, *steps) -> dict:
     """Each (op, pos) in turn: ``op`` on tensor slots (pos, pos+1), 0-based."""
     expanded = {}
     for op, pos in steps:
         if id(op) not in expanded:
             expanded[id(op)] = cjones._expand_table(op.table)
-        state = cjones._apply_letter(state, expanded[id(op)], pos, cjones._drop_zeros)
+        state = apply_table(state, expanded[id(op)], pos)
     return state
+
+
+def start_vectors(closure, alpha: int):
+    """Each start vector of a cut closure, slot f at index 0, with its weight 2 charge.
+
+    charge = sum_(i>f) (N - 2s_i) - sum_(i<f) (N - 2s_i) over the indices
+    s_i of the other slots.
+    """
+    N, f = alpha - 1, closure.cut[1]
+    for rest in product(range(alpha), repeat=closure.strands - 1):
+        charge = sum(N - 2 * i for i in rest[f:]) - sum(N - 2 * i for i in rest[:f])
+        yield rest[:f] + (0,) + rest[f:], 2 * charge
+
+
+def state_sum_by_starts(closure, alpha: int, ring):
+    """The framed trace of a cut closure in ``ring``, one start vector at a time.
+
+    The sum of :func:`start_vectors`, each one's diagonal amplitude times
+    u^weight, framed by u^(-framing writhe).  A start's letters act on it
+    in turn, and the last letter to touch a slot keeps only the entries
+    that put the slot back at its start index, filtered entry by entry.
+    Reads the ring's ``tables``, ``one``, ``zero``, ``framing`` and
+    ``charge``; nothing of the merged kernel.
+    """
+    last = {}
+    for t, letter in enumerate(closure.word):
+        last[abs(letter) - 1] = last[abs(letter)] = t
+    total = ring.zero
+    for start, weight in start_vectors(closure, alpha):
+        state = {start: ring.one}
+        for t, letter in enumerate(closure.word):
+            pos = abs(letter) - 1
+            want = tuple(start[s] if last[s] == t else None for s in (pos, pos + 1))
+            state = apply_table(state, ring.tables[1 if letter > 0 else -1], pos,
+                                lambda k, l: want[0] in (None, k) and want[1] in (None, l))
+        if start in state:
+            total = total + ring.charge(state[start], weight)
+    return ring.charge(total, -ring.framing * closure.writhe)
 
 
 def gseries_entry_tables(expanded: dict, length: int):

@@ -236,10 +236,11 @@ class TestExpandCommand:
     ])
     @pytest.mark.parametrize("jobs", ["0", "-2", "x"])
     def test_rejects_bad_jobs(self, capsys, command, jobs):
+        # there is no process pool: every --jobs is a usage error
         with pytest.raises(SystemExit) as exc:
             main(command + ["--jobs", jobs])
         assert exc.value.code == 2
-        assert "--jobs" in capsys.readouterr().err
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--order", "--max-order"])
     @pytest.mark.parametrize("value", ["0", "-1", "x"])
@@ -478,6 +479,19 @@ def test_subcommands_import_what_they_run(argv, loaded):
     code, *modules = done.stdout.split()
     assert code == "0"
     assert PIPELINE & set(modules) == loaded
+
+
+def test_no_module_imports_dataclasses_or_inspect():
+    # both weigh on every job's start-up and peak memory
+    script = (
+        "import sys\n"
+        "from mmjones import cli, mmexpand, toruslines, verify\n"
+        "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == []
 
 
 def test_gate_errors_share_one_base():

@@ -1,6 +1,5 @@
 """Tests for the D-table solve and the line re-expansions."""
 
-import concurrent.futures
 from fractions import Fraction
 
 import pytest
@@ -38,25 +37,6 @@ UNKNOT = BraidWord(1, [])
 
 def knot(name):
     return catalog_lookup(CATALOG, name)
-
-
-def fake_pool(pools):
-    """A ProcessPoolExecutor stand-in that records its worker count and starts no process."""
-
-    class FakePool:
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    return FakePool
 
 
 @pytest.fixture(scope="module")
@@ -183,31 +163,12 @@ class TestBuildDTable:
                            match=r"^BraidWord\(strands=2, letters=\(1, 1, 1\)\): tampered at alpha=2$"):
             build_dtable(BraidWord(2, (1, 1, 1)), 2)
 
-    def test_parallel_jobs_match(self, d52):
-        d = build_dtable(knot("5_2"), 3, jobs=2)
-        assert d.entries == d52.entries
-
-    def test_jobs_capped(self, monkeypatch):
-        # workers are capped by the color count and the cores; no process starts
-        pools = []
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", fake_pool(pools))
-        b = knot("3_1").braid
-        expected = [mmexpand.jones_h_series(b, a, 2) for a in (1, 2, 3)]
-        monkeypatch.setattr(mmexpand.os, "cpu_count", lambda: 2)
-        assert mmexpand._jones_rows(b, [1, 2, 3], 2, jobs=8) == expected
-        monkeypatch.setattr(mmexpand.os, "cpu_count", lambda: 16)
-        assert mmexpand._jones_rows(b, [1, 2, 3], 2, jobs=8) == expected
-        monkeypatch.setattr(mmexpand.os, "cpu_count", lambda: None)
-        assert mmexpand._jones_rows(b, [1, 2, 3], 2, jobs=8) == expected
-        assert pools == [2, 3]
-
     def test_one_cut_per_dtable(self, monkeypatch):
-        # the D-table searches its closure cut once and runs every color at
-        # it, serial or pooled
+        # the D-table searches its closure cut once and runs every color at it
         b = knot("5_2").braid
         chosen = mmexpand._closure_cut(b)
         assert chosen != (0, 0)
-        searched, cuts, pools = [], [], []
+        searched, cuts = [], []
         original_cut, original_series = mmexpand._closure_cut, mmexpand.jones_h_series
 
         def closure_cut(word):
@@ -220,15 +181,9 @@ class TestBuildDTable:
 
         monkeypatch.setattr(mmexpand, "_closure_cut", closure_cut)
         monkeypatch.setattr(mmexpand, "jones_h_series", h_series)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", fake_pool(pools))
-        monkeypatch.setattr(mmexpand.os, "cpu_count", lambda: 4)
-        for jobs in (1, 4):
-            searched.clear()
-            cuts.clear()
-            build_dtable(b, 3, jobs=jobs)
-            assert searched == [b]
-            assert cuts == [(alpha, chosen) for alpha in (1, 2, 3, 4)]
-        assert pools == [4]
+        build_dtable(b, 3)
+        assert searched == [b]
+        assert cuts == [(alpha, chosen) for alpha in (1, 2, 3, 4)]
 
     def test_range_errors(self, d52):
         with pytest.raises(OutOfRangeError):
