@@ -54,10 +54,10 @@ reduction after each letter depend on the ring:
 The kernel contracts the closure slot by slot, transfer-matrix style: one
 state per color, keyed by the current index of every open slot and the
 start index of every open slot but the pinned one.  A slot opens at its
-first letter and closes at its last, through a pinned table
-(:func:`_pinned`) that keeps the one entry returning the slot to the key's
-start index; its charge is multiplied in there and its indices leave the
-key, so states that differ only in finished slots merge.
+first letter and closes at its last, where a key keeps only the entry
+that returns the slot to the key's start index (:func:`_apply_letter`);
+its charge is multiplied in there and its indices leave the key, so
+states that differ only in finished slots merge.
 
 The kernel reads the closure cut open at (r, f) from one value, the one
 owner of the rotation by r, the pinned slot f, the charges and the writhe
@@ -84,8 +84,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from math import gcd, inf, isqrt
+from math import gcd, inf
 from operator import itemgetter, mul
 from typing import Callable, Collection, Dict, Iterable, List, NamedTuple, Tuple
 
@@ -384,30 +383,6 @@ def _markov_data(operators: Tuple[CrossingOperator, CrossingOperator]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _pinned(table: dict, sign: int, want_k, want_l) -> dict:
-    """The entries of ``table`` whose output slots take the wanted values.
-
-    Entry n of key (i, j) sends it to (k, l) = (j + sign n, i - sign n)
-    (:func:`_braiding_shape`), so a wanted k fixes j = k - sign n and a
-    wanted l fixes i = l + sign n.  Each n thus names the only keys whose
-    entry n can reach the wanted slots, and such a key keeps that entry
-    alone; every other key keeps none.  With nothing wanted, the table
-    itself.
-    """
-    if want_k is None and want_l is None:
-        return table
-    alpha = isqrt(len(table))  # one key per (i, j)
-    picked = dict.fromkeys(table, ())
-    for n in range(alpha):
-        rows = range(alpha) if want_l is None else (want_l + sign * n,)
-        cols = range(alpha) if want_k is None else (want_k - sign * n,)
-        for key in product(rows, cols):
-            entries = table.get(key, ())
-            if n < len(entries):
-                picked[key] = (entries[n],)
-    return picked
-
-
 class _Closure(NamedTuple):
     """A braid closure cut open at (r, f), the one owner of its rotation,
     pinned slot, charges and writhe.  ``word`` is the letters rotated by r;
@@ -482,18 +457,20 @@ def _apply_letter(state: dict, step: tuple, n: int, alpha: int, ring) -> dict:
 
     A key is (current index of each slot, start index of each slot), 2n
     indices; a slot that is not open holds 0 in both.  The letter acts on
-    the current indices of slots (pos, pos + 1).  A slot it closes reads
-    the pinned table (:func:`_pinned`) that wants the key's own start
-    index, so only the entry that returns the slot to its start survives;
-    its charge u^(side 2(N - 2s)) is multiplied in once per source key, and
+    the current indices (i, j) of slots (pos, pos + 1).  A slot it closes
+    keeps the one entry that returns it to the key's start index (sk, sl):
+    entry t goes to (j + sign t, i - sign t) (:func:`_braiding_shape`), so
+    t = sign (sk - j), or sign (i - sl) if slot pos stays open; none if t
+    is out of range or, both slots closing, the entry's l is not sl.  Its
+    charge u^(side 2(N - 2s)) is multiplied in once per source key, and
     both its indices leave the key, so keys that differ only there merge.
     """
     pos, sign, _, close_k, close_l = step
     end = pos + 2
     new: dict = {}
     get = new.get
+    table = ring.tables[sign]
     if close_k is None and close_l is None:
-        table = ring.tables[sign]
         while state:
             key, amp = state.popitem()
             pre, post = key[:pos], key[end:]
@@ -502,19 +479,19 @@ def _apply_letter(state: dict, step: tuple, n: int, alpha: int, ring) -> dict:
                 prev = get(nk)
                 new[nk] = amp * c if prev is None else prev + amp * c
         return ring.reduce(new)
-    N = alpha - 1
-    pinned, charge = ring.pinned, ring.charge
+    N, charge = alpha - 1, ring.charge
+    both = close_k is not None and close_l is not None
     while state:
         key, amp = state.popitem()
+        i, j = key[pos], key[pos + 1]
         sk, sl = key[n + pos], key[n + pos + 1]
-        want = (sign, None if close_k is None else sk, None if close_l is None else sl)
-        table = pinned.get(want)
-        if table is None:
-            table = pinned[want] = _pinned(ring.tables[sign], *want)
-        picked = table[key[pos:end]]
-        if not picked:
+        entries = table[(i, j)]
+        t = sign * (sk - j if close_k is not None else i - sl)
+        if not 0 <= t < len(entries):
             continue
-        ((k, l, c),) = picked
+        k, l, c = entries[t]
+        if both and l != sl:
+            continue
         exp = 2 * ((close_k or 0) * (N - 2 * sk) + (close_l or 0) * (N - 2 * sl))
         if exp:
             amp = charge(amp, exp)
@@ -537,8 +514,8 @@ def _state_sum(closure: _Closure, alpha: int, ring):
     ``ring`` supplies ``zero``, ``one``, ``tables`` (braid sign -> operator
     table with ring coefficients), ``framing`` (the exponent alpha^2 - 1 of
     :func:`_markov_data`), ``charge(amp, exp)`` for amp u**exp,
-    ``reduce(state)``, applied after each letter, and ``pinned``, a dict
-    that keeps the closing tables across the sums the ring runs.
+    and ``reduce(state)``, applied after each letter.  A table lists each
+    key's entries in the order of :func:`_braiding_shape`.
     """
     n, N = closure.strands, alpha - 1
     state = {(0,) * (2 * n): ring.one}
@@ -564,7 +541,6 @@ class _ExactRing:
         operators = _operator_pair(alpha)
         self.framing = _markov_data(operators)
         self.tables = {op.sign: _expand_table(op.table) for op in operators}
-        self.pinned: dict = {}
 
     @staticmethod
     def charge(amp: LaurentPoly, exp: int) -> LaurentPoly:
@@ -591,7 +567,6 @@ class _CountingRing:
         self.tables = {sgn: {key: tuple((k, l, 1) for (k, l, _) in terms)
                              for key, terms in _braiding_shape(alpha, sgn).items()}
                        for sgn in (1, -1)}
-        self.pinned: dict = {}
         self.products = 0
         self.budget = inf
 
@@ -724,17 +699,17 @@ def _gseries_width(entries: List[tuple], pairs: _FactorPairs, length: int) -> in
 
 def _gseries_entry_tables(operators: Tuple[CrossingOperator, CrossingOperator], length: int,
                           signs: Collection[int]):
-    """A color's crossing tables of the given signs as truncated g-series coefficient tuples.
+    """The distinct coefficients of a color's crossing tables of the given signs, as g-series.
 
     Built once per color, by :class:`_PackedRing` for the signs of its
-    word's letters, and not kept after it; no sign, no table.
+    word's letters, and not kept after it; no sign, no coefficient.
 
     An entry c = sgn u^w S B has the g-series sgn row(w) gS gB mod
     g**length, where row(w) = (1+g)**w (:func:`_binom_row`) and gS, gB are
     the factor g-series (:func:`_factor_gseries`).  Packed with g -> 2**W,
     that is one big-integer product, (sgn row(w) (gS gB)) mod 2**(W length),
-    and one unpack per distinct coefficient (:func:`_coefficient_key`), whose
-    entries, flip mirrors (module docstring) among them, share one tuple.
+    and one unpack per distinct coefficient (:func:`_coefficient_key`); the
+    entries with one key, flip mirrors (module docstring) among them, share it.
 
     Width: c_k, the g**k coefficient of c = sum_e c_e u^e, is
     sum_e c_e C(e, k) with C(e, k) that of (1+g)**e, so
@@ -750,10 +725,12 @@ def _gseries_entry_tables(operators: Tuple[CrossingOperator, CrossingOperator], 
     Z[g]/(g**length), so the reduced product is the image of the true
     truncated series whatever its factors wrap, and the digits recover it.
 
-    Returns (tables, majorants): ``majorants[sign]`` is the row majorant of
-    that sign's table, the coefficientwise max over source keys of the sum
-    of |c| over the key's entries (see :class:`_PackedRing`), taken over
-    i + j <= N: the mirror (N - j, N - i) of a key has the same sum.
+    Returns (coeffs, majorants): ``coeffs`` maps each entry's
+    :func:`_coefficient_key` to its g-series tuple, and ``majorants[sign]``
+    is the row majorant of that sign's table, the coefficientwise max over
+    source keys of the sum of |c| over the key's entries (see
+    :class:`_PackedRing`), taken over i + j <= N: the mirror (N - j, N - i)
+    of a key has the same sum.
     """
     factored = {op.sign: op.table for op in operators if op.sign in signs}
     if not factored:
@@ -777,16 +754,15 @@ def _gseries_entry_tables(operators: Tuple[CrossingOperator, CrossingOperator], 
     packed_rows = {w: _pack(_binom_row(w, length), width) for w in {e[2] for e in reps.values()}}
     coeffs = {ckey: tuple(_unpack((esgn * packed_rows[w] * products[s, b]) & mask, width, length))
               for ckey, (_, _, w, s, b, esgn) in reps.items()}
-    tables, majorants = {}, {}
+    majorants = {}
     for sgn, table in factored.items():
-        tbl = tables[sgn] = {key: tuple((e[0], e[1], coeffs[_coefficient_key(e)]) for e in es)
-                             for key, es in table.items()}
         majorant = (0,) * length
-        for (i, j), es in tbl.items():
+        for (i, j), es in table.items():
             if i + j <= N:
-                majorant = tuple(map(max, majorant, map(sum, zip(*(map(abs, c) for _, _, c in es)))))
+                rows = zip(*(map(abs, coeffs[_coefficient_key(e)]) for e in es))
+                majorant = tuple(map(max, majorant, map(sum, rows)))
         majorants[sgn] = majorant
-    return tables, majorants
+    return coeffs, majorants
 
 
 def _majorant_series(closure: _Closure, alpha: int, length: int, majorants: dict,
@@ -831,8 +807,8 @@ class _PackedRing:
     u^weight, framed.  A letter of sign s maps a state x to x' with
     sum_keys |x'| <= (sum_keys |x|) * R_s, where R_s is the row majorant of
     :func:`_gseries_entry_tables`, which bounds the sum of |c| over the
-    entries of every source key; pinned tables are subsets of the full
-    ones, so R_s bounds them too.  A start vector begins at 1 and its
+    entries of every source key; a closing letter keeps at most one entry
+    of a key, so R_s bounds it too.  A start vector begins at 1 and its
     diagonal amplitude is one term of its final state, so
 
         |F| <= prod_letters R_sign * sum_start |u^weight| * |u^(-framing writhe)|
@@ -860,20 +836,15 @@ class _PackedRing:
         operators = _operator_pair(alpha)
         self.framing = _markov_data(operators)
         signs = {step[1] for step in closure.steps}
-        raw_tables, majorants = _gseries_entry_tables(operators, length, signs)
+        coeffs, majorants = _gseries_entry_tables(operators, length, signs)
         self.length = length
         self.bits = max(_majorant_series(closure, alpha, length, majorants, self.framing)).bit_length() + 1
         self.mask = (1 << (self.bits * length)) - 1
-        packed: Dict[tuple, int] = {}  # coefficient key -> its packed int, shared by equal entries
-        self.tables = {}
-        for op in operators:
-            if op.sign in raw_tables:  # each unpacked table is released once repacked
-                self.tables[op.sign] = {key: tuple(
-                    (k, l, packed[ck] if ck in packed else packed.setdefault(ck, self.pack(c)))
-                    for ck, (k, l, c) in zip(map(_coefficient_key, op.table[key]), entries))
-                    for key, entries in raw_tables.pop(op.sign).items()}
+        packed = {ckey: self.pack(c) for ckey, c in coeffs.items()}
+        self.tables = {op.sign: {key: tuple((e[0], e[1], packed[_coefficient_key(e)]) for e in es)
+                                 for key, es in op.table.items()}
+                       for op in operators if op.sign in signs}
         self._monomials: Dict[int, int] = {}
-        self.pinned: dict = {}
 
     def pack(self, coeffs: Iterable[int]) -> int:
         return _pack(coeffs, self.bits) & self.mask

@@ -69,7 +69,7 @@ from .exactalg import (
     series_u,
     solve_linear_system,
 )
-from .knots import BraidWord, KnotRecord
+from .knots import BraidWord, KnotRecord, NotAKnotError
 
 
 class ModelViolationError(GateError):
@@ -148,11 +148,15 @@ def build_dtable(knot: Union[KnotRecord, BraidWord], N: int) -> DTable:
     Vandermonde system in alpha^2 exactly.  Theorem-level structure is
     asserted after the solve: entries with 2m > n vanish and D[0][0] = 1.
     A gate failure names the knot, a catalog record by its name and a bare
-    braid word by its repr, with its type kept.
+    braid word by its repr, with its type kept.  A link is rejected, named
+    the same way, before any color runs.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     b = _braid_of(knot)
+    if not b.is_knot():
+        raise NotAKnotError(
+            f"{b!r}: closure has {b.closure_component_count()} components, expected 1")
     try:
         cap = 2 * N
         alphas = list(range(1, N + 2))
@@ -210,9 +214,9 @@ class LineTable(NamedTuple):
 
     def entry(self, n: int, m: int) -> Fraction:
         row = self.row(n)
-        if m >= len(row):
+        if not 0 <= m < len(row):
             raise OutOfRangeError(
-                f"d^({n})_{m} is beyond the truncation (m <= {len(row) - 1})"
+                f"d^({n})_{m} is outside the truncation (0 <= m <= {len(row) - 1})"
             )
         return row[m]
 

@@ -10,17 +10,17 @@ schoolbook product and inverse), gcd-reduced rational functions in z with
 quotient-rule derivatives (Euclidean division over Q, on the dense rational
 polynomial ``QPoly``), the substitution q = 1 + h term by term, exact
 tensor states acted on one crossing at a time, the state sum of a cut
-closure one start vector at a time, g-series crossing tables
-converted term by term from the expanded entries, and pinned tables
-filtered entry by entry.  Next come the line routes as they first ran:
-series composition by Horner's rule, the (z, h) bi-series collected one
-product at a time, the ht rows by one series composition each, and
-approximants by repeated multiplication.  An oracle that reads a series of
-the package wraps its tuple in a ``TruncSeries``.  The reduced Burau
-product comes as it first ran: one generator matrix per letter, multiplied
-in by a full matrix product.  The braid and polynomial helpers at the end
-(mirror, conjugate, Markov stabilization, u -> 1/u, odd parity) are what
-the tests use to state invariances; the pipeline never calls them.
+closure one start vector at a time, and g-series crossing tables
+converted term by term from the expanded entries.  Next come the line
+routes as they first ran: series composition by Horner's rule, the (z, h)
+bi-series collected one product at a time, the ht rows by one series
+composition each, and approximants by repeated multiplication.  An
+oracle that reads a series of the package wraps its tuple in a
+``TruncSeries``.  The reduced Burau product comes as it first ran: one
+generator matrix per letter, multiplied in by a full matrix product.  The
+braid and polynomial helpers at the end (mirror, conjugate, Markov
+stabilization, u -> 1/u, odd parity) are what the tests use to state
+invariances; the pipeline never calls them.
 """
 
 from fractions import Fraction
@@ -348,17 +348,6 @@ def gseries_entry_tables(expanded: dict, length: int):
                 for entries in tables[sign].values()]
         majorants[sign] = tuple(map(max, zip(*sums)))
     return tables, majorants
-
-
-def pinned_by_filter(table: dict, want_k, want_l) -> dict:
-    """The entries of ``table`` whose output slots take the wanted values, by filter."""
-    return {
-        key: tuple(
-            e for e in entries
-            if (want_k is None or e[0] == want_k) and (want_l is None or e[1] == want_l)
-        )
-        for key, entries in table.items()
-    }
 
 
 def compose_by_horner(outer: TruncSeries, inner: TruncSeries) -> TruncSeries:

@@ -29,7 +29,6 @@ from oracle_algebra import (
     invert_variable,
     laurent_to_hseries,
     mirror,
-    pinned_by_filter,
     stabilized,
     start_vectors,
     state_sum_by_starts,
@@ -129,8 +128,19 @@ def framing(alpha):
     return cjones._markov_data(cjones._operator_pair(alpha))
 
 
+def keyed_tables(operators, coeffs, signs=(1, -1)):
+    """sign -> (i, j) -> ((k, l, g-series), ...), each entry's series read from the
+    distinct coefficients of ``_gseries_entry_tables`` by its coefficient key."""
+    return {op.sign: {key: tuple((e[0], e[1], coeffs[cjones._coefficient_key(e)]) for e in es)
+                      for key, es in op.table.items()}
+            for op in operators if op.sign in signs}
+
+
 def gseries_tables(alpha, length):
-    return cjones._gseries_entry_tables(cjones._operator_pair(alpha), length, (1, -1))
+    """Both signs' g-series tables, keyed per entry, and their row majorants."""
+    operators = cjones._operator_pair(alpha)
+    coeffs, majorants = cjones._gseries_entry_tables(operators, length, (1, -1))
+    return keyed_tables(operators, coeffs), majorants
 
 
 def a_priori_bits(b, alpha, length):
@@ -503,7 +513,9 @@ class TestGSeriesTables:
                 for (_, _, c) in es for x in c.terms]
         for length in (11, 17, 21, 25):
             tables, majorants = gseries_entry_tables(expanded, length)
-            assert cjones._gseries_entry_tables(operators, length, (1, -1)) == (tables, majorants)
+            coeffs, got_majorants = cjones._gseries_entry_tables(operators, length, (1, -1))
+            assert set(coeffs) == set(map(cjones._coefficient_key, entries))
+            assert (keyed_tables(operators, coeffs), got_majorants) == (tables, majorants)
             rows = cjones._binom_row(min(exps), length) + cjones._binom_row(max(exps), length)
             bound = norm * max(map(abs, rows))
             assert max(abs(x) for table in tables.values() for es in table.values()
@@ -539,8 +551,7 @@ class TestGSeriesTables:
     def test_mirrored_entries_share_one_coefficient(self, alpha):
         # one tuple per coefficient in the g-series tables, one int in the ring
         N = alpha - 1
-        operators = cjones._operator_pair(alpha)
-        tables, _ = cjones._gseries_entry_tables(operators, 11, (1, -1))
+        tables, _ = gseries_tables(alpha, 11)
         ring = cjones._PackedRing(cjones._Closure.of(FIG8), alpha, 11)
         for built in (tables, ring.tables):
             for sign in (1, -1):
@@ -559,10 +570,15 @@ class TestOneSignTables:
     @pytest.mark.parametrize("alpha", [2, 5, 9])
     def test_one_sign_is_that_sign_of_both(self, alpha):
         operators = cjones._operator_pair(alpha)
-        tables, majorants = cjones._gseries_entry_tables(operators, 11, (1, -1))
-        for sign in (1, -1):
-            assert (cjones._gseries_entry_tables(operators, 11, (sign,))
+        coeffs, majorants = cjones._gseries_entry_tables(operators, 11, (1, -1))
+        tables = keyed_tables(operators, coeffs)
+        for op in operators:
+            sign = op.sign
+            one_coeffs, one_majorants = cjones._gseries_entry_tables(operators, 11, (sign,))
+            assert ((keyed_tables(operators, one_coeffs, (sign,)), one_majorants)
                     == ({sign: tables[sign]}, {sign: majorants[sign]}))
+            assert one_coeffs == {ck: coeffs[ck]
+                                  for ck in map(cjones._coefficient_key, cjones._entries(op.table))}
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_one_sign_word_converts_only_its_entries(self, sign, monkeypatch):
@@ -588,19 +604,20 @@ class TestOneSignTables:
         assert ring.unpack(cjones._state_sum(closure, 4, ring)) == [1] + [0] * 8
 
 
-class TestPinnedTables:
+class TestClosingIndex:
     @pytest.mark.parametrize("alpha", range(2, 9))
-    def test_index_picker_matches_filter(self, alpha):
+    def test_entry_t_targets_j_plus_sign_t(self, alpha):
+        # a closing letter picks entry t of (i, j) by this rule alone, so every
+        # ring's table lists t = 0, 1, ... in order and no t is missing
+        N = alpha - 1
         rings = (cjones._ExactRing(alpha), cjones._PackedRing(cjones._Closure.of(FIG8), alpha, 5),
                  cjones._CountingRing(alpha))
-        wanted = (None, *range(alpha))
         for ring in rings:
             for sign in (1, -1):
-                table = ring.tables[sign]
-                for want_k, want_l in product(wanted, wanted):
-                    picked = cjones._pinned(table, sign, want_k, want_l)
-                    assert ({key: tuple(es) for key, es in picked.items()}
-                            == pinned_by_filter(table, want_k, want_l))
+                for (i, j), entries in ring.tables[sign].items():
+                    count = 1 + (min(i, N - j) if sign > 0 else min(j, N - i))
+                    assert ([(k, l) for (k, l, _) in entries]
+                            == [(j + sign * t, i - sign * t) for t in range(count)])
 
 
 class TestColoredJones:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from mmjones import cjones, mmexpand
 from mmjones.cjones import ConventionViolationError, jones_h_series
 from mmjones.exactalg import LaurentPoly, series_compose, series_pow1p
-from mmjones.knots import BraidWord, catalog_lookup, default_catalog
+from mmjones.knots import BraidWord, NotAKnotError, catalog_lookup, default_catalog
 from mmjones.mmexpand import (
     LineTable,
     ModelViolationError,
@@ -163,6 +163,18 @@ class TestBuildDTable:
                            match=r"^BraidWord\(strands=2, letters=\(1, 1, 1\)\): tampered at alpha=2$"):
             build_dtable(BraidWord(2, (1, 1, 1)), 2)
 
+    @pytest.mark.parametrize("b, components", [(BraidWord(2, (1, 1)), 2),
+                                                (BraidWord(3, (1, 1, 2, 2)), 3)])
+    def test_link_is_rejected_before_the_cut_search(self, b, components, monkeypatch):
+        # and named like a gate error
+        def no_search(word):
+            raise AssertionError(f"the cut search ran on {word!r}")
+
+        monkeypatch.setattr(mmexpand, "_closure_cut", no_search)
+        with pytest.raises(NotAKnotError) as info:
+            build_dtable(b, 4)
+        assert str(info.value) == f"{b!r}: closure has {components} components, expected 1"
+
     def test_one_cut_per_dtable(self, monkeypatch):
         # the D-table searches its closure cut once and runs every color at it
         b = knot("5_2").braid
@@ -229,6 +241,8 @@ class TestZLines:
             assert len(zl.row(n)) == d52.N - (n + 1) // 2 + 1
         with pytest.raises(OutOfRangeError):
             zl.entry(0, d52.N + 1)
+        with pytest.raises(OutOfRangeError, match="outside the truncation"):
+            zl.entry(0, -1)
 
 
 class TestHtildeLines:

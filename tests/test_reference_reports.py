@@ -8,7 +8,8 @@ a change that alters a report byte fails the test suite, not only the
 benchmark.  The report of ``verify --suite all --format json`` is pinned
 here too, by its own digest: it reads both line routes (``mm/route-agreement``),
 both bottom-line routes (``mm/bottom-line``) and the approximants
-(``mm/approx-head``).
+(``mm/approx-head``).  So is its ``--scope full`` report, which checks every
+tabulated golden entry at the per-knot budget.
 """
 
 import hashlib
@@ -25,6 +26,7 @@ DIGESTS = {
     for key, ref in json.loads(REFERENCE.read_text(encoding="utf-8"))["reports"].items()
 }
 VERIFY_ALL_DIGEST = "28738e25faecc789dac4607a4c723dd552b1c9095b435fcd18c5b381701f5718"
+VERIFY_FULL_DIGEST = "3116966fc5135a530c38c34379166a533e44fe28fdafa65055172de36c5d620b"
 EXPAND_DIGESTS = {key: d for key, d in DIGESTS.items() if key.startswith("expand/")}
 TORUS_DIGESTS = {key: d for key, d in DIGESTS.items() if key.startswith("torus/")}
 
@@ -67,3 +69,8 @@ def test_catalog_report_digest(capsysbinary):
 def test_verify_report_digest(capsysbinary):
     argv = ["verify", "--suite", "all", "--format", "json"]
     assert _digest(argv, capsysbinary) == VERIFY_ALL_DIGEST
+
+
+def test_verify_full_report_digest(capsysbinary):
+    argv = ["verify", "--suite", "all", "--scope", "full", "--format", "json"]
+    assert _digest(argv, capsysbinary) == VERIFY_FULL_DIGEST
