@@ -21,31 +21,40 @@ rule: no polynomial is divided, and the factors, which do not depend on the
 color, number only O(alpha^2).  Both gates are calls of one packed
 identity check, :func:`_check_chain`: a chain of factored tables must send
 each source key to an expected monomial.  The inverse gate
-(:func:`_check_inverse`) is the chain minus then plus, and the Markov gate
-(:func:`_markov_data`) the one table of charged diagonal entries.  The
-check and the g-series tables (:func:`_gseries_entry_tables`) multiply
-Kronecker-packed factors, not Laurent polynomials: pack(S) pack(B) once
-per factor pair (:func:`_pair_products`), then one big-integer product
-per entry (check) or distinct coefficient (tables), at a width each proves
-exact from the color's factor-pair layer (:class:`_FactorPairs`).  The
-check multiplies unshifted packed entries and shifts each path product
-once; the tables are built only for the signs of the word's letters.  Only
-the exact ring expands entries, whole tables, for the test oracle.
+(:func:`_check_inverse`) is the chain minus then plus from the keys
+i + j <= N, with a tuple comparison proving both tables flip-symmetric
+(below), which makes those keys enough; the Markov gate
+(:func:`_markov_data`) is the one table of charged diagonal entries,
+picked by index.  The check and the g-series tables
+(:func:`_gseries_entry_tables`) multiply Kronecker-packed factors, not
+Laurent polynomials: pack(S) pack(B) once per factor pair
+(:func:`_pair_products`), then one big-integer product per entry (check)
+or distinct coefficient (tables), at a width each proves exact from the
+color's factor-pair layer (:class:`_FactorPairs`).  The check packs each
+factor u^4 -> 2^width, multiplies unshifted packed entries and shifts each
+path product once, into the accumulator of its target and of its lowest
+exponent's residue mod 4.  The tables hold only the entries the word's
+state sum reads, found by one key-only walk of the closure per color
+(:func:`_read_entries`); when the walk has read every entry, every entry
+is converted.  Only the exact ring expands entries, whole tables, for the
+test oracle.
 
 Flip symmetry: under omega (i, j) -> (N - j, N - i), entry n of omega(i, j)
 has entry n of (i, j)'s w and sgn, the target omega(k, l) and the factors
 S(b, n) B(a, n) for S(a, n) B(b, n), the same polynomial.  Proof: omega maps
 (i, j, k, l) to (N - j, N - i, N - l, N - k): n, its range and w keep their
 values, and the factor indices swap; S(a, n) B(b, n) is S(n, n) [a choose n]
-[b choose n].  So only about half the entries' coefficients are distinct.
+[b choose n].  So only about half the entries' coefficients are distinct,
+and the inverse gate need run from only half the keys once a tuple
+comparison has shown that the tables built have this symmetry.
 
 One state-sum kernel, :func:`_state_sum`, evaluates the invariant over
 three coefficient rings; only the table coefficients, the charges and the
 reduction after each letter depend on the ring:
 
 * the exact ring of integer Laurent polynomials in u, which returns the
-  invariant itself (:func:`colored_jones`, the reference the tests check
-  against);
+  framed invariant itself (the reference the tests check against, and the
+  alpha = 2 gate of the cut search);
 * the ring of integer series in g = u - 1 truncated at a fixed order and
   packed into single big integers (Kronecker substitution), which gives
   h-expansions (h = q-hat - 1) at large colors (:func:`jones_h_series`);
@@ -74,9 +83,11 @@ series (see :class:`_PackedRing`).
 State is passed, not cached.  A ring owns its color's operator pair and
 framing: :class:`_ExactRing` and :class:`_PackedRing` each build the pair
 once, hand it to its consumers and keep the framing exponent as
-``ring.framing``.  The caller owns the cut (``mmexpand._jones_rows`` picks
-one per D-table).  The only process caches are the four color-independent
-memos :func:`_qbinom`, :func:`_scaled_qbinom`, :func:`_factor_gseries` and
+``ring.framing``; the packed ring keeps its packed tables and nothing of
+the pair.  The caller owns the cut (``mmexpand._jones_rows`` picks one per
+D-table).  The only process caches are the color-independent memos
+:func:`_qbinom`, :func:`_qdiff_product`, :func:`_scaled_qbinom`,
+:func:`_factor_bounds`, :func:`_factor_gseries` and
 :func:`_g_to_h_columns`; a color's coefficient table is not one.
 """
 
@@ -86,7 +97,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, inf
 from operator import itemgetter, mul
-from typing import Callable, Collection, Dict, Iterable, List, NamedTuple, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exactalg import GateError, LaurentPoly, int_series_mul, series_pow1p, series_powers
 from .knots import BraidWord, NotAKnotError
@@ -109,12 +120,17 @@ def _qbinom(m: int, k: int) -> LaurentPoly:
 
 
 @lru_cache(maxsize=None)
+def _qdiff_product(n: int) -> LaurentPoly:
+    """prod_{k=1..n} (q^k - q^-k) with q = u**2, one factor more than n - 1's."""
+    if n == 0:
+        return LaurentPoly.one("u")
+    return _qdiff_product(n - 1) * LaurentPoly("u", {2 * n: 1, -2 * n: -1})
+
+
+@lru_cache(maxsize=None)
 def _scaled_qbinom(m: int, n: int) -> LaurentPoly:
     """(q - 1/q)^n [n]! [m choose n] = prod_{k=1..n} (q^k - q^-k) * [m choose n]."""
-    out = _qbinom(m, n)
-    for k in range(1, n + 1):
-        out = out * LaurentPoly("u", {2 * k: 1, -2 * k: -1})
-    return out
+    return _qbinom(m, n) * _qdiff_product(n)
 
 
 def _braiding_shape(alpha: int, sign: int) -> Dict[Tuple[int, int], List[Tuple[int, int, int]]]:
@@ -181,6 +197,15 @@ def _entries(*tables: dict) -> List[tuple]:
     return [e for table in tables for entries in table.values() for e in entries]
 
 
+@lru_cache(maxsize=None)
+def _factor_bounds(factor: Callable[[int, int], LaurentPoly], m: int, n: int) -> Tuple[int, int, int, int]:
+    """(|p|_1, lowest exponent, highest exponent, gcd of the exponents' offsets
+    from the lowest) of the factor p = factor(m, n), which no color changes."""
+    p = factor(m, n)
+    low = min(p.terms)
+    return sum(map(abs, p.terms.values())), low, max(p.terms), gcd(*(x - low for x in p.terms))
+
+
 class _FactorPairs:
     """The factor-pair layer of one color, built once with its operator pair.
 
@@ -194,13 +219,8 @@ class _FactorPairs:
     """
 
     def __init__(self, entries: List[tuple]):
-        def bounds(p: LaurentPoly) -> Tuple[int, int, int, int]:
-            low = min(p.terms)
-            return (sum(map(abs, p.terms.values())), low, max(p.terms),
-                    gcd(*(x - low for x in p.terms)))
-
-        self.s = {s: bounds(_scaled_qbinom(*s)) for s in {e[3] for e in entries}}
-        self.b = {b: bounds(_qbinom(*b)) for b in {e[4] for e in entries}}
+        self.s = {s: _factor_bounds(_scaled_qbinom, *s) for s in {e[3] for e in entries}}
+        self.b = {b: _factor_bounds(_qbinom, *b) for b in {e[4] for e in entries}}
         self.step = gcd(*(f[3] for f in (*self.s.values(), *self.b.values())))
 
     def norm(self, e: tuple) -> int:
@@ -240,24 +260,23 @@ def _chain_layout(chain: List[dict], expected: dict,
                   pairs: _FactorPairs) -> Tuple[int, int, List[int]]:
     """Kronecker layout (width, step, los) of :func:`_check_chain`, proved there.
 
-    width is one sign bit over the largest path sum, over source keys, of
-    prod |S|_1 |B|_1, summed backwards over the chain, one pass per table.
-    los[t] is the lowest entry exponent of table t, the first one lowered
-    until every expected monomial's offset is >= 0; step divides every
-    entry's offset from its table's lo, every expected offset and the
-    offsets within every factor.
+    width is one sign bit over the largest path sum, over the source keys
+    in ``expected``, of prod |S|_1 |B|_1, summed backwards over the chain,
+    one pass per table.  los[t] is the lowest entry exponent of table t
+    (of the checked keys' entries, for the first table), the first one
+    lowered until every expected monomial's offset is >= 0;
+    step, the factor step, divides the offsets within every factor.
     """
+    first, *rest = chain
     onwards: Dict[tuple, int] = {}  # each key's path sum to the end; 1 past the last table
-    for table in reversed(chain):
+    for table in reversed(rest):
         onwards = {key: sum(pairs.norm(e) * onwards.get(e[:2], 1) for e in es)
                    for key, es in table.items()}
-    lows = [{e[2] + pairs.lo(e) for e in _entries(table)} for table in chain]
-    los = [min(low) for low in lows]
-    monomials = {m for _, m in expected.values()}
-    los[0] = min(los[0], *(m - sum(los[1:]) for m in monomials))
-    offsets = [x - lo for low, lo in zip(lows, los) for x in low]
-    offsets += [m - sum(los) for m in monomials]
-    return max(onwards.values()).bit_length() + 1, gcd(pairs.step, *offsets) or 1, los
+    bound = max(sum(pairs.norm(e) * onwards.get(e[:2], 1) for e in first[key]) for key in expected)
+    los = [min(e[2] + pairs.lo(e) for e in entries) for entries in
+           ([e for key in expected for e in first[key]], *map(_entries, rest))]
+    los[0] = min(los[0], *(m - sum(los[1:]) for _, m in expected.values()))
+    return bound.bit_length() + 1, pairs.step or 1, los
 
 
 def _check_chain(chain: List[dict], expected: dict, pairs: _FactorPairs,
@@ -268,59 +287,100 @@ def _check_chain(chain: List[dict], expected: dict, pairs: _FactorPairs,
     (k, l, w, s, b, sgn), each entry's (k, l) a key of the next table);
     the chain sends a source key of the first table to the sum, over its
     paths through the tables, of the products of the entries' coefficients
-    sgn u^w S B.  ``expected`` maps each source key to (target, m): the sum
-    must be u^m at the target and zero at every other key.  No Laurent
-    polynomial is multiplied.
+    sgn u^w S B.  ``expected`` maps each source key checked to (target, m):
+    the sum must be u^m at the target and zero at every other key.  No
+    Laurent polynomial is multiplied.
 
-    Layout (:func:`_chain_layout`): an entry of table t is packed by the
-    ring map u^step -> 2^width from that table's lo, los[t].  Its lowest
-    exponent is w + lo(S B), so it packs as sgn pack(S) pack(B) shifted by
-    width (w + lo(S B) - los[t]) / step, each factor packed from its own
-    lowest exponent: one big-integer product per factor pair
-    (:func:`_pair_products`).  A path product is then the packed exact
-    product at offset sum(los), where u^m packs as
-    2^(width (m - sum(los)) / step); step divides every offset.  A shift is
-    a factor 2^s, so each path multiplies its entries' unshifted values and
-    shifts the product once, by the sum of their shifts: the low zeros are
-    never multiplied.
+    Layout (:func:`_chain_layout`): every factor's exponents lie on one
+    class mod step, its lowest plus multiples of step, so a factor packs
+    by the ring map u^step -> 2^width from its own lowest exponent, and an
+    entry c = sgn u^w S B as sgn pack(S) pack(B) (one big-integer product
+    per factor pair, :func:`_pair_products`) with its lowest exponent
+    w + lo(S B) kept beside it.  A path's product is u^(base + o) P(u^step),
+    base = sum(los) and o >= 0 the sum of its entries' lowest exponents
+    less base, and P(u^step) packs as the product of the entries' packed
+    values.  So the path adds that
+    product, shifted by width (o // step), to the accumulator of its target
+    and its residue class o mod step: the class (target, r) holds the sum of
+    the terms u^(base + r + step d) at the target, packed d -> 2^(width d).
+    Exponents of different classes differ, so the sum is u^m at the target
+    and zero elsewhere iff the class (target, (m - base) mod step) packs to
+    2^(width ((m - base) // step)) and every other class to zero; los[0] is
+    lowered until m - base >= 0.  The unshifted products are multiplied and
+    each path shifted once: the low zeros are never multiplied.
 
     Width: a coefficient of the chain's sum at a source key is a sum over
     paths of products of entry coefficients, so its absolute value is at
     most the path sum of prod |c|_1 (|.|_1 the sum of absolute
     coefficients), and |c|_1 <= |S|_1 |B|_1 for c = +-u^w S B (the 1-norm
     is submultiplicative).  Let M be the largest such path sum of
-    prod |S|_1 |B|_1 over source keys.  With width = bits(M) + 1 (a sign
-    bit on top of M), a coefficient of the sum minus the expected monomial
-    is at most M + 1 <= 2^(width-1) < 2^width in absolute value.  Such a
-    difference packs to zero only if every coefficient is zero (the lowest
-    nonzero one would have to be a multiple of 2^width), so within the
-    bound equal packed integers mean equal polynomials.
+    prod |S|_1 |B|_1 over the checked source keys.  A class's coefficients
+    are some of the sum's, so with width = bits(M) + 1 (a sign bit on top
+    of M), a coefficient of a class minus its expected part is at most
+    M + 1 <= 2^(width-1) < 2^width in absolute value.  Such a difference
+    packs to zero only if every coefficient is zero (the lowest nonzero one
+    would have to be a multiple of 2^width), so within the bound equal
+    packed integers mean equal polynomials.
     """
     width, step, los = _chain_layout(chain, expected, pairs)
-    products = _pair_products(_entries(*chain), lambda p: _pack_factor(p, width, step))
-    *head, last = [{key: [(e[:2], e[5] * products[e[3:5]],
-                           width * ((e[2] + pairs.lo(e) - lo) // step)) for e in es]
-                    for key, es in table.items()} for table, lo in zip(chain, los)]
+    first, *rest = chain
+    sources = {key: first[key] for key in expected}
+    products = _pair_products(_entries(sources, *rest), lambda p: _pack_factor(p, width, step))
+    # each entry as (target, unshifted value, lowest exponent w + lo(S B))
+    *head, last = [{key: [(e[:2], e[5] * products[e[3:5]], e[2] + pairs.lo(e)) for e in es]
+                    for key, es in table.items()} for table in (sources, *rest)]
     base = sum(los)
-    for key in chain[0]:
-        # the key's paths up to the last table, as (key reached, unshifted value, shift)
+    for key, (target, m) in expected.items():
+        # the key's paths up to the last table, as (key reached, unshifted value, exponent)
         paths = head[0][key] if head else [(key, 1, 0)]
         for table in head[1:]:
-            paths = [(tgt, x * y, sx + sy) for (src, x, sx) in paths for (tgt, y, sy) in table[src]]
+            paths = [(tgt, x * y, ex + ey) for (src, x, ex) in paths for (tgt, y, ey) in table[src]]
         acc: Dict[tuple, int] = {}
-        for (src, x, sx) in paths:
-            for (tgt, y, sy) in last[src]:
-                acc[tgt] = acc.get(tgt, 0) + ((x * y) << (sx + sy))
-        target, m = expected[key]
-        if {tgt: v for tgt, v in acc.items() if v} != {target: 1 << (width * ((m - base) // step))}:
+        for (src, x, ex) in paths:
+            for (tgt, y, ey) in last[src]:
+                d, r = divmod(ex + ey - base, step)
+                acc[tgt, r] = acc.get((tgt, r), 0) + ((x * y) << (width * d))
+        d, r = divmod(m - base, step)
+        if {cls: v for cls, v in acc.items() if v} != {(target, r): 1 << (width * d)}:
             raise error(key)
 
 
+def _flip(entry: tuple, N: int) -> tuple:
+    """The entry omega maps ``entry`` to (module docstring): target (N - l, N - k),
+    the same w and sgn, the factor indices swapped."""
+    k, l, w, (a, n), (b, _), sgn = entry
+    return N - l, N - k, w, (b, n), (a, n), sgn
+
+
 def _check_inverse(plus: dict, minus: dict, pairs: _FactorPairs, alpha: int) -> None:
-    """Raise unless plus after minus is the identity (:func:`_check_chain`)."""
-    _check_chain([minus, plus], {key: (key, 0) for key in minus}, pairs,
+    """Raise unless plus after minus is the identity, checked on the keys i + j <= N.
+
+    The chain minus then plus (:func:`_check_chain`) runs from the keys
+    with i + j <= N alone, those with (i, j) <= omega(i, j) = (N - j, N - i);
+    then a tuple comparison checks the premise that makes them enough: both
+    tables are flip-symmetric, entry n of omega(i, j) being :func:`_flip` of
+    entry n of (i, j).  Given the premise, each entry of omega(key) has the
+    coefficient of its preimage, S(b, n) B(a, n) = S(n, n) [a choose n]
+    [b choose n] = S(a, n) B(b, n), and the omega image of its target.  So
+    the paths from omega(key) are the omega images of those from key, with
+    the same products, and the chain sends omega(key) to its sum at key
+    with every target mapped by omega: u^0 at key and zero elsewhere
+    becomes u^0 at omega(key) and zero elsewhere.  Every key is a checked
+    key or the omega image of one (omega is an involution, and i + j > N
+    gives (N - j) + (N - i) < N), so both checks passing proves R^- R^+ = I
+    at every key.  The premise compares the keys i + j <= N with their
+    images; _flip is an involution, so that covers the other keys too.
+    """
+    N = alpha - 1
+    half = [(i, j) for i in range(alpha) for j in range(alpha - i)]
+    _check_chain([minus, plus], {key: (key, 0) for key in half}, pairs,
                  lambda key: ConventionViolationError(
                      f"crossing operators are not inverse at alpha={alpha}, basis {key}"))
+    for table in (minus, plus):
+        for (i, j) in half:
+            if table[(N - j, N - i)] != [_flip(e, N) for e in table[(i, j)]]:
+                raise ConventionViolationError(
+                    f"crossing operators are not flip-symmetric at alpha={alpha}, basis {(i, j)}")
 
 
 class CrossingOperator(NamedTuple):
@@ -360,8 +420,9 @@ def _markov_data(operators: Tuple[CrossingOperator, CrossingOperator]) -> int:
     operator u^-(alpha^2 - 1) times it; ConventionViolationError otherwise.
 
     Row i of the partial trace is sum_j c_ij u^(2(N-2j)) over the diagonal
-    entries c_ij = sgn u^w S B, those that send (i, j) to itself
-    (n = i - j for the plus table, j - i for the minus table).  The charge
+    entries c_ij = sgn u^w S B, those that send (i, j) to itself: entry
+    n = i - j of the plus table's key, j - i of the minus table's, picked by
+    index (entry t of (i, j) goes to (j + sign t, i - sign t)).  The charge
     goes into each entry's w, so the rows of both signs are one table,
     keyed (sign, i), and the gate is a one-table :func:`_check_chain`.
     """
@@ -370,8 +431,10 @@ def _markov_data(operators: Tuple[CrossingOperator, CrossingOperator]) -> int:
     trace = {(op.sign, i): [] for op in operators for i in range(alpha)}
     for op in operators:
         for (i, j), entries in op.table.items():
-            trace[(op.sign, i)] += [(op.sign, i, w + 2 * (N - 2 * j), s, b, sgn)
-                                    for (k, l, w, s, b, sgn) in entries if (k, l) == (i, j)]
+            n = op.sign * (i - j)
+            if 0 <= n < len(entries):
+                _, _, w, s, b, sgn = entries[n]
+                trace[(op.sign, i)].append((op.sign, i, w + 2 * (N - 2 * j), s, b, sgn))
     _check_chain([trace], {key: (key, key[0] * f_exp) for key in trace}, operators[0].pairs,
                  lambda key: ConventionViolationError(
                      f"the partial trace is not u^{key[0] * f_exp} times the identity at alpha={alpha}"))
@@ -528,6 +591,92 @@ def _state_sum(closure: _Closure, alpha: int, ring):
     for _ in range(closure.idle):
         total = sum((ring.charge(total, 2 * (N - 2 * i)) for i in range(alpha)), ring.zero)
     return ring.charge(total, -ring.framing * closure.writhe)
+
+
+def _read_entries(closure: _Closure, alpha: int, tables: Dict[int, dict]) -> Dict[int, Optional[tuple]]:
+    """The table entries :func:`_state_sum` reads for ``closure`` at this color.
+
+    One key-only walk: the keys of the merged state, no coefficients, moved
+    as :func:`_apply_letter` moves them.  A letter that closes no slot
+    reads every entry of the key (i, j) a state key holds at its slots; a
+    closing letter reads entry t of it, and nothing when t is out of range
+    or, both slots closing, entry t's l is not sl.  ``tables`` maps each
+    sign to its table (entries (k, l, ...) in the order of
+    :func:`_braiding_shape`).  The walk stops once every entry of every
+    sign of the word has been read, so a word that reads them all early
+    walks only its first letters.
+
+    A key is one integer here, index x of its field f (slot s current at
+    f = s, start at f = n + s) at bits b f..b f + b - 1, b the bit length
+    of N: a letter that closes no slot adds (code(k, l) - code(i, j)) << b pos
+    for each entry, code(i, j) = i + (j << b), and a closing letter
+    rewrites the four fields of its slots.
+
+    Returns sign -> None when every entry of that sign is read, else
+    (pairs, singles): the keys (i, j) read whole by letters that close no
+    slot, and the (i, j, t) read alone by closing letters, their (i, j) not
+    among the pairs.
+    """
+    n, b = closure.strands, max(1, (alpha - 1).bit_length())
+    m, mm = (1 << b) - 1, (1 << 2 * b) - 1
+    signs = {step[1] for step in closure.steps}
+    codes = {sign: {i + (j << b): es for (i, j), es in tables[sign].items()} for sign in signs}
+    moves: Dict[Tuple[int, int], dict] = {}  # (sign, pos) -> pair code -> the key's shifts
+    whole: Dict[int, set] = {sign: set() for sign in signs}  # pair codes
+    alone: Dict[int, set] = {sign: set() for sign in signs}
+    unread = set(signs)
+    total = {sign: len(_entries(tables[sign])) for sign in signs}
+
+    def all_read(sign: int, singles: set) -> bool:
+        table, pairs = codes[sign], whole[sign]
+        return (sum(len(table[p]) for p in pairs)
+                + sum(1 for (i, j, _) in singles if i + (j << b) not in pairs)) == total[sign]
+
+    state = {0}
+    for pos, sign, opens, close_k, close_l in closure.steps:
+        for s in opens:
+            unit = (1 << b * s) + (1 << b * (n + s))
+            state = {key + i * unit for key in state for i in range(alpha)}
+        at = b * pos
+        if close_k is None and close_l is None:
+            if sign in unread:
+                whole[sign].update({key >> at & mm for key in state})
+                if all_read(sign, alone[sign]):
+                    unread.discard(sign)
+                    if not unread:
+                        break
+            move = moves.get((sign, pos))
+            if move is None:
+                move = moves[sign, pos] = {p: [((e[0] + (e[1] << b)) - p) << at for e in es]
+                                          for p, es in codes[sign].items()}
+            state = {key + d for key in state for d in move[key >> at & mm]}
+            continue
+        new, read, record, table = set(), alone[sign], sign in unread, codes[sign]
+        at_l, at_sk, at_sl = at + b, b * (n + pos), b * (n + pos + 1)
+        for key in state:
+            i, j = key >> at & m, key >> at_l & m
+            sk, sl = key >> at_sk & m, key >> at_sl & m
+            entries = table[i + (j << b)]
+            t = sign * (sk - j if close_k is not None else i - sl)
+            if not 0 <= t < len(entries):
+                continue
+            k, l = entries[t][:2]
+            if close_k is not None and close_l is not None and l != sl:
+                continue
+            if record:
+                read.add((i, j, t))
+            # a closed slot leaves the key: both its fields go to 0
+            k, drop_k = (k, 0) if close_k is None else (0, sk)
+            l, drop_l = (l, 0) if close_l is None else (0, sl)
+            new.add(key + ((k - i) << at) + ((l - j) << at_l) - (drop_k << at_sk) - (drop_l << at_sl))
+        state = new
+        if record and all_read(sign, read):
+            unread.discard(sign)
+            if not unread:
+                break
+    return {sign: ({(p & m, p >> b) for p in whole[sign]},
+                   {r for r in alone[sign] if r[0] + (r[1] << b) not in whole[sign]})
+            if sign in unread else None for sign in signs}
 
 
 class _ExactRing:
@@ -697,19 +846,23 @@ def _gseries_width(entries: List[tuple], pairs: _FactorPairs, length: int) -> in
     return (norm * peak).bit_length() + 1
 
 
-def _gseries_entry_tables(operators: Tuple[CrossingOperator, CrossingOperator], length: int,
-                          signs: Collection[int]):
-    """The distinct coefficients of a color's crossing tables of the given signs, as g-series.
+def _gseries_entry_tables(operators: Sequence[CrossingOperator], length: int,
+                          reads: Dict[int, Optional[tuple]]):
+    """The distinct coefficients a color's state sum reads, as g-series.
 
-    Built once per color, by :class:`_PackedRing` for the signs of its
-    word's letters, and not kept after it; no sign, no coefficient.
+    Built once per color, by :class:`_PackedRing` for the entries its
+    word reads (:func:`_read_entries`), and not kept after it; an entry
+    that is not read is not converted, and a sign without letters has none.
+    ``reads`` maps each sign of the word to None (every entry) or to
+    (pairs, singles), the keys read whole and the (i, j, t) read alone.
 
     An entry c = sgn u^w S B has the g-series sgn row(w) gS gB mod
     g**length, where row(w) = (1+g)**w (:func:`_binom_row`) and gS, gB are
     the factor g-series (:func:`_factor_gseries`).  Packed with g -> 2**W,
     that is one big-integer product, (sgn row(w) (gS gB)) mod 2**(W length),
-    and one unpack per distinct coefficient (:func:`_coefficient_key`); the
-    entries with one key, flip mirrors (module docstring) among them, share it.
+    and one unpack per distinct coefficient (:func:`_coefficient_key`), from
+    one entry of that key; the entries with one key, flip mirrors (module
+    docstring) among them, share it.
 
     Width: c_k, the g**k coefficient of c = sum_e c_e u^e, is
     sum_e c_e C(e, k) with C(e, k) that of (1+g)**e, so
@@ -717,50 +870,59 @@ def _gseries_entry_tables(operators: Tuple[CrossingOperator, CrossingOperator], 
     sum of absolute coefficients, which is submultiplicative).
     |C(e, k)| is binom(e, k) for e >= 0 and binom(-e + k - 1, k) for e < 0,
     nondecreasing in |e| on each side of 0, so for every exponent e of
-    every entry, lo <= e <= hi (the lowest and highest over the tables built),
-    |C(e, k)| <= max(|C(lo, k)|, |C(hi, k)|).  Hence every coefficient is
-    at most P = max |S|_1 |B|_1 * max(|row(lo)|_inf, |row(hi)|_inf) in
-    absolute value, and W = bits(P) + 1 leaves a sign bit.  As in
-    :class:`_PackedRing`, g -> 2**W mod 2**(W length) is a ring map from
-    Z[g]/(g**length), so the reduced product is the image of the true
-    truncated series whatever its factors wrap, and the digits recover it.
+    every entry converted, lo <= e <= hi (the lowest and highest over those
+    entries), |C(e, k)| <= max(|C(lo, k)|, |C(hi, k)|).  Hence every
+    coefficient is at most P = max |S|_1 |B|_1 * max(|row(lo)|_inf,
+    |row(hi)|_inf) in absolute value, and W = bits(P) + 1 leaves a sign
+    bit.  As in :class:`_PackedRing`, g -> 2**W mod 2**(W length) is a ring
+    map from Z[g]/(g**length), so the reduced product is the image of the
+    true truncated series whatever its factors wrap, and the digits
+    recover it.
 
-    Returns (coeffs, majorants): ``coeffs`` maps each entry's
-    :func:`_coefficient_key` to its g-series tuple, and ``majorants[sign]``
-    is the row majorant of that sign's table, the coefficientwise max over
-    source keys of the sum of |c| over the key's entries (see
-    :class:`_PackedRing`), taken over i + j <= N: the mirror (N - j, N - i)
-    of a key has the same sum.
+    Returns (coeffs, majorants): ``coeffs`` maps the
+    :func:`_coefficient_key` of each entry read to its g-series tuple, and
+    ``majorants[sign]`` is the row majorant of that sign (see
+    :class:`_PackedRing`), the coefficientwise max of the sum of |c| over
+    the entries of each read row: a key read whole, or one entry read
+    alone.  With every entry read, the rows are the keys with i + j <= N:
+    the flip mirror (N - j, N - i) of a key has the same coefficients
+    (:func:`_check_inverse` proves the tables flip-symmetric).
     """
-    factored = {op.sign: op.table for op in operators if op.sign in signs}
-    if not factored:
+    rows = {}  # sign -> the read rows, each a list of (coefficient key, entry)
+    for op in operators:
+        if op.sign in reads:
+            read, N = reads[op.sign], op.alpha - 1
+            entry_rows = ([es for (i, j), es in op.table.items() if i + j <= N] if read is None else
+                          [op.table[key] for key in read[0]]
+                          + [[op.table[(i, j)][t]] for (i, j, t) in read[1]])
+            rows[op.sign] = [[(_coefficient_key(e), e) for e in row] for row in entry_rows]
+    reps = {ckey: e for sign_rows in rows.values() for row in sign_rows for ckey, e in row}
+    if not reps:
         return {}, {}
-    pairs, N = operators[0].pairs, operators[0].alpha - 1
-    entries = _entries(*factored.values())
-    width = _gseries_width(entries, pairs, length)
+    pairs = operators[0].pairs
+    width = _gseries_width(list(reps.values()), pairs, length)
     mask = (1 << (width * length)) - 1
 
-    rows: Dict[int, Tuple[int, ...]] = {}
+    binom_rows: Dict[int, Tuple[int, ...]] = {}
     cache = _factor_gseries(length)
 
     def pack(p: LaurentPoly) -> int:
         series = cache.get(p)
         if series is None:
-            series = cache[p] = tuple(_laurent_to_gseries(p, length, rows))
+            series = cache[p] = tuple(_laurent_to_gseries(p, length, binom_rows))
         return _pack(series, width)
 
-    reps = {_coefficient_key(e): e for e in entries}  # one entry per distinct coefficient
     products = _pair_products(reps.values(), pack, mask)
     packed_rows = {w: _pack(_binom_row(w, length), width) for w in {e[2] for e in reps.values()}}
     coeffs = {ckey: tuple(_unpack((esgn * packed_rows[w] * products[s, b]) & mask, width, length))
               for ckey, (_, _, w, s, b, esgn) in reps.items()}
+    absolute = {ckey: tuple(map(abs, c)) for ckey, c in coeffs.items()}
     majorants = {}
-    for sgn, table in factored.items():
+    for sgn, sign_rows in rows.items():
         majorant = (0,) * length
-        for (i, j), es in table.items():
-            if i + j <= N:
-                rows = zip(*(map(abs, coeffs[_coefficient_key(e)]) for e in es))
-                majorant = tuple(map(max, majorant, map(sum, rows)))
+        for row in sign_rows:
+            sums = map(sum, zip(*(absolute[ckey] for ckey, _ in row)))
+            majorant = tuple(map(max, majorant, sums))
         majorants[sgn] = majorant
     return coeffs, majorants
 
@@ -799,17 +961,23 @@ class _PackedRing:
     in between (merged intermediates included), and :meth:`unpack`
     recovers F exactly when every |F_k| < 2**(bits - 1).
 
-    The width bounds F itself, which no contraction order changes, by a
-    truncated majorant series.  Write |s| for the coefficientwise absolute
-    value of a series and compare series coefficient by coefficient;
-    |x y| <= |x| |y| for truncated series.  F is the sum over the start
-    vectors of :class:`_Closure` of each one's diagonal amplitude times
-    u^weight, framed.  A letter of sign s maps a state x to x' with
-    sum_keys |x'| <= (sum_keys |x|) * R_s, where R_s is the row majorant of
-    :func:`_gseries_entry_tables`, which bounds the sum of |c| over the
-    entries of every source key; a closing letter keeps at most one entry
-    of a key, so R_s bounds it too.  A start vector begins at 1 and its
-    diagonal amplitude is one term of its final state, so
+    The width bounds F itself by a truncated majorant series over the
+    entries the state sum reads.  Write |s| for the coefficientwise
+    absolute value of a series and compare series coefficient by
+    coefficient; |x y| <= |x| |y| for truncated series.  F is the sum over
+    the start vectors of :class:`_Closure` of each one's diagonal amplitude
+    times u^weight, framed.  A diagonal amplitude is a sum over paths, one
+    entry per letter, that return every slot to its start index.  The
+    merged state holds every key such a path passes (a packed state drops
+    no key), and at each letter the path takes an entry that
+    :func:`_apply_letter` reads at that key: any entry of the key (i, j)
+    at a letter that closes no slot, and at a closing letter the one entry
+    t that returns the slot, which the walk of :func:`_read_entries`
+    records.  Let R_s be the row majorant of :func:`_gseries_entry_tables`,
+    the coefficientwise max, over the keys the state holds at a letter of
+    sign s, of the sum of |c| over the entries read there.  Then one letter
+    multiplies the sum over keys of |path prefixes| by at most R_s.  A start
+    vector begins at 1, so
 
         |F| <= prod_letters R_sign * sum_start |u^weight| * |u^(-framing writhe)|
 
@@ -817,16 +985,22 @@ class _PackedRing:
     :meth:`_Closure.start_weights`.
     :func:`_majorant_series` evaluates this series, and the width is one
     sign bit over the bit length of its largest coefficient.  It reads R_s
-    only for the signs of the word's letters, so the ring builds the tables
-    and row majorants of those signs alone, and none for a word without
-    letters.  The ring packs each distinct coefficient once, keyed by
-    :func:`_coefficient_key`, so flip mirrors share one int.
+    only for the signs of the word's letters, so the ring converts and
+    packs the read entries of those signs alone, and none for a word
+    without letters.  The ring packs each distinct coefficient once, keyed
+    by :func:`_coefficient_key`, so flip mirrors share one int; an entry
+    whose coefficient no read entry has holds None.
 
-    The bound, and so the width, is the same at every cut.  The series
-    R_sign commute, so a rotation leaves their product alone.  The charges
-    pinned at slot f sum N - 2s_i over the slots right of f and -(N - 2s_i)
-    over those left of it, each s_i in 0..N; s -> N - s maps N - 2s to its
-    negative and permutes 0..N, so every pinned slot has slot 0's charges.
+    This is the full-table argument over fewer keys and entries: each R_s
+    is a max over some of the sums the full table's R_s maxes over, or over
+    single entries of them, so no width grows; once the walk has read every
+    entry of a sign, that sign's R_s is the full table's.  The full-table
+    bound is the same at every cut.  Its series R_sign commute, so a
+    rotation leaves their product alone.  The charges pinned at slot f sum
+    N - 2s_i over the slots right of f and -(N - 2s_i) over those left of
+    it, each s_i in 0..N; s -> N - s maps N - 2s to its negative and
+    permutes 0..N, so every pinned slot has slot 0's charges.  The reads,
+    and so the width, may differ between cuts, never above that bound.
     """
 
     zero = 0
@@ -836,14 +1010,17 @@ class _PackedRing:
         operators = _operator_pair(alpha)
         self.framing = _markov_data(operators)
         signs = {step[1] for step in closure.steps}
-        coeffs, majorants = _gseries_entry_tables(operators, length, signs)
+        # after the gates, only the word's signs are kept: a one-sign word frees the other table
+        operators = [op for op in operators if op.sign in signs]
+        reads = _read_entries(closure, alpha, {op.sign: op.table for op in operators})
+        coeffs, majorants = _gseries_entry_tables(operators, length, reads)
         self.length = length
         self.bits = max(_majorant_series(closure, alpha, length, majorants, self.framing)).bit_length() + 1
         self.mask = (1 << (self.bits * length)) - 1
         packed = {ckey: self.pack(c) for ckey, c in coeffs.items()}
-        self.tables = {op.sign: {key: tuple((e[0], e[1], packed[_coefficient_key(e)]) for e in es)
+        self.tables = {op.sign: {key: tuple((e[0], e[1], packed.get(_coefficient_key(e))) for e in es)
                                  for key, es in op.table.items()}
-                       for op in operators if op.sign in signs}
+                       for op in operators}
         self._monomials: Dict[int, int] = {}
 
     def pack(self, coeffs: Iterable[int]) -> int:
@@ -879,30 +1056,6 @@ def _knot_color(b: BraidWord, alpha: int) -> int:
     return alpha
 
 
-def colored_jones(b: BraidWord, alpha: int) -> LaurentPoly:
-    """V_alpha of the closure of ``b`` as a Laurent polynomial in q-hat.
-
-    Normalized so the unknot gives 1 for every color; the writhe dependence
-    is removed by the framing monomial.  The result is certified to lie in
-    Z[q-hat, q-hat^-1] (all root-variable exponents must be divisible by 4)
-    and to evaluate to 1 at q-hat = 1.
-    """
-    alpha = _knot_color(b, alpha)
-    if alpha == 1:
-        return LaurentPoly.one("q")
-    framed = _state_sum(_Closure.of(b), alpha, _ExactRing(alpha))
-    if not framed.exponents_divisible_by(4):
-        raise ConventionViolationError(
-            f"normalized invariant has fractional powers of q-hat at alpha={alpha}"
-        )
-    result = framed.compress_exponents(4, "q")
-    if result.evaluate_at_one() != 1:
-        raise ConventionViolationError(
-            f"invariant does not evaluate to 1 at q-hat=1 at alpha={alpha}"
-        )
-    return result
-
-
 # ---------------------------------------------------------------------------
 # Truncated h-expansion
 # ---------------------------------------------------------------------------
@@ -912,10 +1065,10 @@ def jones_h_series(b: BraidWord, alpha: int, cap: int,
                    cut: Tuple[int, int] = (0, 0)) -> List[Fraction]:
     """Coefficients of the h-expansion of V_alpha(closure of b) through h**cap.
 
-    Same invariant as :func:`colored_jones`, evaluated in the packed
-    truncated ring so large colors stay tractable, by the state sum cut
-    open at ``cut`` (see :class:`_Closure`; :func:`_closure_cut` picks the
-    cheapest).  Coefficients are certified integers (returned as Fractions
+    The invariant of the exact ring (:class:`_ExactRing`), evaluated in
+    the packed truncated ring so large colors stay tractable, by the state
+    sum cut open at ``cut`` (see :class:`_Closure`; :func:`_closure_cut`
+    picks the cheapest).  Coefficients are certified integers (returned as Fractions
     for uniformity downstream).
     """
     alpha = _knot_color(b, alpha)

@@ -10,7 +10,9 @@ schoolbook product and inverse), gcd-reduced rational functions in z with
 quotient-rule derivatives (Euclidean division over Q, on the dense rational
 polynomial ``QPoly``), the substitution q = 1 + h term by term, exact
 tensor states acted on one crossing at a time, the state sum of a cut
-closure one start vector at a time, and g-series crossing tables
+closure one start vector at a time, the exact colored Jones polynomial
+of a closure (the exact ring's state sum, certified integral and 1 at
+q-hat = 1), and g-series crossing tables
 converted term by term from the expanded entries.  Next come the line
 routes as they first ran: series composition by Horner's rule, the (z, h)
 bi-series collected one product at a time, the ht rows by one series
@@ -330,6 +332,31 @@ def state_sum_by_starts(closure, alpha: int, ring):
         if start in state:
             total = total + ring.charge(state[start], weight)
     return ring.charge(total, -ring.framing * closure.writhe)
+
+
+def colored_jones(b: BraidWord, alpha: int) -> LaurentPoly:
+    """V_alpha of the closure of ``b`` as a Laurent polynomial in q-hat.
+
+    The exact ring's state sum at the given cut, the reference the packed
+    h-series is checked against.  Normalized so the unknot gives 1 for
+    every color; the writhe dependence is removed by the framing monomial.
+    The result is certified to lie in Z[q-hat, q-hat^-1] (all root-variable
+    exponents must be divisible by 4) and to evaluate to 1 at q-hat = 1.
+    """
+    alpha = cjones._knot_color(b, alpha)
+    if alpha == 1:
+        return LaurentPoly.one("q")
+    framed = cjones._state_sum(cjones._Closure.of(b), alpha, cjones._ExactRing(alpha))
+    if not framed.exponents_divisible_by(4):
+        raise cjones.ConventionViolationError(
+            f"normalized invariant has fractional powers of q-hat at alpha={alpha}"
+        )
+    result = framed.compress_exponents(4, "q")
+    if result.evaluate_at_one() != 1:
+        raise cjones.ConventionViolationError(
+            f"invariant does not evaluate to 1 at q-hat=1 at alpha={alpha}"
+        )
+    return result
 
 
 def gseries_entry_tables(expanded: dict, length: int):

@@ -8,7 +8,7 @@ PASS/FAIL line; all assertions are exact equalities.
 import time
 
 from mmjones import golden
-from mmjones.cjones import _operator_pair, colored_jones, jones_h_series
+from mmjones.cjones import _operator_pair, jones_h_series
 from mmjones.exactalg import LaurentPoly
 from mmjones.knots import BraidWord, TorusParams, conway_poly, conway_torus
 from mmjones.mmexpand import approx_poly, bottom_line_check, integrality_report
@@ -19,6 +19,7 @@ from oracle_algebra import (
     RationalFn,
     apply_crossings,
     basis_state,
+    colored_jones,
     conjugated,
     only_odd_powers,
     poly_exact_div,

@@ -1,21 +1,18 @@
 """Gates for the braiding operators and the colored Jones evaluation."""
 
+import gc
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmjones import cjones, golden, mmexpand
-from mmjones.cjones import (
-    ConventionViolationError,
-    colored_jones,
-    jones_h_series,
-)
+from mmjones.cjones import ConventionViolationError, jones_h_series
 from mmjones.exactalg import LaurentPoly, series_pow1p
 from mmjones.knots import BraidWord, NotAKnotError, default_catalog
 from mmjones.mmexpand import build_dtable
@@ -23,6 +20,7 @@ from oracle_algebra import (
     TruncSeries,
     apply_crossings,
     basis_state,
+    colored_jones,
     compose_by_horner,
     conjugated,
     gseries_entry_tables,
@@ -136,11 +134,36 @@ def keyed_tables(operators, coeffs, signs=(1, -1)):
             for op in operators if op.sign in signs}
 
 
+EVERY_ENTRY = {1: None, -1: None}
+
+
 def gseries_tables(alpha, length):
     """Both signs' g-series tables, keyed per entry, and their row majorants."""
     operators = cjones._operator_pair(alpha)
-    coeffs, majorants = cjones._gseries_entry_tables(operators, length, (1, -1))
+    coeffs, majorants = cjones._gseries_entry_tables(operators, length, EVERY_ENTRY)
     return keyed_tables(operators, coeffs), majorants
+
+
+def read_entries(closure, alpha):
+    """(sign, i, j, t) of every entry the walk of ``closure`` reads at this color."""
+    operators = cjones._operator_pair(alpha)
+    reads = cjones._read_entries(closure, alpha, {op.sign: op.table for op in operators})
+    out = set()
+    for op in operators:
+        if op.sign not in reads:
+            continue
+        read = reads[op.sign]
+        pairs, singles = (op.table, ()) if read is None else read
+        out |= {(op.sign, i, j, t) for (i, j) in pairs for t in range(len(op.table[(i, j)]))}
+        out |= {(op.sign, i, j, t) for (i, j, t) in singles}
+    return out
+
+
+def full_table_bits(closure, alpha, length, majorants):
+    """The ring width with every entry read, the width before the walk; ``majorants``
+    are the full tables' row majorants (:func:`gseries_tables`)."""
+    bound = cjones._majorant_series(closure, alpha, length, majorants, framing(alpha))
+    return max(bound).bit_length() + 1
 
 
 def a_priori_bits(b, alpha, length):
@@ -189,11 +212,18 @@ def exact_gseries(b, alpha, length):
 
 
 def gate_chain(gate, *args):
-    """The (chain, expected, pairs) that ``gate`` hands to the one chain check."""
+    """The (chain, expected, pairs) that ``gate`` hands to the one chain check.
+
+    The inverse gate's flip premise runs after its chain and fails on a
+    table tampered at one key only; the chain is what this returns.
+    """
     calls = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cjones, "_check_chain", lambda *call: calls.append(call[:3]))
-        gate(*args)
+        try:
+            gate(*args)
+        except ConventionViolationError as err:
+            assert "flip-symmetric" in str(err)
     (call,) = calls
     return call
 
@@ -256,24 +286,35 @@ class TestOperatorTables:
 
     @pytest.mark.parametrize("alpha", range(1, 8))
     def test_gate_width_covers_exact_composition(self, alpha):
-        # the width is a sign bit over the |S|_1 |B|_1 path bound, and that
-        # bound covers every coefficient of the exact products and composition
+        # the chain runs from the keys i + j <= N; the width is a sign bit
+        # over the |S|_1 |B|_1 path bound, and that bound covers every
+        # coefficient of the exact products and composition; every term of a
+        # path's product lies at base + (its offset's residue) + step d, d >= 0
+        N = alpha - 1
         plus = cjones._braiding_table(alpha, 1)
         true_minus = cjones._braiding_table(alpha, -1)
         for minus in (true_minus, *(tamper_minus(true_minus, how) for how in TAMPERS)):
             chain, expected, pairs = gate_chain(cjones._check_inverse, plus, minus,
                                                 factor_pairs(plus, minus), alpha)
             assert chain == [minus, plus]
+            assert expected == {(i, j): ((i, j), 0) for (i, j) in minus if i + j <= N}
             width, step, los = cjones._chain_layout(chain, expected, pairs)
             bound = path_bound(plus, minus)
             assert width == bound.bit_length() + 1
+            assert step == (4 if alpha > 1 else 1)
             products, composed = compose_paths(cjones._expand_table(plus),
                                                cjones._expand_table(minus))
             polys = products + [p for acc in composed.values() for p in acc.values()]
             assert max(abs(c) for p in polys for c in p.terms.values()) <= bound
-            assert all((e - sum(los)) % step == 0 for p in products for e in p.terms)
-            assert all(m - sum(los) >= 0 and (m - sum(los)) % step == 0
-                       for _, m in expected.values())
+            base = sum(los)
+            for key in expected:
+                for e in minus[key]:
+                    for e2 in plus[e[:2]]:
+                        offset = e[2] + pairs.lo(e) + e2[2] + pairs.lo(e2) - base
+                        terms = (cjones._entry_poly(e) * cjones._entry_poly(e2)).terms
+                        assert offset >= 0 and min(terms) == base + offset
+                        assert all((x - base) % step == offset % step for x in terms)
+            assert all(m - base >= 0 for _, m in expected.values())
 
     @pytest.mark.parametrize("alpha", range(1, 8))
     def test_packed_gate_verdict_matches_exact(self, alpha):
@@ -302,7 +343,7 @@ class TestOperatorTables:
             return original(self, other)
 
         monkeypatch.setattr(LaurentPoly, "__mul__", counted)
-        cjones._gseries_entry_tables(cjones._operator_pair(alpha), 11, (1, -1))
+        cjones._gseries_entry_tables(cjones._operator_pair(alpha), 11, EVERY_ENTRY)
         assert products == []
 
     @pytest.mark.parametrize("alpha", [2, 5, 9])
@@ -388,11 +429,16 @@ class TestMarkovData:
                         poly = sum((cjones._entry_poly(e).shift(2 * a * (N - 2 * j))
                                     for (i, j, e) in diagonal if i == row), LaurentPoly.zero("u"))
                         assert max(map(abs, poly.terms.values()), default=0) <= bound
-            # a path of the one-table chain is one charged diagonal entry
+            # a path of the one-table chain is one charged diagonal entry: its
+            # terms lie on the residue class of its lowest exponent mod step
             (table,) = chain
-            assert all((e - lo) % step == 0 for es in table.values() for entry in es
-                       for e in cjones._entry_poly(entry).terms)
-            assert all(m - lo >= 0 and (m - lo) % step == 0 for _, m in expected.values())
+            assert step == 4
+            for es in table.values():
+                for entry in es:
+                    terms = cjones._entry_poly(entry).terms
+                    assert min(terms) - lo >= 0
+                    assert all((x - min(terms)) % step == 0 for x in terms)
+            assert all(m - lo >= 0 for _, m in expected.values())
 
     @pytest.mark.parametrize("alpha", [2, 3, 6])
     def test_tampered_diagonal_raises(self, alpha, monkeypatch):
@@ -513,7 +559,7 @@ class TestGSeriesTables:
                 for (_, _, c) in es for x in c.terms]
         for length in (11, 17, 21, 25):
             tables, majorants = gseries_entry_tables(expanded, length)
-            coeffs, got_majorants = cjones._gseries_entry_tables(operators, length, (1, -1))
+            coeffs, got_majorants = cjones._gseries_entry_tables(operators, length, EVERY_ENTRY)
             assert set(coeffs) == set(map(cjones._coefficient_key, entries))
             assert (keyed_tables(operators, coeffs), got_majorants) == (tables, majorants)
             rows = cjones._binom_row(min(exps), length) + cjones._binom_row(max(exps), length)
@@ -549,15 +595,23 @@ class TestGSeriesTables:
 
     @pytest.mark.parametrize("alpha", [2, 5, 9])
     def test_mirrored_entries_share_one_coefficient(self, alpha):
-        # one tuple per coefficient in the g-series tables, one int in the ring
+        # one tuple per coefficient in the g-series tables, one int in the
+        # ring for a read entry and its mirror, when the word reads both
         N = alpha - 1
         tables, _ = gseries_tables(alpha, 11)
-        ring = cjones._PackedRing(cjones._Closure.of(FIG8), alpha, 11)
-        for built in (tables, ring.tables):
-            for sign in (1, -1):
-                for (i, j), entries in built[sign].items():
-                    for entry, other in zip(entries, built[sign][(N - j, N - i)]):
-                        assert other[2] is entry[2]
+        for sign in (1, -1):
+            for (i, j), entries in tables[sign].items():
+                for entry, other in zip(entries, tables[sign][(N - j, N - i)]):
+                    assert other[2] is entry[2]
+        for word in (FIG8, K6_1):
+            closure = cjones._Closure.of(word)
+            ring = cjones._PackedRing(closure, alpha, 11)
+            read = read_entries(closure, alpha)
+            for (sign, i, j, t) in read:
+                c = ring.tables[sign][(i, j)][t][2]
+                assert isinstance(c, int)
+                if (sign, N - j, N - i, t) in read:
+                    assert ring.tables[sign][(N - j, N - i)][t][2] is c
 
 
 class TestOneSignTables:
@@ -570,11 +624,11 @@ class TestOneSignTables:
     @pytest.mark.parametrize("alpha", [2, 5, 9])
     def test_one_sign_is_that_sign_of_both(self, alpha):
         operators = cjones._operator_pair(alpha)
-        coeffs, majorants = cjones._gseries_entry_tables(operators, 11, (1, -1))
+        coeffs, majorants = cjones._gseries_entry_tables(operators, 11, EVERY_ENTRY)
         tables = keyed_tables(operators, coeffs)
         for op in operators:
             sign = op.sign
-            one_coeffs, one_majorants = cjones._gseries_entry_tables(operators, 11, (sign,))
+            one_coeffs, one_majorants = cjones._gseries_entry_tables(operators, 11, {sign: None})
             assert ((keyed_tables(operators, one_coeffs, (sign,)), one_majorants)
                     == ({sign: tables[sign]}, {sign: majorants[sign]}))
             assert one_coeffs == {ck: coeffs[ck]
@@ -582,14 +636,21 @@ class TestOneSignTables:
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_one_sign_word_converts_only_its_entries(self, sign, monkeypatch):
-        # each distinct coefficient is unpacked once, and the ring unpacks nothing else
+        # each distinct coefficient the word reads is unpacked once, and the
+        # ring unpacks nothing else: for the positive trefoil, fewer than the
+        # sign's table holds (its mirror's reads cover every coefficient)
         alpha, unpacked = 6, []
+        closure = cjones._Closure.of(BraidWord(2, (sign,) * 3))
+        table = cjones._braiding_table(alpha, sign)
+        read = {cjones._coefficient_key(table[(i, j)][t])
+                for (s, i, j, t) in read_entries(closure, alpha)}
         original = cjones._unpack
         monkeypatch.setattr(cjones, "_unpack",
                             lambda *args: unpacked.append(args) or original(*args))
-        cjones._PackedRing(cjones._Closure.of(BraidWord(2, (sign,) * 3)), alpha, 13)
-        assert len(unpacked) == len({cjones._coefficient_key(e)
-                                     for e in cjones._entries(cjones._braiding_table(alpha, sign))})
+        cjones._PackedRing(closure, alpha, 13)
+        assert len(unpacked) == len(read)
+        every = {cjones._coefficient_key(e) for e in cjones._entries(table)}
+        assert read < every if sign > 0 else read == every
 
     def test_trefoil_widths_at_order_12(self):
         # the widths of both-sign tables: the width reads only the word's signs
@@ -602,6 +663,175 @@ class TestOneSignTables:
         ring = cjones._PackedRing(closure, 4, 9)
         assert ring.tables == {}
         assert ring.unpack(cjones._state_sum(closure, 4, ring)) == [1] + [0] * 8
+
+
+def mutated_minus(table, key, how, N):
+    """The factored minus table with entry 1 of ``key`` mutated: its w raised by 4,
+    its sign flipped, or its first factor index moved by one."""
+    k, l, w, (a, n), b, sgn = table[key][1]
+    entry = {"weight": (k, l, w + 4, (a, n), b, sgn),
+             "sign": (k, l, w, (a, n), b, -sgn),
+             "factor": (k, l, w, (a - 1 if a - 1 >= n else a + 1, n), b, sgn)}[how]
+    return {**table, key: [table[key][0], entry, *table[key][2:]]}
+
+
+MUTATIONS = ("weight", "sign", "factor")
+
+
+class TestGateMutations:
+    """One minus entry of a key i + j <= N (checked by the chain) or of its
+    mirror (checked by the flip premise alone) is mutated."""
+
+    @staticmethod
+    def build(alpha, mutate, monkeypatch):
+        original = cjones._braiding_table
+
+        def mutated(a, sign):
+            table = original(a, sign)
+            return mutate(table) if sign < 0 else table
+
+        monkeypatch.setattr(cjones, "_braiding_table", mutated)
+        with pytest.raises(ConventionViolationError, match=f"alpha={alpha}[,:]") as caught:
+            cjones._operator_pair(alpha)
+        return str(caught.value)
+
+    @pytest.mark.parametrize("alpha", [8, 13])
+    @pytest.mark.parametrize("how", MUTATIONS)
+    def test_checked_key_fails_the_chain(self, alpha, how, monkeypatch):
+        N = alpha - 1
+        message = self.build(alpha, lambda t: mutated_minus(t, (0, 1), how, N), monkeypatch)
+        assert "not inverse" in message and "basis (0, 1)" in message
+
+    @pytest.mark.parametrize("alpha", [8, 13])
+    @pytest.mark.parametrize("how", MUTATIONS)
+    def test_mirrored_mutation_fails_the_chain(self, alpha, how, monkeypatch):
+        # the same mutation at the key and, flipped, at its mirror keeps the
+        # tables flip-symmetric, so the chain alone must catch it
+        N = alpha - 1
+
+        def both(table):
+            table = mutated_minus(table, (0, 1), how, N)
+            return {**table, (N - 1, N): [cjones._flip(e, N) for e in table[(0, 1)]]}
+
+        message = self.build(alpha, both, monkeypatch)
+        assert "not inverse" in message and "basis (0, 1)" in message
+
+    @pytest.mark.parametrize("alpha", [8, 13])
+    @pytest.mark.parametrize("how", MUTATIONS)
+    def test_unchecked_key_fails_the_flip_premise(self, alpha, how, monkeypatch):
+        N = alpha - 1
+        message = self.build(alpha, lambda t: mutated_minus(t, (N - 1, N), how, N), monkeypatch)
+        assert "not flip-symmetric" in message and "basis (0, 1)" in message
+
+
+class TestFactorMemos:
+    @pytest.mark.parametrize("alpha", [2, 6, 11])
+    def test_factor_pairs_read_the_memo_once_per_factor(self, alpha, monkeypatch):
+        calls = []
+        original = cjones._factor_bounds
+        monkeypatch.setattr(cjones, "_factor_bounds",
+                            lambda *args: calls.append(args) or original(*args))
+        plus, minus = (cjones._braiding_table(alpha, sign) for sign in (1, -1))
+        pairs = factor_pairs(plus, minus)
+        assert len(calls) == len(pairs.s) + len(pairs.b) < len(cjones._entries(plus, minus))
+        for factors, build in ((pairs.s, cjones._scaled_qbinom), (pairs.b, cjones._qbinom)):
+            for (m, n), bounds in factors.items():
+                terms = build(m, n).terms
+                low = min(terms)
+                assert bounds == (sum(map(abs, terms.values())), low, max(terms),
+                                  gcd(*(x - low for x in terms)))
+
+
+class ReadCoefficient(int):
+    """A table coefficient that records where it was read when multiplied."""
+
+    read = set()
+
+    def __new__(cls, value, where):
+        obj = int.__new__(cls, value)
+        obj.where = where
+        return obj
+
+    def __mul__(self, other):
+        ReadCoefficient.read.add(self.where)
+        return int(self) * int(other)
+
+    __rmul__ = __mul__
+
+
+# 2- to 4-strand words of at most 6 letters whose closure is a knot
+SMALL_KNOT_WORDS = st.integers(2, 4).flatmap(
+    lambda n: st.lists(st.sampled_from([k for i in range(1, n) for k in (i, -i)]), max_size=6)
+    .map(lambda letters: BraidWord(n, letters))).filter(lambda b: b.is_knot())
+
+
+class TestReadEntries:
+    @given(b=SMALL_KNOT_WORDS)
+    @settings(max_examples=15, deadline=None)
+    def test_packed_ring_reads_only_what_it_built(self, b):
+        # at every cut: the kernel multiplies exactly the entries the walk
+        # reads (or some of them, when a sign's reads saturate), the packed
+        # result is the exact ring's g-series, and the width is at most the
+        # full-table width
+        for alpha in range(2, 6):
+            exact = exact_gseries(b, alpha, 7)
+            operators = cjones._operator_pair(alpha)
+            _, majorants = gseries_tables(alpha, 7)
+            for cut in every_cut(b):
+                closure = cjones._Closure.of(b, cut)
+                reads = cjones._read_entries(closure, alpha, {op.sign: op.table for op in operators})
+                walked = read_entries(closure, alpha)
+                ring = cjones._PackedRing(closure, alpha, 7)
+                ring.tables = {sign: {(i, j): tuple((k, l, c if c is None else
+                                                     ReadCoefficient(c, (sign, i, j, t)))
+                                                    for t, (k, l, c) in enumerate(entries))
+                                      for (i, j), entries in table.items()}
+                               for sign, table in ring.tables.items()}
+                ReadCoefficient.read = set()
+                assert ring.unpack(cjones._state_sum(closure, alpha, ring)) == exact
+                assert ReadCoefficient.read <= walked
+                assert ({r for r in ReadCoefficient.read if reads[r[0]] is not None}
+                        == {r for r in walked if reads[r[0]] is not None})
+                assert ring.bits <= full_table_bits(closure, alpha, 7, majorants)
+
+    def test_walk_stops_when_every_entry_is_read(self):
+        # the first letter of 6_1's chosen cut opens both its slots, so its
+        # sign is read whole at once; a trefoil reads a few keys of one sign
+        b = catalog_words()["6_1"]
+        closure = cjones._Closure.of(b, cjones._closure_cut(b))
+        operators = cjones._operator_pair(6)
+        tables = {op.sign: op.table for op in operators}
+        assert cjones._read_entries(closure, 6, tables) == {1: None, -1: None}
+        pairs, singles = cjones._read_entries(cjones._Closure.of(TREFOIL), 6, tables)[1]
+        assert pairs == {(0, j) for j in range(6)} | {(i, 0) for i in range(6)}
+        assert singles == set()
+
+    @pytest.mark.parametrize("name", ["3_1", "4_1"])
+    def test_narrow_knots_convert_a_fraction_of_the_coefficients(self, name, monkeypatch):
+        b = catalog_words()[name]
+        alpha = 13 if name == "3_1" else 11
+        closure = cjones._Closure.of(b, cjones._closure_cut(b))
+        operators = cjones._operator_pair(alpha)
+        reads = cjones._read_entries(closure, alpha, {op.sign: op.table for op in operators})
+        coeffs, _ = cjones._gseries_entry_tables(operators, 2 * alpha - 1, reads)
+        every, _ = cjones._gseries_entry_tables(operators, 2 * alpha - 1, dict.fromkeys(reads))
+        assert 4 * len(coeffs) < len(every)
+
+    def test_ring_keeps_only_its_tables(self, monkeypatch):
+        # no operator pair, factored table or digit tuple outlives the set-up
+        built = []
+        original = cjones._operator_pair
+        monkeypatch.setattr(cjones, "_operator_pair", lambda a: built.append(original(a)) or built[-1])
+        for word in (TREFOIL, FIG8, K6_1):
+            ring = cjones._PackedRing(cjones._Closure.of(word), 5, 9)
+            assert set(vars(ring)) == {"framing", "length", "bits", "mask", "tables", "_monomials"}
+            for table in ring.tables.values():
+                for entries in table.values():
+                    assert all(len(e) == 3 and type(e[2]) in (int, type(None)) for e in entries)
+            gc.collect()
+            for op in built.pop():
+                assert not any(r is ring.tables or r is vars(ring)
+                               for r in gc.get_referrers(op.table))
 
 
 class TestClosingIndex:
@@ -804,7 +1034,8 @@ def packed_products(b, alpha, cut):
     by the table coefficients themselves."""
     closure = cjones._Closure.of(b, cut)
     ring = cjones._PackedRing(closure, alpha, 5)
-    ring.tables = {sign: {key: tuple((k, l, CountedCoefficient(c)) for k, l, c in entries)
+    ring.tables = {sign: {key: tuple((k, l, c if c is None else CountedCoefficient(c))
+                                     for k, l, c in entries)
                           for key, entries in table.items()}
                    for sign, table in ring.tables.items()}
     CountedCoefficient.products = 0
@@ -905,18 +1136,24 @@ class TestClosureCut:
 
     @pytest.mark.parametrize("name", ["3_1", "4_1", "5_2", "6_1", "8_3"])
     def test_width_is_the_same_for_every_cut(self, name):
-        # the letter product commutes, and the charges of every pinned slot
-        # have one distribution (N - 2s and its negative are both charges)
+        # The full-table width is the same at every cut: the letter product
+        # commutes, and the charges of every pinned slot have one distribution
+        # (N - 2s and its negative are both charges).  A cut reads its own
+        # entries, so its width may be less, never more, and still holds
+        # every coefficient of the invariant.
         b = catalog_words()[name]
         for alpha in (2, 3, 5):
             charges = sorted(c for _, c in start_vectors(cjones._Closure.of(b), alpha))
-            for f in range(b.strands):
-                closure = cjones._Closure.of(b, (0, f))
+            exact = exact_gseries(b, alpha, 9)
+            _, majorants = gseries_tables(alpha, 9)
+            full = full_table_bits(cjones._Closure.of(b), alpha, 9, majorants)
+            for cut in every_cut(b):
+                closure = cjones._Closure.of(b, cut)
                 assert sorted(c for _, c in start_vectors(closure, alpha)) == charges
-            bits = cjones._PackedRing(cjones._Closure.of(b), alpha, 9).bits
-            for r in range(len(b.letters)):
-                rotated = BraidWord(b.strands, b.letters[r:] + b.letters[:r])
-                assert cjones._PackedRing(cjones._Closure.of(rotated), alpha, 9).bits == bits
+                assert full_table_bits(closure, alpha, 9, majorants) == full
+                ring = cjones._PackedRing(closure, alpha, 9)
+                assert ring.bits <= full
+                assert ring.bits >= max(abs(c) for c in exact).bit_length() + 1
 
     def test_small_colors_keep_the_given_cut(self, monkeypatch):
         # a D-table whose colors stop at 3 runs them at the given cut
