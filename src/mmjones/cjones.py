@@ -21,32 +21,32 @@ rule: no polynomial is divided, and the factors, which do not depend on the
 color, number only O(alpha^2).  Both gates are calls of one packed
 identity check, :func:`_check_chain`: a chain of factored tables must send
 each source key to an expected monomial.  The inverse gate
-(:func:`_check_inverse`) is the chain minus then plus from the keys
-i + j <= N, with a tuple comparison proving both tables flip-symmetric
-(below), which makes those keys enough; the Markov gate
-(:func:`_markov_data`) is the one table of charged diagonal entries,
-picked by index.  The check and the g-series tables
-(:func:`_gseries_entry_tables`) multiply Kronecker-packed factors, not
-Laurent polynomials: pack(S) pack(B) once per factor pair
-(:func:`_pair_products`), then one big-integer product per entry (check)
-or distinct coefficient (tables), at a width each proves exact from the
-color's factor-pair layer (:class:`_FactorPairs`).  The check packs each
-factor u^4 -> 2^width, multiplies unshifted packed entries and shifts each
-path product once, into the accumulator of its target and of its lowest
-exponent's residue mod 4.  The tables hold only the entries the word's
-state sum reads, found by one key-only walk of the closure per color
-(:func:`_read_entries`); when the walk has read every entry, every entry
-is converted.  Only the exact ring expands entries, whole tables, for the
-test oracle.
+(:func:`_check_inverse`) is a tuple comparison at every color, the premise
+that both tables built are the closed form, and one chain per process on
+the color-free pair the closed form reduces to, from the keys a <= b <= N
+of the largest N asked for so far; the Markov gate (:func:`_markov_data`)
+is the one table of charged diagonal entries, picked by index.  The check
+and the g-series tables (:func:`_gseries_entry_tables`) multiply
+Kronecker-packed factors, not Laurent polynomials: pack(S) pack(B) once per
+factor pair (:func:`_pair_products`), then one big-integer product per
+entry (check) or distinct coefficient (tables), at a width each proves
+exact from the factor-pair layer (:class:`_FactorPairs`).  The check packs
+each factor u^4 -> 2^width, multiplies unshifted packed entries and shifts
+each path product once, into the accumulator of its target and of its
+lowest exponent's residue mod 4.  The tables hold only the entries the
+word's state sum reads, found by one key-only walk of the closure per
+color (:func:`_read_entries`); when the walk has read every entry, every
+entry is converted.  Only the exact ring expands entries, whole tables,
+for the test oracle.
 
 Flip symmetry: under omega (i, j) -> (N - j, N - i), entry n of omega(i, j)
-has entry n of (i, j)'s w and sgn, the target omega(k, l) and the factors
-S(b, n) B(a, n) for S(a, n) B(b, n), the same polynomial.  Proof: omega maps
-(i, j, k, l) to (N - j, N - i, N - l, N - k): n, its range and w keep their
-values, and the factor indices swap; S(a, n) B(b, n) is S(n, n) [a choose n]
-[b choose n].  So only about half the entries' coefficients are distinct,
-and the inverse gate need run from only half the keys once a tuple
-comparison has shown that the tables built have this symmetry.
+of the closed form has entry n of (i, j)'s w and sgn, the target
+omega(k, l) and the factors S(b, n) B(a, n) for S(a, n) B(b, n), the same
+polynomial.  Proof: omega maps (i, j, k, l) to (N - j, N - i, N - l, N - k):
+n, its range and w keep their values, and the factor indices swap;
+S(a, n) B(b, n) is S(n, n) [a choose n] [b choose n].  So only about half
+the entries' coefficients are distinct.  The inverse gate's premise shows
+that the tables built are the closed form, so they have this symmetry.
 
 One state-sum kernel, :func:`_state_sum`, evaluates the invariant over
 three coefficient rings; only the table coefficients, the charges and the
@@ -88,7 +88,9 @@ the pair.  The caller owns the cut (``mmexpand._jones_rows`` picks one per
 D-table).  The only process caches are the color-independent memos
 :func:`_qbinom`, :func:`_qdiff_product`, :func:`_scaled_qbinom`,
 :func:`_factor_bounds`, :func:`_factor_gseries` and
-:func:`_g_to_h_columns`; a color's coefficient table is not one.
+:func:`_g_to_h_columns`, and the largest N whose color-free chain the
+inverse gate has checked (:func:`_check_color_free`), an integer; a
+color's coefficient table is not one.
 """
 
 from __future__ import annotations
@@ -97,6 +99,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, inf
 from operator import itemgetter, mul
+from types import SimpleNamespace
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exactalg import GateError, LaurentPoly, int_series_mul, series_pow1p, series_powers
@@ -207,7 +210,8 @@ def _factor_bounds(factor: Callable[[int, int], LaurentPoly], m: int, n: int) ->
 
 
 class _FactorPairs:
-    """The factor-pair layer of one color, built once with its operator pair.
+    """The factor-pair layer of a set of entries: one color's, built once with
+    its operator pair, or the color-free pair's.
 
     For the factor pair (s, b) of an entry e, :meth:`norm` is
     |S|_1 |B|_1 >= |S B|_1 (|.|_1, the sum of absolute coefficients, is
@@ -345,42 +349,102 @@ def _check_chain(chain: List[dict], expected: dict, pairs: _FactorPairs,
             raise error(key)
 
 
-def _flip(entry: tuple, N: int) -> tuple:
-    """The entry omega maps ``entry`` to (module docstring): target (N - l, N - k),
-    the same w and sgn, the factor indices swapped."""
-    k, l, w, (a, n), (b, _), sgn = entry
-    return N - l, N - k, w, (b, n), (a, n), sgn
+def _check_inverse(plus: dict, minus: dict, alpha: int) -> None:
+    """Raise unless plus after minus is the identity: a premise at this color,
+    then the color-free chain through N = alpha - 1 (:func:`_check_color_free`).
 
+    Premise, a tuple comparison: both tables are the closed form of
+    :func:`_braiding_table` at every key (i, j) of [0, N]^2.  Plus entry n
+    of (i, j), n = 0..min(i, N - j), is (j + n, i - n, n(n - 1) +
+    (N - 2l)(N - 2k), (i, n), (N - j, n), 1), (k, l) its target; minus entry
+    n, n = 0..min(j, N - i), is (j - n, i + n, -n(n - 1) - (N - 2i)(N - 2j),
+    (j, n), (N - i, n), (-1)^n).
 
-def _check_inverse(plus: dict, minus: dict, pairs: _FactorPairs, alpha: int) -> None:
-    """Raise unless plus after minus is the identity, checked on the keys i + j <= N.
+    Given the premise, the chain minus then plus sends (i, j) by the path
+    (n, m), minus entry n then plus entry m of (j - n, i + n), to
+    (i + d, j - d), d = n + m, with the coefficient
+    (-1)^n u^(-n(n - 1) + m(m - 1) + E) S(j, n) B(N - i, n)
+    S(j - n, m) B(N - i - n, m), where
+    E = (N - 2j + 2d)(N - 2i - 2d) - (N - 2i)(N - 2j) is the two entries'
+    (N - 2.)(N - 2.) terms and depends on (i, j, d) alone; at d = 0, E = 0.
+    In (a, b) = (j, N - i) the ranges are n <= min(a, b) and
+    m <= min(a - n, b - n), and the coefficient is u^E times the product
+    along the path (n, m) of the color-free pair A, B
+    (:func:`_color_free_tables`) from (a, b) to (a - d, b - d): A sends
+    (a, b) to (a - n, b - n) with (-1)^n u^(-n(n - 1)) S(a, n) B(b, n), and B
+    sends (a, b) to (a - m, b - m) with u^(m(m - 1)) S(a, m) B(b, m).
+    Grouping the paths by d, the sum at (i + d, j - d) is u^E times the
+    color-free chain's sum at (a - d, b - d), and u^E is a unit.  So the
+    chain is u^0 at (i, j) and zero elsewhere if and only if the color-free
+    chain is u^0 at (a, b) and zero elsewhere.  (i, j) -> (j, N - i) maps
+    [0, N]^2 onto itself, and A, B do not depend on N, so R^- R^+ = I holds
+    at every key of every color <= N + 1 if and only if the color-free
+    chain is the identity on [0, N]^2.
 
-    The chain minus then plus (:func:`_check_chain`) runs from the keys
-    with i + j <= N alone, those with (i, j) <= omega(i, j) = (N - j, N - i);
-    then a tuple comparison checks the premise that makes them enough: both
-    tables are flip-symmetric, entry n of omega(i, j) being :func:`_flip` of
-    entry n of (i, j).  Given the premise, each entry of omega(key) has the
-    coefficient of its preimage, S(b, n) B(a, n) = S(n, n) [a choose n]
-    [b choose n] = S(a, n) B(b, n), and the omega image of its target.  So
-    the paths from omega(key) are the omega images of those from key, with
-    the same products, and the chain sends omega(key) to its sum at key
-    with every target mapped by omega: u^0 at key and zero elsewhere
-    becomes u^0 at omega(key) and zero elsewhere.  Every key is a checked
-    key or the omega image of one (omega is an involution, and i + j > N
-    gives (N - j) + (N - i) < N), so both checks passing proves R^- R^+ = I
-    at every key.  The premise compares the keys i + j <= N with their
-    images; _flip is an involution, so that covers the other keys too.
+    The color-free chain runs from the keys a <= b alone.
+    S(a, n) B(b, n) = S(b, n) B(a, n) by the definition of
+    :func:`_scaled_qbinom`: both are prod_{k=1..n} (q^k - q^-k)
+    [a choose n] [b choose n].  So A and B give the entries of (b, a) the
+    coefficients of those of (a, b) and the swapped targets, the paths from
+    (b, a) have the products of those from (a, b), and the chain's sum at
+    (b, a) is its sum at (a, b) with every target swapped.  The swap is the
+    flip omega of the module docstring, which the premise implies.  Paths
+    from a <= b keep a - d <= b - d, so the tables need only those keys.
     """
     N = alpha - 1
-    half = [(i, j) for i in range(alpha) for j in range(alpha - i)]
-    _check_chain([minus, plus], {key: (key, 0) for key in half}, pairs,
+    for table, closed_form in (
+            (plus, lambda i, j: [(j + n, i - n, n * (n - 1) + (N - 2 * (i - n)) * (N - 2 * (j + n)),
+                                  (i, n), (N - j, n), 1) for n in range(min(i, N - j) + 1)]),
+            (minus, lambda i, j: [(j - n, i + n, -(n * (n - 1)) - (N - 2 * i) * (N - 2 * j),
+                                   (j, n), (N - i, n), -1 if n % 2 else 1)
+                                  for n in range(min(j, N - i) + 1)])):
+        if len(table) != alpha * alpha:
+            raise ConventionViolationError(
+                f"crossing operators are not inverse at alpha={alpha}: a table has {len(table)} keys")
+        for i in range(alpha):
+            for j in range(alpha):
+                if table.get((i, j)) != closed_form(i, j):
+                    raise ConventionViolationError(
+                        f"crossing operators are not inverse at alpha={alpha}, basis {(i, j)}: "
+                        f"its entries are not the closed form")
+    _check_color_free(N)
+
+
+def _color_free_tables(N: int) -> Tuple[dict, dict]:
+    """The color-free pair A, B of :func:`_check_inverse` on the keys a <= b <= N,
+    as factored tables."""
+    keys = [(a, b) for b in range(N + 1) for a in range(b + 1)]
+    A = {(a, b): [(a - n, b - n, -(n * (n - 1)), (a, n), (b, n), -1 if n % 2 else 1)
+                  for n in range(a + 1)] for (a, b) in keys}
+    B = {(a, b): [(a - m, b - m, m * (m - 1), (a, m), (b, m), 1) for m in range(a + 1)]
+         for (a, b) in keys}
+    return A, B
+
+
+# the process memo of the color-free chain: the largest N checked so far
+_COLOR_FREE = SimpleNamespace(N=-1)
+
+
+def _check_color_free(N: int) -> None:
+    """Raise unless the color-free chain A then B (:func:`_check_inverse`) is the
+    identity on the keys a <= b <= N.
+
+    Runs once per process for each N above the memo's, from the keys with
+    b above it (those below are checked), and keeps only N.  One
+    :func:`_check_chain` on the tables of :func:`_color_free_tables`; a
+    failure names the color alpha = N + 1, the basis (N - b, a) of the
+    failing key (a, b) and the key.
+    """
+    done = _COLOR_FREE.N
+    if N <= done:
+        return
+    A, B = _color_free_tables(N)
+    _check_chain([A, B], {key: (key, 0) for key in A if key[1] > done},
+                 _FactorPairs(_entries(A, B)),
                  lambda key: ConventionViolationError(
-                     f"crossing operators are not inverse at alpha={alpha}, basis {key}"))
-    for table in (minus, plus):
-        for (i, j) in half:
-            if table[(N - j, N - i)] != [_flip(e, N) for e in table[(i, j)]]:
-                raise ConventionViolationError(
-                    f"crossing operators are not flip-symmetric at alpha={alpha}, basis {(i, j)}")
+                     f"crossing operators are not inverse at alpha={N + 1}, basis {(N - key[1], key[0])}: "
+                     f"the color-free chain fails at key {key}"))
+    _COLOR_FREE.N = N
 
 
 class CrossingOperator(NamedTuple):
@@ -405,8 +469,8 @@ def _operator_pair(alpha: int) -> Tuple[CrossingOperator, CrossingOperator]:
     """
     plus = _braiding_table(alpha, 1)
     minus = _braiding_table(alpha, -1)
+    _check_inverse(plus, minus, alpha)
     pairs = _FactorPairs(_entries(plus, minus))
-    _check_inverse(plus, minus, pairs, alpha)
     return CrossingOperator(alpha, 1, plus, pairs), CrossingOperator(alpha, -1, minus, pairs)
 
 
@@ -886,7 +950,8 @@ def _gseries_entry_tables(operators: Sequence[CrossingOperator], length: int,
     the entries of each read row: a key read whole, or one entry read
     alone.  With every entry read, the rows are the keys with i + j <= N:
     the flip mirror (N - j, N - i) of a key has the same coefficients
-    (:func:`_check_inverse` proves the tables flip-symmetric).
+    (module docstring; the premise of :func:`_check_inverse` shows that
+    the tables are the closed form, which is flip-symmetric).
     """
     rows = {}  # sign -> the read rows, each a list of (coefficient key, entry)
     for op in operators:

@@ -246,41 +246,53 @@ def solve_linear_system(matrix: Sequence[Sequence], rhs_columns: Sequence[Sequen
     ``matrix`` is square; ``rhs_columns`` is a list of right-hand-side
     vectors.  Returns the list of solution vectors.  Raises
     ``ExactAlgError`` on a singular matrix.
+
+    Fraction-free (Bareiss, Math. Comp. 22, 1968), over the integers: each
+    augmented row, A's row r and entry r of every b, is scaled by the lcm
+    of its denominators, which leaves the solutions alone.  Elimination
+    step k, after a swap that puts a nonzero pivot p_k = M[k][k] on row k,
+    replaces each entry (i, j), i, j > k, by
+    (p_k M[i][j] - M[i][k] M[k][j]) / p_(k-1), p_(-1) = 1, an exact
+    division: by Sylvester's identity the entry is then the minor of rows
+    0..k, i and columns 0..k, j of the row-swapped integer matrix.  Each
+    step is an invertible row operation, so the upper triangle U (entry
+    (i, k) below the diagonal is left stale: nothing reads it) and the
+    transformed right-hand sides c have A's solutions, and
+    d = U[n-1][n-1] is the swapped matrix's determinant.  By Cramer's rule
+    y = d x is an integer vector, so back-substitution
+    y_r = (d c_r - sum_(j > r) U[r][j] y_j) / U[r][r] divides exactly too,
+    and each solution entry is one Fraction y_r / d.
     """
     n = len(matrix)
-    a = [[_frac(v) for v in row] for row in matrix]
-    bs = [[_frac(v) for v in col] for col in rhs_columns]
-    if any(len(row) != n for row in a):
+    if any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square")
-    if any(len(col) != n for col in bs):
+    if any(len(col) != n for col in rhs_columns):
         raise ValueError("rhs length mismatch")
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+    rows = []
+    for r in range(n):
+        row = [_frac(v) for v in matrix[r]] + [_frac(col[r]) for col in rhs_columns]
+        den = lcm(*(v.denominator for v in row))
+        rows.append([v.numerator * (den // v.denominator) for v in row])
+    prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if rows[r][k]), None)
         if piv is None:
             raise ExactAlgError("singular linear system")
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            for b in bs:
-                b[col], b[piv] = b[piv], b[col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            f = a[r][col] * inv
-            if f == 0:
-                continue
-            for c in range(col, n):
-                a[r][c] -= f * a[col][c]
-            for b in bs:
-                b[r] -= f * b[col]
+        rows[k], rows[piv] = rows[piv], rows[k]
+        top = rows[k]
+        p, tail = top[k], top[k + 1:]
+        for i in range(k + 1, n):
+            row = rows[i]
+            f = row[k]
+            row[k + 1:] = [(p * x - f * y) // prev for x, y in zip(row[k + 1:], tail)]
+        prev = p
     sols = []
-    for b in bs:
-        x = [_ZERO] * n
+    for c in range(n, n + len(rhs_columns)):
+        y = [0] * n
         for r in range(n - 1, -1, -1):
-            s = b[r]
-            row = a[r]
-            for c in range(r + 1, n):
-                s -= row[c] * x[c]
-            x[r] = s / row[r]
-        sols.append(x)
+            row = rows[r]
+            y[r] = (prev * row[c] - sum(row[j] * y[j] for j in range(r + 1, n))) // row[r]
+        sols.append([Fraction(v, prev) for v in y])
     return sols
 
 

@@ -20,8 +20,10 @@ u the square root of q-hat.
 
 The colors of a D-table share the closure cut that
 ``_jones_rows`` owns: it picks one with ``cjones._closure_cut`` when some
-color is above 3.  Each color's ring owns its operator pair and framing;
-the four color-independent memos of ``cjones`` are the only process caches.
+color is above 3.  It runs the inverse gate's color-free chain for the top
+color first, so a D-table runs that chain once.  Each color's ring owns
+its operator pair and framing; the color-independent memos of ``cjones``
+are the only process caches.
 
 Every series here is a coefficient tuple (see ``exactalg``), and every
 product is the one truncated integer product, ``exactalg.int_series_mul``.
@@ -55,7 +57,7 @@ from math import factorial, lcm
 from operator import add, mul
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .cjones import _closure_cut, jones_h_series
+from .cjones import _check_color_free, _closure_cut, jones_h_series
 from .exactalg import (
     GateError,
     LaurentPoly,
@@ -134,7 +136,12 @@ class DTable(_DTableFields):
 
 
 def _jones_rows(b: BraidWord, alphas: Sequence[int], cap: int):
-    """The h-series of every color, all at the one closure cut of the D-table."""
+    """The h-series of every color, all at the one closure cut of the D-table.
+
+    The inverse gate's color-free chain runs first, for the top color, so
+    the D-table runs it once and every other color reads its memo.
+    """
+    _check_color_free(max(alphas) - 1)
     # the cut search costs more than it saves when no color is above 3
     cut = _closure_cut(b) if max(alphas) > 3 else (0, 0)
     return [jones_h_series(b, alpha, cap, cut) for alpha in alphas]

@@ -22,7 +22,10 @@ oracle that reads a series of the package wraps its tuple in a
 generator matrix per letter, multiplied in by a full matrix product.  The
 braid and polynomial helpers at the end (mirror, conjugate, Markov
 stabilization, u -> 1/u, odd parity) are what the tests use to state
-invariances; the pipeline never calls them.
+invariances; the pipeline never calls them.  The file ends with the
+linear solve by Gaussian elimination over Fractions, the reference for
+the package's fraction-free solve, and the flip of a factored crossing
+entry, with which the tests state the tables' symmetry.
 """
 
 from fractions import Fraction
@@ -486,3 +489,44 @@ def invert_variable(p: LaurentPoly) -> LaurentPoly:
 
 def only_odd_powers(p: QPoly) -> bool:
     return all(c == 0 for c in p.coeffs[0::2])
+
+
+def solve_by_fractions(matrix, rhs_columns):
+    """A x = b for each right-hand side, by Gaussian elimination over Fractions."""
+    n = len(matrix)
+    a = [[Fraction(v) for v in row] for row in matrix]
+    bs = [[Fraction(v) for v in col] for col in rhs_columns]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise ZeroDivisionError("singular linear system")
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            for b in bs:
+                b[col], b[piv] = b[piv], b[col]
+        inv = 1 / a[col][col]
+        for r in range(col + 1, n):
+            f = a[r][col] * inv
+            if f == 0:
+                continue
+            for c in range(col, n):
+                a[r][c] -= f * a[col][c]
+            for b in bs:
+                b[r] -= f * b[col]
+    sols = []
+    for b in bs:
+        x = [Fraction(0)] * n
+        for r in range(n - 1, -1, -1):
+            s = b[r]
+            for c in range(r + 1, n):
+                s -= a[r][c] * x[c]
+            x[r] = s / a[r][r]
+        sols.append(x)
+    return sols
+
+
+def flip_entry(entry: tuple, N: int) -> tuple:
+    """The entry omega (i, j) -> (N - j, N - i) maps ``entry`` to: target
+    (N - l, N - k), the same w and sgn, the factor indices swapped."""
+    k, l, w, (a, n), (b, _), sgn = entry
+    return N - l, N - k, w, (b, n), (a, n), sgn

@@ -23,6 +23,7 @@ from oracle_algebra import (
     colored_jones,
     compose_by_horner,
     conjugated,
+    flip_entry,
     gseries_entry_tables,
     invert_variable,
     laurent_to_hseries,
@@ -212,20 +213,26 @@ def exact_gseries(b, alpha, length):
 
 
 def gate_chain(gate, *args):
-    """The (chain, expected, pairs) that ``gate`` hands to the one chain check.
-
-    The inverse gate's flip premise runs after its chain and fails on a
-    table tampered at one key only; the chain is what this returns.
-    """
+    """The (chain, expected, pairs) that ``gate`` hands to the one chain check,
+    run with the color-free memo empty; the memo is restored after."""
     calls = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cjones, "_check_chain", lambda *call: calls.append(call[:3]))
-        try:
-            gate(*args)
-        except ConventionViolationError as err:
-            assert "flip-symmetric" in str(err)
+        mp.setattr(cjones._COLOR_FREE, "N", -1)
+        gate(*args)
     (call,) = calls
     return call
+
+
+def per_color_chain_holds(plus, minus, alpha):
+    """R^- R^+ = I at one color, checked directly: the chain minus then plus,
+    from every key of the built tables, is the identity."""
+    try:
+        cjones._check_chain([minus, plus], {key: (key, 0) for key in minus},
+                            factor_pairs(plus, minus), ConventionViolationError)
+    except ConventionViolationError:
+        return False
+    return True
 
 
 def factor_pairs(*tables):
@@ -285,31 +292,32 @@ class TestOperatorTables:
                 cjones._operator_pair(alpha)
 
     @pytest.mark.parametrize("alpha", range(1, 8))
-    def test_gate_width_covers_exact_composition(self, alpha):
-        # the chain runs from the keys i + j <= N; the width is a sign bit
-        # over the |S|_1 |B|_1 path bound, and that bound covers every
-        # coefficient of the exact products and composition; every term of a
-        # path's product lies at base + (its offset's residue) + step d, d >= 0
+    def test_gate_width_covers_exact_composition(self, alpha, monkeypatch):
+        # the inverse gate's one chain is the color-free pair A then B, from
+        # the keys a <= b <= N = alpha - 1; the width is a sign bit over the
+        # |S|_1 |B|_1 path bound, and that bound covers every coefficient of
+        # the exact products and composition, true and tampered; every term
+        # of a path's product lies at base + (its offset's residue) + step d,
+        # d >= 0
         N = alpha - 1
-        plus = cjones._braiding_table(alpha, 1)
-        true_minus = cjones._braiding_table(alpha, -1)
-        for minus in (true_minus, *(tamper_minus(true_minus, how) for how in TAMPERS)):
-            chain, expected, pairs = gate_chain(cjones._check_inverse, plus, minus,
-                                                factor_pairs(plus, minus), alpha)
-            assert chain == [minus, plus]
-            assert expected == {(i, j): ((i, j), 0) for (i, j) in minus if i + j <= N}
+        true_a, table_b = cjones._color_free_tables(N)
+        for table_a in (true_a, *(tamper_minus(true_a, how) for how in TAMPERS)):
+            monkeypatch.setattr(cjones, "_color_free_tables", lambda n, pair=(table_a, table_b): pair)
+            chain, expected, pairs = gate_chain(cjones._check_color_free, N)
+            assert chain == [table_a, table_b]
+            assert expected == {(a, b): ((a, b), 0) for b in range(alpha) for a in range(b + 1)}
             width, step, los = cjones._chain_layout(chain, expected, pairs)
-            bound = path_bound(plus, minus)
+            bound = path_bound(table_b, table_a)
             assert width == bound.bit_length() + 1
             assert step == (4 if alpha > 1 else 1)
-            products, composed = compose_paths(cjones._expand_table(plus),
-                                               cjones._expand_table(minus))
+            products, composed = compose_paths(cjones._expand_table(table_b),
+                                               cjones._expand_table(table_a))
             polys = products + [p for acc in composed.values() for p in acc.values()]
             assert max(abs(c) for p in polys for c in p.terms.values()) <= bound
             base = sum(los)
             for key in expected:
-                for e in minus[key]:
-                    for e2 in plus[e[:2]]:
+                for e in table_a[key]:
+                    for e2 in table_b[e[:2]]:
                         offset = e[2] + pairs.lo(e) + e2[2] + pairs.lo(e2) - base
                         terms = (cjones._entry_poly(e) * cjones._entry_poly(e2)).terms
                         assert offset >= 0 and min(terms) == base + offset
@@ -325,7 +333,7 @@ class TestOperatorTables:
             identity = all({tgt: p for tgt, p in acc.items() if p} == {key: LaurentPoly.one("u")}
                            for key, acc in composed.items())
             try:
-                cjones._check_inverse(plus, minus, factor_pairs(plus, minus), alpha)
+                cjones._check_inverse(plus, minus, alpha)
                 packed_identity = True
             except ConventionViolationError:
                 packed_identity = False
@@ -679,8 +687,11 @@ MUTATIONS = ("weight", "sign", "factor")
 
 
 class TestGateMutations:
-    """One minus entry of a key i + j <= N (checked by the chain) or of its
-    mirror (checked by the flip premise alone) is mutated."""
+    """One minus entry of a key i + j <= N or of its mirror, i + j > N, is
+    mutated in the table built, or one entry of the color-free pair A, B.
+    The premise catches the first kind at the key, the color-free chain the
+    second; the per-color chain over every key rejects every mutated table
+    too, so each one is a true fault of R^- R^+ = I."""
 
     @staticmethod
     def build(alpha, mutate, monkeypatch):
@@ -693,11 +704,13 @@ class TestGateMutations:
         monkeypatch.setattr(cjones, "_braiding_table", mutated)
         with pytest.raises(ConventionViolationError, match=f"alpha={alpha}[,:]") as caught:
             cjones._operator_pair(alpha)
+        assert not per_color_chain_holds(mutated(alpha, 1), mutated(alpha, -1), alpha)
         return str(caught.value)
 
     @pytest.mark.parametrize("alpha", [8, 13])
     @pytest.mark.parametrize("how", MUTATIONS)
     def test_checked_key_fails_the_chain(self, alpha, how, monkeypatch):
+        # a key i + j <= N: the closed-form premise names it
         N = alpha - 1
         message = self.build(alpha, lambda t: mutated_minus(t, (0, 1), how, N), monkeypatch)
         assert "not inverse" in message and "basis (0, 1)" in message
@@ -706,12 +719,12 @@ class TestGateMutations:
     @pytest.mark.parametrize("how", MUTATIONS)
     def test_mirrored_mutation_fails_the_chain(self, alpha, how, monkeypatch):
         # the same mutation at the key and, flipped, at its mirror keeps the
-        # tables flip-symmetric, so the chain alone must catch it
+        # tables flip-symmetric; the closed-form premise still names the key
         N = alpha - 1
 
         def both(table):
             table = mutated_minus(table, (0, 1), how, N)
-            return {**table, (N - 1, N): [cjones._flip(e, N) for e in table[(0, 1)]]}
+            return {**table, (N - 1, N): [flip_entry(e, N) for e in table[(0, 1)]]}
 
         message = self.build(alpha, both, monkeypatch)
         assert "not inverse" in message and "basis (0, 1)" in message
@@ -719,9 +732,71 @@ class TestGateMutations:
     @pytest.mark.parametrize("alpha", [8, 13])
     @pytest.mark.parametrize("how", MUTATIONS)
     def test_unchecked_key_fails_the_flip_premise(self, alpha, how, monkeypatch):
+        # a key i + j > N: the closed-form premise, which implies the flip
+        # symmetry, names it
         N = alpha - 1
         message = self.build(alpha, lambda t: mutated_minus(t, (N - 1, N), how, N), monkeypatch)
-        assert "not flip-symmetric" in message and "basis (0, 1)" in message
+        assert "not the closed form" in message and f"basis {(N - 1, N)}" in message
+
+    @pytest.mark.parametrize("alpha", [8, 13])
+    @pytest.mark.parametrize("how", MUTATIONS)
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_color_free_table_fails_the_chain(self, alpha, how, which, monkeypatch):
+        # entry 1 of the key (1, 2) in A (which = 0) or in B (which = 1); the
+        # chain from (1, 2) is the first to reach it, and (1, 2) is the
+        # basis (N - 2, 1) of the color asked for
+        N = alpha - 1
+        original = cjones._color_free_tables
+
+        def mutated(n):
+            tables = list(original(n))
+            tables[which] = mutated_minus(tables[which], (1, 2), how, n)
+            return tuple(tables)
+
+        monkeypatch.setattr(cjones, "_color_free_tables", mutated)
+        monkeypatch.setattr(cjones._COLOR_FREE, "N", -1)
+        with pytest.raises(ConventionViolationError, match=f"alpha={alpha}[,:]") as caught:
+            cjones._operator_pair(alpha)
+        message = str(caught.value)
+        assert "not inverse" in message and f"basis {(N - 2, 1)}" in message
+        assert "color-free chain fails at key (1, 2)" in message
+        assert cjones._COLOR_FREE.N == -1
+
+
+class TestInverseGate:
+    @pytest.mark.parametrize("alpha", range(2, 14))
+    def test_per_color_chain_over_every_key_holds(self, alpha):
+        # the oracle of the color-free reduction: the two-table chain at this
+        # color, from every key
+        plus, minus = cjones._operator_pair(alpha)
+        assert per_color_chain_holds(plus.table, minus.table, alpha)
+
+    def test_color_free_chain_runs_once_per_dtable(self, monkeypatch):
+        # a D-table at N runs it once, for its top color; the colors up to
+        # N + 1 run none after it, and none on their own pair; a higher
+        # color runs it from the keys past N alone; the memo is N
+        N = 6
+        monkeypatch.setattr(cjones._COLOR_FREE, "N", -1)
+        checked, chains = [], []
+        original_tables, original_chain = cjones._color_free_tables, cjones._check_chain
+        monkeypatch.setattr(cjones, "_color_free_tables",
+                            lambda n: checked.append(n) or original_tables(n))
+        monkeypatch.setattr(cjones, "_check_chain",
+                            lambda chain, expected, *rest: chains.append((chain, expected))
+                            or original_chain(chain, expected, *rest))
+        build_dtable(TREFOIL, N)
+        assert checked == [N]
+        (two_table,) = [(chain, expected) for chain, expected in chains if len(chain) == 2]
+        assert all(a <= b for table in two_table[0] for (a, b) in table)
+        chains.clear()
+        for alpha in range(1, N + 2):
+            cjones._operator_pair(alpha)
+        assert checked == [N] and chains == []
+        cjones._operator_pair(N + 3)
+        assert checked == [N, N + 2]
+        ((chain, expected),) = chains
+        assert set(expected) == {(a, b) for b in (N + 1, N + 2) for a in range(b + 1)}
+        assert vars(cjones._COLOR_FREE) == {"N": N + 2}
 
 
 class TestFactorMemos:

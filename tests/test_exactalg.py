@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mmjones import golden
 from mmjones.exactalg import (
     CompositionError,
     ExactAlgError,
@@ -30,6 +31,7 @@ from oracle_algebra import (
     invert_variable,
     poly_divmod,
     poly_gcd,
+    solve_by_fractions,
 )
 
 F = Fraction
@@ -289,6 +291,42 @@ class TestLinearSolve:
     def test_singular_detected(self):
         with pytest.raises(ExactAlgError):
             solve_linear_system([[1, 1], [2, 2]], [[1, 2]])
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_fraction_elimination(self, data):
+        # small entries make zero pivots, so rows swap; a singular draw must
+        # raise in both
+        n = data.draw(st.integers(1, 6))
+        entry = st.integers(-3, 3) | st.fractions(-9, 9, max_denominator=7)
+        vector = st.lists(entry, min_size=n, max_size=n)
+        matrix = data.draw(st.lists(vector, min_size=n, max_size=n))
+        rhs = data.draw(st.lists(vector, min_size=1, max_size=4))
+        try:
+            expected = solve_by_fractions(matrix, rhs)
+        except ZeroDivisionError:
+            with pytest.raises(ExactAlgError, match="singular"):
+                solve_linear_system(matrix, rhs)
+            return
+        assert solve_linear_system(matrix, rhs) == expected
+
+    @given(data=st.data())
+    @settings(max_examples=8, deadline=None)
+    def test_vandermonde_rows_of_every_golden_budget(self, data):
+        # the D-table's matrix, rows (alpha^2)^m for alpha = 1..N + 1, at every
+        # golden budget and 3_1's N = 12: right-hand sides drawn at random and
+        # made from a drawn solution
+        for N in sorted({*golden.TABLE_BUDGET.values(), 12}):
+            matrix = [[F(a * a) ** m for m in range(N + 1)] for a in range(1, N + 2)]
+            drawn = data.draw(st.lists(st.lists(st.integers(-10 ** 9, 10 ** 9), min_size=N + 1,
+                                                max_size=N + 1), min_size=1, max_size=2))
+            solution = data.draw(st.lists(st.fractions(-50, 50, max_denominator=10 ** 4),
+                                          min_size=N + 1, max_size=N + 1))
+            made = [sum(c * x for c, x in zip(row, solution)) for row in matrix]
+            rhs = [*drawn, made]
+            got = solve_linear_system(matrix, rhs)
+            assert got == solve_by_fractions(matrix, rhs)
+            assert got[-1] == solution
 
 
 @given(st.lists(st.integers(-4, 4), min_size=1, max_size=5))
